@@ -14,8 +14,8 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 invalid arguments
 (including a violated embedding condition alpha - 2m + 1 > 0).  JSON reports
 carry a top-level ``schema_version``; numeric fields are rounded to 12
 significant digits so reports are stable across runs.  CSV output uses comma
-delimiters and ``.`` decimals regardless of locale.  The environment
-variable POLYRAD_THREADS caps internal parallelism.
+delimiters and ``.`` decimals regardless of locale.  Pass thresholds are
+the named constants of :mod:`polyrad.suite` and :mod:`polyrad.ode`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import io
 import os
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -39,15 +38,6 @@ from . import suite
 from .errors import PolyradError
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    options: dict = field(default_factory=dict)
-    output_format: str = "json"
-    output_path: Optional[str] = None
-    seed: int = suite.DEFAULT_SEED
 
 
 def _round12(obj):
@@ -74,6 +64,10 @@ def _emit_json(obj: dict, path: Optional[str]) -> None:
     _emit(json.dumps(_round12(body), indent=2, sort_keys=True) + "\n", path)
 
 
+def _float_list(text: str) -> List[float]:
+    return [float(x) for x in text.split(",") if x]
+
+
 def _csv_text(header: List[str], rows: List[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -88,91 +82,88 @@ def _csv_text(header: List[str], rows: List[list]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify_polyharmonic(config: RunConfig) -> int:
-    max_m = config.options["max_m"]
-    result = suite.check_polyharmonic_identity(max_m=max_m)
+def _cmd_verify_polyharmonic(args: argparse.Namespace) -> int:
+    result = suite.check_polyharmonic_identity(max_m=args.max_m)
     _emit_json(
         {
             "subcommand": "verify-polyharmonic",
-            "max_m": max_m,
+            "max_m": args.max_m,
             "results": [
                 {"m": m, "exact": ok} for m, ok in result.details["per_m"].items()
             ],
             "passed": result.passed,
         },
-        config.output_path,
+        args.output,
     )
     return 0 if result.passed else 1
 
 
-def _cmd_coeff_table(config: RunConfig) -> int:
-    text = suite.coeff_table_json(config.options["m"])
-    _emit(text, config.output_path)
+def _cmd_coeff_table(args: argparse.Namespace) -> int:
+    _emit(suite.coeff_table_json(args.m), args.output)
     return 0
 
 
-def _cmd_best_constant(config: RunConfig) -> int:
-    m, alpha = config.options["m"], config.options["alpha"]
+def _cmd_best_constant(args: argparse.Namespace) -> int:
+    m, alpha = args.m, args.alpha
     closed = const.best_constant(m, alpha)
     report = {"subcommand": "best-constant", **closed.to_json_obj()}
     ok = True
-    if config.options["cross_check"]:
+    if args.cross_check:
         quad = const.best_constant(m, alpha, route="quadrature")
         rel = abs(quad.S - closed.S) / closed.S
-        ok = rel <= 1e-10
+        ok = rel <= suite.QUADRATURE_ROUTE_REL_TOL
         report["cross_check"] = {
             "S_quadrature": quad.S,
             "rel_diff": rel,
             "agrees": ok,
         }
-    _emit_json(report, config.output_path)
+    _emit_json(report, args.output)
     return 0 if ok else 1
 
 
-def _cmd_rayleigh(config: RunConfig) -> int:
-    m, alpha = config.options["m"], config.options["alpha"]
+def _cmd_rayleigh(args: argparse.Namespace) -> int:
+    m, alpha = args.m, args.alpha
     spec = fun.QuadratureSpec()
     s_closed = const.best_constant(m, alpha).S
     rows = []
     ok = True
-    for eps in config.options["eps_list"]:
+    for eps in args.eps_list:
         q = fun.rayleigh_quotient(fun.bliss_profile(m, alpha, eps), m, alpha, spec)
         rel = abs(q - s_closed) / s_closed
-        ok = ok and rel <= 1e-6
+        ok = ok and rel <= suite.ATTAIN_REL_TOL
         rows.append([f"{eps:.12g}", q, s_closed, rel])
-    if config.options["perturb"]:
-        amp = config.options["perturb_amplitude"]
+    if args.perturb:
+        amp = args.perturb_amplitude
         w = fun.bliss_profile(m, alpha, 1.0)
         for index in range(len(fun.PERTURBATION_DIRECTIONS)):
             q = fun.rayleigh_quotient(
                 w + amp * fun.perturbation_direction(index, m, alpha), m, alpha, spec
             )
-            ok = ok and q >= s_closed - 1e-6
-            rows.append([f"probe{index:02d}@{amp:g}", q, s_closed,
-                         (q - s_closed) / s_closed])
+            rel = (q - s_closed) / s_closed
+            ok = ok and -rel <= suite.PROBE_TOL  # (S - q) / S
+            rows.append([f"probe{index:02d}@{amp:g}", q, s_closed, rel])
     _emit(_csv_text(["epsilon", "quotient", "S_closed_form", "rel_diff"], rows),
-          config.output_path)
+          args.output)
     return 0 if ok else 1
 
 
-def _cmd_iterate(config: RunConfig) -> int:
-    opts = config.options
-    m, alpha = opts["m"], opts["alpha"]
-    grid = it.RadialGrid.geometric(opts["r_min"], opts["r_max"], opts["grid_points"])
-    u = fun.bliss_profile(m, alpha, opts["eps"])
+def _cmd_iterate(args: argparse.Namespace) -> int:
+    m, alpha = args.m, args.alpha
+    grid = it.RadialGrid.geometric(args.r_min, args.r_max, args.grid_points)
+    u = fun.bliss_profile(m, alpha, args.eps)
     chain = it.iterate_chain(u, m, alpha, grid)
 
-    os.makedirs(opts["output_dir"], exist_ok=True)
+    os.makedirs(args.output_dir, exist_ok=True)
     for k, gf in enumerate(chain.w):
         rows = [[float(r), float(v)] for r, v in zip(grid.nodes, gf.values)]
-        _emit(_csv_text(["r", f"w_{k}"], rows), f"{opts['output_dir']}/chain_k{k}.csv")
+        _emit(_csv_text(["r", f"w_{k}"], rows), f"{args.output_dir}/chain_k{k}.csv")
 
     inverse = it.verify_inverse(chain, 1)
     decay = it.decay_report(chain)
     origin = it.origin_behavior(chain)
     fixed = it.fixed_point_residual(u, m, alpha, grid)
     q_ok = all(
-        abs(q * (alpha + 2 * m + 1 - 4 * k) - 2 * (alpha + 1)) < 1e-9
+        abs(q * (alpha + 2 * m + 1 - 4 * k) - 2 * (alpha + 1)) < suite.Q_SEQUENCE_TOL
         for k, q in enumerate(chain.q)
     )
     checks = {
@@ -194,57 +185,53 @@ def _cmd_iterate(config: RunConfig) -> int:
         ],
     }
     passed = (q_ok and checks["monotone_decreasing"]
-              and inverse.max_residual <= 1e-4 and fixed <= 1e-3
+              and inverse.max_residual <= suite.INVERSE_TOL
+              and fixed <= suite.FIXED_POINT_TOL
               and all(e.bound_satisfied for e in decay.entries if not e.skipped))
     _emit_json(
-        {"subcommand": "iterate", "m": m, "alpha": alpha, "eps": opts["eps"],
-         "grid_points": opts["grid_points"], "checks": checks, "passed": passed},
-        config.output_path,
+        {"subcommand": "iterate", "m": m, "alpha": alpha, "eps": args.eps,
+         "grid_points": args.grid_points, "checks": checks, "passed": passed},
+        args.output,
     )
     return 0 if passed else 1
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    opts = config.options
-    m, alpha, eps, r_max = opts["m"], opts["alpha"], opts["eps"], opts["r_max"]
-    if opts["perturb_index"] is None:
+def _cmd_classify(args: argparse.Namespace) -> int:
+    m, alpha, eps, r_max = args.m, args.alpha, args.eps, args.r_max
+    if args.perturb_index is None:
         report = ode.classification_check(m, alpha, eps, r_max)
-        _emit_json({"subcommand": "classify", **report.to_json_obj()},
-                   config.output_path)
+        _emit_json({"subcommand": "classify", **report.to_json_obj()}, args.output)
         return 0 if report.verdict == "coincides" else 1
-    data = list(ode.bliss_initial_data(m, alpha, eps))
-    data[opts["perturb_index"]] *= opts["perturb_scale"]
-    spec = ode.IVPSpec(m=m, alpha=alpha, even_initial=tuple(data),
-                       r0=1e-4 * eps, r_max=r_max)
+    data = fun.BlissChain(m, alpha, eps).initial_values()
+    data[args.perturb_index] *= args.perturb_scale
+    spec = ode.IVPSpec(m=m, alpha=alpha, even_initial=data,
+                       r0=ode.handoff_radius(eps), r_max=r_max)
     try:
         result = ode.integrate(spec)
-        reached = float(result.r[-1])
     except (ode.BlowupError, ode.StepUnderflowError) as err:
         result = err.result
-        reached = float(result.r[-1])
     departure = ode.departure_from_family(m, alpha, result)
-    verdict = "departs" if departure >= 0.01 else "coincides"
+    verdict = "departs" if departure >= ode.DEPARTURE_TOL else "coincides"
     _emit_json(
         {"subcommand": "classify", "m": m, "alpha": alpha, "eps": eps,
-         "r_max": r_max, "perturb_index": opts["perturb_index"],
-         "perturb_scale": opts["perturb_scale"], "reached_r": reached,
+         "r_max": r_max, "perturb_index": args.perturb_index,
+         "perturb_scale": args.perturb_scale, "reached_r": float(result.r[-1]),
          "departure": departure, "steps": result.stats.steps,
          "verdict": verdict},
-        config.output_path,
+        args.output,
     )
     return 0 if verdict == "departs" else 1
 
 
-def _cmd_verify_all(config: RunConfig) -> int:
-    results = suite.run_all(quick=config.options["quick"], seed=config.seed,
-                            golden=config.options["golden"])
+def _cmd_verify_all(args: argparse.Namespace) -> int:
+    results = suite.run_all(quick=args.quick, seed=args.seed, golden=args.golden)
     for result in results:
         print(result.line())
     passed = all(r.passed for r in results)
     report = {
         "subcommand": "verify-all",
-        "quick": config.options["quick"],
-        "seed": config.seed,
+        "quick": args.quick,
+        "seed": args.seed,
         "passed": passed,
         "checks": [
             {"criterion": r.criterion, "name": r.name, "passed": r.passed,
@@ -256,7 +243,7 @@ def _cmd_verify_all(config: RunConfig) -> int:
         for r in results:
             if not r.passed:
                 print(f"FAILED: {r.name}: {r.details}", file=sys.stderr)
-    _emit_json(report, config.output_path)
+    _emit_json(report, args.output)
     return 0 if passed else 1
 
 
@@ -285,8 +272,6 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p, with_malpha=True):
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=suite.DEFAULT_SEED,
-                       help="seed for randomized samples")
         if with_malpha:
             p.add_argument("--m", type=int, required=True, help="operator order")
             p.add_argument("--alpha", type=float, required=True,
@@ -308,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rayleigh", help="Rayleigh quotient sweep (CSV)")
     common(p)
-    p.add_argument("--eps-list", default="0.5,1,2",
+    p.add_argument("--eps-list", type=_float_list, default="0.5,1,2",
                    help="comma-separated dilation parameters")
     p.add_argument("--perturb", action="store_true",
                    help="append the ten fixed perturbation probes")
@@ -335,32 +320,16 @@ def _parser() -> argparse.ArgumentParser:
                    help="cap grids at 1024 nodes and skip what needs more")
     p.add_argument("--golden", default=None,
                    help="path of the golden coefficient table")
+    p.add_argument("--seed", type=int, default=suite.DEFAULT_SEED,
+                   help="seed for the randomized alpha samples of criterion 4")
     common(p, with_malpha=False)
     return parser
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("subcommand", "output", "seed")}
-    if "eps_list" in options:
-        options["eps_list"] = [float(x) for x in options["eps_list"].split(",") if x]
-    return RunConfig(
-        subcommand=args.subcommand,
-        options=options,
-        output_path=getattr(args, "output", None),
-        seed=getattr(args, "seed", suite.DEFAULT_SEED),
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the exit code."""
-    return _HANDLERS[config.subcommand](config)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    # validate the embedding condition before dispatch
+    # validate every argument before dispatch, so a bad one exits 2
     m = getattr(args, "m", None)
     alpha = getattr(args, "alpha", None)
     if m is not None and alpha is not None and args.subcommand != "coeff-table":
@@ -374,9 +343,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     pi = getattr(args, "perturb_index", None)
     if pi is not None and not 0 <= pi < (m or 1):
         parser.error(f"--perturb-index must lie in [0, m), got {pi}")
-    config = _build_config(args)
+    if getattr(args, "max_m", 1) < 1:
+        parser.error(f"--max-m must be a positive integer, got {args.max_m}")
+    eps_values = getattr(args, "eps_list", []) + [getattr(args, "eps", 1.0)]
+    if not all(eps > 0 for eps in eps_values):
+        parser.error("dilation parameters must be positive")
+    if args.subcommand == "iterate":
+        if args.grid_points < 3:
+            parser.error(f"--grid-points must be at least 3, got {args.grid_points}")
+        if not 0 < args.r_min < args.r_max:
+            parser.error("need 0 < --r-min < --r-max")
+    if args.subcommand == "classify" and not args.r_max > ode.handoff_radius(args.eps):
+        parser.error(f"--r-max must exceed the series handoff radius "
+                     f"{ode.handoff_radius(args.eps):g}")
     try:
-        return run(config)
+        return _HANDLERS[args.subcommand](args)
     except PolyradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

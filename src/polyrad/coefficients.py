@@ -192,39 +192,28 @@ def h_case_reduced(i: int, j: int, m: int) -> AlphaPoly:
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Exact coefficient table for fixed m.
+    """Exact G coefficient table for fixed m.
 
-    Entries cover 0 <= j <= m and -1 <= i <= j + 2 with the boundary zero
-    conventions baked in, which makes the induction algebra total.  H entries
-    exist for the induction range 1 <= j < m.
+    Entries cover 1 <= j <= m and -1 <= i <= j + 2 with the boundary zero
+    conventions baked in, which makes the induction algebra total.
     """
 
     m: int
-    d: Dict[Tuple[int, int], int] = field(repr=False)
-    e: Dict[Tuple[int, int], AlphaPoly] = field(repr=False)
-    k: Dict[int, AlphaPoly] = field(repr=False)
     g: Dict[Tuple[int, int], AlphaPoly] = field(repr=False)
-    h: Dict[Tuple[int, int], AlphaPoly] = field(repr=False)
 
     @classmethod
     def build(cls, m: int) -> "CoeffTable":
-        d, e, g, h = {}, {}, {}, {}
-        k = {j: k_factor(j, m) for j in range(m + 1)}
-        for j in range(m + 1):
-            for i in range(-1, j + 3):
-                d[i, j] = d_factor(i, j, m)
-                e[i, j] = e_factor(i, j)
-                if j >= 1:
-                    g[i, j] = g_coefficient(i, j, m)
-                if 1 <= j < m and 0 <= i <= j + 1:
-                    h[i, j] = h_coefficient(i, j, m)
-        return cls(m=m, d=d, e=e, k=k, g=g, h=h)
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        g = {(i, j): g_coefficient(i, j, m)
+             for j in range(1, m + 1) for i in range(-1, j + 3)}
+        return cls(m=m, g=g)
 
     def with_g_entry(self, i: int, j: int, poly: AlphaPoly) -> "CoeffTable":
         """Copy with one G entry replaced (fault injection in tests)."""
         g = dict(self.g)
         g[i, j] = poly
-        return CoeffTable(m=self.m, d=self.d, e=self.e, k=self.k, g=g, h=self.h)
+        return CoeffTable(m=self.m, g=g)
 
     def expansion_expr(self, j: int) -> RadialExpr:
         """(1+r^2)^(-(alpha-2m+1+4j)/2) * sum_i G(i, j) r^(2i) as a

@@ -3,7 +3,8 @@
 Each check pins its parameters and tolerances here, returns a
 :class:`CheckResult` with the measured numbers, and is shared between the
 command-line ``verify-all`` report and the test suite, so both always agree
-on what "passing" means.
+on what "passing" means.  The CLI subcommands that repeat a verdict read
+the same threshold constants.
 """
 
 from __future__ import annotations
@@ -40,6 +41,26 @@ CHAIN_M, CHAIN_ALPHA = 2, 4.0
 FULL_GRID_NODES = 8192
 CHAIN_GRID_NODES = 4096
 QUICK_GRID_NODES = 1024
+
+# Pass thresholds, one name each.  The comment names the criteria and the
+# CLI subcommands that judge by it.
+CLOSED_FORM_REL_TOL = 1e-12        # 4: closed forms of S(1, alpha), S(1, 3)
+QUADRATURE_ROUTE_REL_TOL = 1e-10   # 4, best-constant --cross-check
+GAMMA_QUAD_REL_TOL = 1e-10         # 5: quadrature against the gamma identity
+GAMMA_QUAD_ALPHA1_TOL = 1e-12      # 5: absolute error of the alpha = 1 integral
+ATTAIN_REL_TOL = 1e-6              # 6, rayleigh: |q - S| / S for w_eps
+DILATION_SPREAD_TOL = 1e-8         # 6: spread of q over EPS_SET, relative to S
+#: Criterion 7 bounds S - q at its pinned case, where S(1, 3) = 2.31;
+#: ``rayleigh --perturb`` bounds (S - q) / S, which holds at any size of S.
+PROBE_TOL = 1e-6
+FIXED_POINT_TOL = 1e-3             # 9, iterate: residual of the fixed point
+SCALED_PROFILE_MIN = 0.01          # 9: the residual of 1.1 u must reach this
+INVERSE_TOL = 1e-4                 # 10, iterate: finite-difference inverse
+DECAY_SLOPE_TOL = 0.05             # 10: |slope + decay exponent|
+ORIGIN_D1_TOL = 1e-3               # 11: |w_k'(0)| / w_k(0)
+ORIGIN_D2_TOL = 1e-3               # 11: relative error of w_k''(0)
+ORIGIN_D3_TOL = 1e-2               # 11: |w_k'''(0)| / w_k(0)
+Q_SEQUENCE_TOL = 1e-9              # iterate: q_k against its closed form
 
 
 @dataclass
@@ -123,7 +144,8 @@ def check_best_constant_m1(seed: int = DEFAULT_SEED) -> CheckResult:
         route_err = abs(quad - value) / value
         details.update(closed_form_rel_diff=worst, S_m1_alpha3=value,
                        value_rel_err=value_err, route_rel_diff=route_err)
-        return worst <= 1e-12 and value_err <= 1e-12 and route_err <= 1e-10
+        return (worst <= CLOSED_FORM_REL_TOL and value_err <= CLOSED_FORM_REL_TOL
+                and route_err <= QUADRATURE_ROUTE_REL_TOL)
 
     return _timed(4, "first-order best constant: two closed forms and quadrature", body)
 
@@ -143,7 +165,8 @@ def check_quadrature_vs_gamma() -> CheckResult:
         ).value
         details.update(rel_errors=rels, alpha1_value=exact,
                        alpha1_abs_err=abs(exact - 0.5))
-        return max(rels.values()) <= 1e-10 and abs(exact - 0.5) <= 1e-12
+        return (max(rels.values()) <= GAMMA_QUAD_REL_TOL
+                and abs(exact - 0.5) <= GAMMA_QUAD_ALPHA1_TOL)
 
     return _timed(5, "improper quadrature against the gamma identity", body)
 
@@ -169,7 +192,7 @@ def check_attainment_dilation() -> CheckResult:
             worst_spread = max(worst_spread,
                                (max(quotients) - min(quotients)) / s)
         details.update(attainment_rel=worst_attain, dilation_spread=worst_spread)
-        return worst_attain <= 1e-6 and worst_spread <= 1e-8
+        return worst_attain <= ATTAIN_REL_TOL and worst_spread <= DILATION_SPREAD_TOL
 
     return _timed(6, "minimizer attainment and dilation invariance", body)
 
@@ -186,7 +209,7 @@ def check_minimality_probes(m: int = 1, alpha: float = 3.0) -> CheckResult:
                 q = fun.rayleigh_quotient(w + amp * phi, m, alpha, spec)
                 worst_gap = max(worst_gap, s - q)
         details.update(S=s, worst_S_minus_quotient=worst_gap)
-        return worst_gap <= 1e-6
+        return worst_gap <= PROBE_TOL
 
     return _timed(7, "local minimality probes along the versioned directions", body)
 
@@ -229,7 +252,7 @@ def check_fixed_point(quick: bool = False) -> CheckResult:
         res_bad = it.fixed_point_residual(1.1 * u, CHAIN_M, CHAIN_ALPHA, grid)
         details.update(grid_nodes=nodes, solution_residual=res,
                        scaled_profile_residual=res_bad)
-        return res <= 1e-3 and res_bad >= 0.01
+        return res <= FIXED_POINT_TOL and res_bad >= SCALED_PROFILE_MIN
 
     return _timed(9, "regularity fixed point and its failure off the solution", body)
 
@@ -248,7 +271,7 @@ def check_chain_structure(quick: bool = False) -> CheckResult:
         else:
             inverse = it.verify_inverse(chain, 1)
             details["fd_residual"] = inverse.residuals
-            ok = inverse.max_residual <= 1e-4
+            ok = inverse.max_residual <= INVERSE_TOL
         decay = it.decay_report(chain)
         slopes = {}
         for k, entry in enumerate(decay.entries):
@@ -256,7 +279,7 @@ def check_chain_structure(quick: bool = False) -> CheckResult:
             ok = ok and bool(entry.bound_satisfied)
             if k >= 1:
                 expected = -it.bliss_decay_exponent(k, CHAIN_ALPHA)
-                ok = ok and abs(entry.slope - expected) <= 0.05
+                ok = ok and abs(entry.slope - expected) <= DECAY_SLOPE_TOL
         details["slopes"] = slopes
         details["grid_nodes"] = nodes
         return ok
@@ -278,11 +301,11 @@ def check_origin_behavior(quick: bool = False) -> CheckResult:
             d1_rel = abs(entry.d1) / entry.value
             d3_rel = abs(entry.d3) / entry.value
             row = {"d1_over_value": d1_rel, "d3_over_value": d3_rel}
-            ok = ok and d1_rel <= 1e-3 and d3_rel <= 1e-2
+            ok = ok and d1_rel <= ORIGIN_D1_TOL and d3_rel <= ORIGIN_D3_TOL
             if entry.k >= 1:
                 d2_rel = abs(entry.d2 - entry.d2_expected) / abs(entry.d2_expected)
                 row["d2_rel_err"] = d2_rel
-                ok = ok and d2_rel <= 1e-3
+                ok = ok and d2_rel <= ORIGIN_D2_TOL
             rows[entry.k] = row
         details.update(grid_nodes=nodes, per_k=rows)
         return ok
@@ -327,37 +350,20 @@ def check_golden_table(path: Optional[str] = None) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def thread_cap(default: int = 1) -> int:
-    """Worker cap from the POLYRAD_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("POLYRAD_THREADS", default)))
-    except ValueError:
-        return default
-
-
 def run_all(quick: bool = False, seed: int = DEFAULT_SEED,
             golden: Optional[str] = None) -> List[CheckResult]:
     """Run the full acceptance suite plus the golden-artifact comparison."""
-    tasks: List[Callable[[], CheckResult]] = [
-        lambda: check_polyharmonic_identity(),
-        lambda: check_coefficient_recursion(),
-        lambda: check_vanishing_top_row(),
-        lambda: check_best_constant_m1(seed=seed),
-        lambda: check_quadrature_vs_gamma(),
-        lambda: check_attainment_dilation(),
-        lambda: check_minimality_probes(),
-        lambda: check_classification(),
-        lambda: check_fixed_point(quick=quick),
-        lambda: check_chain_structure(quick=quick),
-        lambda: check_origin_behavior(quick=quick),
+    return [
+        check_polyharmonic_identity(),
+        check_coefficient_recursion(),
+        check_vanishing_top_row(),
+        check_best_constant_m1(seed=seed),
+        check_quadrature_vs_gamma(),
+        check_attainment_dilation(),
+        check_minimality_probes(),
+        check_classification(),
+        check_fixed_point(quick=quick),
+        check_chain_structure(quick=quick),
+        check_origin_behavior(quick=quick),
+        check_golden_table(golden),
     ]
-    workers = thread_cap()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda task: task(), tasks))
-    else:
-        results = [task() for task in tasks]
-    results.append(check_golden_table(golden))
-    return results

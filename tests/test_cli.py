@@ -93,6 +93,17 @@ class TestRayleigh:
         assert len(probes) == 10
         assert all(float(r["rel_diff"]) >= -1e-6 for r in probes)
 
+    def test_probes_judged_relative_to_large_S(self, capsys):
+        # S(6, 15) is about 4.4e9, so roundoff alone puts S - q far above 1e-6
+        code, out, _ = run_cli(
+            ["rayleigh", "--m", "6", "--alpha", "15", "--eps-list", "1", "--perturb"],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert float(rows[0]["S_closed_form"]) > 1e9
+        assert all(float(r["rel_diff"]) >= -1e-6 for r in rows[1:])
+
 
 class TestIterate:
     def test_writes_chain_and_summary(self, capsys, tmp_path):
@@ -159,12 +170,6 @@ class TestVerifyAll:
         assert "[FAIL]" in out
         assert str(bad) in err  # failure names the mismatched artifact
 
-    def test_threads_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("POLYRAD_THREADS", "2")
-        assert suite.thread_cap() == 2
-        code, _, _ = run_cli(["verify-all", "--quick"], capsys)
-        assert code == 0
-
     def test_report_written_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run_cli(
@@ -182,8 +187,33 @@ def test_verify_polyharmonic_byte_stable(capsys):
     assert out1 == out2
 
 
-def test_run_config_dispatch(capsys):
-    config = cli.RunConfig(subcommand="coeff-table", options={"m": 1})
-    assert cli.run(config) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["m"] == 1
+@pytest.mark.parametrize("argv", [
+    ["verify-polyharmonic", "--max-m", "0"],
+    ["verify-polyharmonic", "--max-m", "-3"],
+    ["iterate", "--m", "2", "--alpha", "4", "--grid-points", "2"],
+    ["iterate", "--m", "2", "--alpha", "4", "--r-min", "10", "--r-max", "1"],
+    ["iterate", "--m", "2", "--alpha", "4", "--eps", "0"],
+    ["classify", "--m", "2", "--alpha", "4", "--r-max", "1e-5"],
+    ["classify", "--m", "2", "--alpha", "4", "--eps", "0"],
+    ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "0"],
+    ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "1,x"],
+    ["best-constant", "--m", "1", "--alpha", "3", "--seed", "1"],
+])
+def test_invalid_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_reads_suite_threshold(capsys, tmp_path, monkeypatch):
+    # the fixed-point residual is 4.5e-6 (8192 nodes) and 1.8e-5 (4096 nodes)
+    monkeypatch.setattr(suite, "FIXED_POINT_TOL", 1e-12)
+    result = suite.check_fixed_point()
+    assert not result.passed
+    assert result.details["solution_residual"] > suite.FIXED_POINT_TOL
+    code, out, _ = run_cli(
+        ["iterate", "--m", "2", "--alpha", "4", "--output-dir", str(tmp_path)], capsys
+    )
+    assert code == 1
+    assert json.loads(out)["passed"] is False

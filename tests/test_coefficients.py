@@ -141,14 +141,18 @@ class TestRecursion:
 
 class TestCoeffTable:
     def test_boundary_conventions(self):
-        table = CoeffTable.build(3)
-        for j in range(4):
-            assert table.d[-1, j] == 0
-            assert table.d[0, j] == 1
-            assert table.e[j, j] == AlphaPoly.one()
-            assert table.e[j + 1, j].is_zero
-            assert table.e[-1, j].is_zero
-        assert table.k[0] == AlphaPoly.one()
+        m = 3
+        for j in range(m + 1):
+            assert d_factor(-1, j, m) == 0
+            assert d_factor(0, j, m) == 1
+            assert e_factor(j, j) == AlphaPoly.one()
+            assert e_factor(j + 1, j).is_zero
+            assert e_factor(-1, j).is_zero
+        assert k_factor(0, m) == AlphaPoly.one()
+        table = CoeffTable.build(m)
+        for j in range(1, m + 1):
+            assert table.g[-1, j].is_zero
+            assert table.g[j + 1, j].is_zero and table.g[j + 2, j].is_zero
 
     def test_expansion_expr_matches_operator(self):
         table = CoeffTable.build(2)

@@ -15,7 +15,6 @@ from polyrad.errors import (
 from polyrad.functionals import BlissChain, bliss_profile
 from polyrad.ode import (
     IVPSpec,
-    bliss_initial_data,
     classification_check,
     departure_from_family,
     formulation_residual,
@@ -66,7 +65,8 @@ class TestSeriesStart:
 
     def test_second_derivative_relation(self):
         # u_0''(0) = -u_1(0) / (alpha + 1) = -u_1(0)/5 for alpha = 4
-        spec = IVPSpec(m=2, alpha=4.0, even_initial=bliss_initial_data(2, 4.0, 1.0))
+        data = BlissChain(2, 4.0, 1.0).initial_values()
+        spec = IVPSpec(m=2, alpha=4.0, even_initial=data)
         u0, a2, _ = series_coefficients(spec)
         assert abs(2.0 * a2[0] + u0[1] / 5.0) <= 1e-14 * abs(u0[1])
 
@@ -89,14 +89,14 @@ class TestIntegrate:
 
     def test_stats_populated(self):
         res = integrate(IVPSpec(m=2, alpha=4.0,
-                                even_initial=bliss_initial_data(2, 4.0, 1.0)))
+                                even_initial=BlissChain(2, 4.0, 1.0).initial_values()))
         assert res.stats.steps == len(res.r) - 1
         assert res.stats.min_step > 0
         assert res.stats.rhs_evaluations >= 6 * res.stats.steps
 
     def test_loose_tolerance_exercises_rejections(self):
         res = integrate(IVPSpec(m=2, alpha=4.0,
-                                even_initial=bliss_initial_data(2, 4.0, 1.0),
+                                even_initial=BlissChain(2, 4.0, 1.0).initial_values(),
                                 rel_tol=1e-4, abs_tol=1e-6))
         assert res.stats.rejected >= 1
 
@@ -108,7 +108,7 @@ class TestIntegrate:
     def test_interp_reproduces_nodes_and_midpoints(self):
         m, alpha = 2, 4.0
         res = integrate(IVPSpec(m=m, alpha=alpha,
-                                even_initial=bliss_initial_data(m, alpha, 1.0)))
+                                even_initial=BlissChain(m, alpha, 1.0).initial_values()))
         chain = BlissChain(m, alpha, 1.0)
         # at the nodes the interpolant is the stored state
         probe = res.interp(res.r[10:12])
@@ -173,10 +173,10 @@ class TestClassification:
         m, alpha = 2, 4.0
         gap = alpha - 2 * m + 1
         res1 = integrate(IVPSpec(m=m, alpha=alpha,
-                                 even_initial=bliss_initial_data(m, alpha, 1.0),
+                                 even_initial=BlissChain(m, alpha, 1.0).initial_values(),
                                  r0=1e-4, r_max=20.0))
         res2 = integrate(IVPSpec(m=m, alpha=alpha,
-                                 even_initial=bliss_initial_data(m, alpha, 2.0),
+                                 even_initial=BlissChain(m, alpha, 2.0).initial_values(),
                                  r0=2e-4, r_max=20.0))
         mask = (res2.r >= 4e-4) & (res2.r <= 20.0)
         nodes = res2.r[mask][::5]
@@ -189,9 +189,9 @@ class TestClassification:
 
     def test_perturbed_data_departs_from_family(self):
         m, alpha = 2, 4.0
-        data = list(bliss_initial_data(m, alpha, 1.0))
+        data = BlissChain(m, alpha, 1.0).initial_values()
         data[1] *= 1.05
-        spec = IVPSpec(m=m, alpha=alpha, even_initial=tuple(data), r_max=20.0)
+        spec = IVPSpec(m=m, alpha=alpha, even_initial=data, r_max=20.0)
         try:
             result = integrate(spec)
         except OdeError as err:
@@ -201,7 +201,7 @@ class TestClassification:
     def test_unperturbed_departure_is_tiny(self):
         m, alpha = 2, 4.0
         res = integrate(IVPSpec(m=m, alpha=alpha,
-                                even_initial=bliss_initial_data(m, alpha, 1.0),
+                                even_initial=BlissChain(m, alpha, 1.0).initial_values(),
                                 r_max=20.0))
         assert departure_from_family(m, alpha, res) <= 1e-6
 
@@ -210,7 +210,7 @@ def test_formulation_consistency():
     """The 2m-th order operator applied to the integrated u_0 by finite
     differences reproduces the nonlinearity (scalar vs system agreement)."""
     m, alpha = 2, 4.0
-    spec = IVPSpec(m=m, alpha=alpha, even_initial=bliss_initial_data(m, alpha, 1.0),
-                   r_max=10.0, max_step=0.005)
+    data = BlissChain(m, alpha, 1.0).initial_values()
+    spec = IVPSpec(m=m, alpha=alpha, even_initial=data, r_max=10.0, max_step=0.005)
     res = integrate(spec)
     assert formulation_residual(res, m, alpha) <= 1e-4
