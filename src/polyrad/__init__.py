@@ -38,7 +38,6 @@ from .constants import (
     nodal_gap_threshold,
 )
 from .functionals import (
-    BlissChain,
     NormReport,
     QuadratureSpec,
     RadialProfile,
@@ -63,6 +62,7 @@ from .ode import (
     IVPSpec,
     SolveResult,
     classification_check,
+    family_state,
     integrate,
     match_epsilon,
     series_start,

@@ -11,11 +11,13 @@ classify              singular IVP against the dilation family
 verify-all            the full acceptance suite
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid arguments
-(including a violated embedding condition alpha - 2m + 1 > 0).  JSON reports
-carry a top-level ``schema_version``; numeric fields are rounded to 12
-significant digits so reports are stable across runs.  CSV output uses comma
-delimiters and ``.`` decimals regardless of locale.  Pass thresholds are
-the named constants of :mod:`polyrad.suite` and :mod:`polyrad.ode`.
+(including a violated embedding condition alpha - 2m + 1 > 0, and a
+``DomainError`` a handler raises for arguments its checks cannot use).
+JSON reports carry a top-level ``schema_version``; numeric fields are
+rounded to 12 significant digits so reports are stable across runs.  CSV
+output uses comma delimiters and ``.`` decimals regardless of locale.  Pass
+thresholds are the named constants of :mod:`polyrad.suite` and
+:mod:`polyrad.ode`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from . import functionals as fun
 from . import iteration as it
 from . import ode
 from . import suite
-from .errors import PolyradError
+from .errors import DomainError, PolyradError
 
 SCHEMA_VERSION = 1
 
@@ -152,20 +154,12 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     grid = it.RadialGrid.geometric(args.r_min, args.r_max, args.grid_points)
     u = fun.bliss_profile(m, alpha, args.eps)
     chain = it.iterate_chain(u, m, alpha, grid)
-
-    os.makedirs(args.output_dir, exist_ok=True)
-    for k, gf in enumerate(chain.w):
-        rows = [[float(r), float(v)] for r, v in zip(grid.nodes, gf.values)]
-        _emit(_csv_text(["r", f"w_{k}"], rows), f"{args.output_dir}/chain_k{k}.csv")
-
     inverse = it.verify_inverse(chain, 1)
     decay = it.decay_report(chain)
     origin = it.origin_behavior(chain)
     fixed = it.fixed_point_residual(u, m, alpha, grid)
-    q_ok = all(
-        abs(q * (alpha + 2 * m + 1 - 4 * k) - 2 * (alpha + 1)) < suite.Q_SEQUENCE_TOL
-        for k, q in enumerate(chain.q)
-    )
+    q_closed = [it.q_closed_form(k, m, alpha) for k in range(len(chain.q))]
+    q_ok = all(abs(q - c) <= suite.Q_SEQUENCE_TOL * c for q, c in zip(chain.q, q_closed))
     checks = {
         "q_sequence_closed_form": q_ok,
         "fd_inverse_residual": inverse.max_residual,
@@ -188,6 +182,10 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
               and inverse.max_residual <= suite.INVERSE_TOL
               and fixed <= suite.FIXED_POINT_TOL
               and all(e.bound_satisfied for e in decay.entries if not e.skipped))
+    os.makedirs(args.output_dir, exist_ok=True)
+    for k, gf in enumerate(chain.w):
+        rows = [[float(r), float(v)] for r, v in zip(grid.nodes, gf.values)]
+        _emit(_csv_text(["r", f"w_{k}"], rows), f"{args.output_dir}/chain_k{k}.csv")
     _emit_json(
         {"subcommand": "iterate", "m": m, "alpha": alpha, "eps": args.eps,
          "grid_points": args.grid_points, "checks": checks, "passed": passed},
@@ -202,7 +200,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         report = ode.classification_check(m, alpha, eps, r_max)
         _emit_json({"subcommand": "classify", **report.to_json_obj()}, args.output)
         return 0 if report.verdict == "coincides" else 1
-    data = fun.BlissChain(m, alpha, eps).initial_values()
+    data = ode.family_state(m, alpha, eps, 0.0)[0, 0::2]
     data[args.perturb_index] *= args.perturb_scale
     spec = ode.IVPSpec(m=m, alpha=alpha, even_initial=data,
                        r0=ode.handoff_radius(eps), r_max=r_max)
@@ -358,6 +356,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                      f"{ode.handoff_radius(args.eps):g}")
     try:
         return _HANDLERS[args.subcommand](args)
+    except DomainError as exc:  # arguments the checks cannot work with
+        parser.error(str(exc))
     except PolyradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

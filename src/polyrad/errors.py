@@ -41,7 +41,12 @@ class DivisionGuardError(PolyradError, ZeroDivisionError):
 
 
 class OdeError(PolyradError):
-    """Base class for initial-value-problem integration failures."""
+    """Base class for initial-value-problem integration failures; ``result``
+    holds the partial trajectory up to the failure."""
+
+    def __init__(self, message: str, result):
+        super().__init__(message)
+        self.result = result
 
 
 class StepUnderflowError(OdeError):

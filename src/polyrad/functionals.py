@@ -38,7 +38,7 @@ from .errors import (
     NonConvergenceError,
     UnsupportedProfileError,
 )
-from .radial import ExponentAffine, RadialExpr, apply_polyharmonic, differentiate, nabla_m
+from .radial import ExponentAffine, RadialExpr, nabla_m
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class QuadratureSpec:
 class NormReport:
     value: float
     err_estimate: float
-    truncation_radius: Optional[float] = None
 
     def __post_init__(self):
         if self.err_estimate < 0:
@@ -153,18 +152,6 @@ class RadialProfile:
         decay = None if self.decay_exponent is None else self.decay_exponent + m
         return RadialProfile(alpha=self.alpha, pieces=pieces, decay_exponent=decay)
 
-    def derivative(self) -> "RadialProfile":
-        if not self.is_symbolic:
-            raise UnsupportedProfileError(
-                "black-box profile has no derivative chain; supply a symbolic one"
-            )
-        pieces = tuple(
-            ProfilePiece(p.coeff / p.scale, differentiate(p.expr), p.scale)
-            for p in self.pieces
-        )
-        decay = None if self.decay_exponent is None else self.decay_exponent + 1
-        return RadialProfile(alpha=self.alpha, pieces=pieces, decay_exponent=decay)
-
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
         if not isinstance(other, RadialProfile):
             return NotImplemented
@@ -219,44 +206,6 @@ def bliss_profile(m: int, alpha: float, eps: float) -> RadialProfile:
         base_profile_expr(m), alpha, coeff=amp, scale=eps,
         decay_exponent=sobolev_gap(m, alpha),
     )
-
-
-class BlissChain:
-    """Closed-form evaluator for the iterated-Laplacian family of w_eps.
-
-    u_j = (-Delta_alpha)^j w_eps for j = 0..m, with exact symbolic expansions
-    specialized at numeric alpha and dilated by eps:
-
-        u_j(r) = amp * eps^(-2j) * E_j(alpha; r/eps),
-        u_j'(r) = amp * eps^(-2j-1) * E_j'(alpha; r/eps).
-    """
-
-    def __init__(self, m: int, alpha: float, eps: float):
-        require_sobolev(m, alpha)
-        self.m = m
-        self.alpha = float(alpha)
-        self.eps = float(eps)
-        self.amplitude = bliss_amplitude(m, alpha, eps)
-        exprs = [base_profile_expr(m)]
-        for _ in range(m):
-            exprs.append(apply_polyharmonic(exprs[-1], 1, signed=True))
-        self._exprs = exprs
-        self._dexprs = [differentiate(e) for e in exprs]
-
-    def value(self, j: int, r):
-        """u_j(r) = (-Delta_alpha)^j w_eps at r (vectorized)."""
-        return (self.amplitude * self.eps ** (-2 * j)
-                * self._exprs[j].evaluate(self.alpha, r / self.eps))
-
-    def derivative(self, j: int, r):
-        """u_j'(r) (vectorized)."""
-        return (self.amplitude * self.eps ** (-2 * j - 1)
-                * self._dexprs[j].evaluate(self.alpha, r / self.eps))
-
-    def initial_values(self) -> list:
-        """[u_0(0), ..., u_{m-1}(0)]: the even-order seed of the equivalent
-        first-order system."""
-        return [float(self.value(j, 0.0)) for j in range(self.m)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +313,7 @@ def gradient_seminorm(f: RadialProfile, m: int, alpha: float,
     """( int_0^inf |nabla_m f|^2 r^alpha dr )^(1/2) through the symbolic
     derivative chain of ``f``."""
     _check_profile_alpha(f, alpha)
-    g = f.nabla(m)
-    report = _weighted_power_integral(g, 2.0, alpha, spec or QuadratureSpec())
-    if report.value <= 0.0:
-        return NormReport(value=0.0, err_estimate=report.err_estimate ** 0.5)
-    value = report.value ** 0.5
-    return NormReport(value=value,
-                      err_estimate=value * report.err_estimate / (2.0 * report.value))
+    return weighted_lebesgue_norm(f.nabla(m), 2.0, alpha, spec)
 
 
 def rayleigh_quotient(f: RadialProfile, m: int, alpha: float,

@@ -26,22 +26,22 @@ StepUnderflowError.
 
 Nonsingular solutions with vanishing odd-order data coincide with the
 dilation family w_eps; ``classification_check`` quantifies that statement by
-integrating from w_eps data and measuring the deviation from the exact
-chain, and ``departure_from_family`` measures how far a perturbed data set
-drifts from every member of the family.
+integrating from w_eps data and measuring the deviation from the exact state
+``family_state`` derives from ``bliss_profile``, and ``departure_from_family``
+measures how far a perturbed data set drifts from every member of the family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .constants import critical_exponent, require_sobolev, sobolev_gap
 from .errors import BlowupError, DomainError, StepUnderflowError
-from .functionals import BlissChain, bliss_amplitude, bliss_profile
+from .functionals import bliss_amplitude, bliss_profile
 from .iteration import GridFunction, RadialGrid, neg_laplacian_fd
 
 
@@ -209,7 +209,7 @@ def integrate(spec: IVPSpec) -> SolveResult:
     stages = np.empty((7, y.size))
 
     def _finish() -> SolveResult:
-        return SolveResult(
+        result = SolveResult(
             r=np.array(nodes),
             y=np.array(states),
             f=np.array(derivs),
@@ -217,15 +217,19 @@ def integrate(spec: IVPSpec) -> SolveResult:
                              min_step=min_step if steps else 0.0,
                              rhs_evaluations=evals),
         )
+        # a caller that keeps the raised error keeps this frame alive through
+        # its traceback; only the arrays need to live that long
+        for per_step in (nodes, states, derivs):
+            per_step.clear()
+        return result
 
     while r < spec.r_max:
         h = min(h, spec.r_max - r, max_step)
         if h < spec.step_floor * max(1.0, r):
-            err = StepUnderflowError(
-                f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)"
+            raise StepUnderflowError(
+                f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
+                _finish(),
             )
-            err.result = _finish()
-            raise err
         stages[0] = k1
         for s in range(1, 7):
             ys = y + h * (stages[:s].T @ _DP_A[s])
@@ -246,12 +250,11 @@ def integrate(spec: IVPSpec) -> SolveResult:
             states.append(y.copy())
             derivs.append(k1.copy())
             if abs(y[0]) > spec.overflow_limit:
-                err = BlowupError(
+                raise BlowupError(
                     f"|u_0| = {abs(y[0]):.3e} exceeded {spec.overflow_limit:g} "
-                    f"at r={r:.6g} (non-global solution)"
+                    f"at r={r:.6g} (non-global solution)",
+                    _finish(),
                 )
-                err.result = _finish()
-                raise err
             factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         else:
             rejected += 1
@@ -286,6 +289,22 @@ def match_epsilon(m: int, alpha: float, v0: float) -> float:
     return (amp1 / v0) ** (2.0 / sobolev_gap(m, alpha))
 
 
+def family_state(m: int, alpha: float, eps: float, r) -> np.ndarray:
+    """The exact state of w_eps in the layout of ``SolveResult.y``: row i is
+    (u_0, u_0', ..., u_{m-1}, u_{m-1}') at r[i], with u_j = (-Delta_alpha)^j
+    w_eps.  Each level is one ``nabla(2)`` of the one before."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    state = np.empty((r.size, 2 * m))
+    level = bliss_profile(m, alpha, eps)
+    for j in range(m):
+        sign = (-1.0) ** j
+        state[:, 2 * j] = sign * level(r)
+        state[:, 2 * j + 1] = sign * level.nabla(1)(r)
+        if j < m - 1:
+            level = level.nabla(2)
+    return state
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     m: int
@@ -314,19 +333,15 @@ def classification_check(m: int, alpha: float, eps: float, r_max: float,
                          rel_tol: float = 1e-10, abs_tol: float = 1e-12
                          ) -> ClassificationReport:
     """Integrate from w_eps initial data and measure the sup-norm-relative
-    deviation of every component (u_j and u_j') from the exact chain."""
+    deviation of every component (u_j and u_j') from the exact state."""
     spec = IVPSpec(
-        m=m, alpha=alpha, even_initial=BlissChain(m, alpha, eps).initial_values(),
+        m=m, alpha=alpha, even_initial=family_state(m, alpha, eps, 0.0)[0, 0::2],
         r0=handoff_radius(eps), r_max=r_max, rel_tol=rel_tol, abs_tol=abs_tol,
     )
     result = integrate(spec)
-    chain = BlissChain(m, alpha, eps)
-    devs = []
-    for j in range(m):
-        for derivative in (False, True):
-            exact = (chain.derivative if derivative else chain.value)(j, result.r)
-            num = result.component(j, derivative)
-            devs.append(float(np.max(np.abs(num - exact)) / np.max(np.abs(exact))))
+    exact = family_state(m, alpha, eps, result.r)
+    devs = [float(d) for d in
+            np.max(np.abs(result.y - exact), axis=0) / np.max(np.abs(exact), axis=0)]
     max_dev = max(devs)
     return ClassificationReport(
         m=m, alpha=float(alpha), eps=float(eps), r_max=float(r_max),
@@ -335,15 +350,15 @@ def classification_check(m: int, alpha: float, eps: float, r_max: float,
     )
 
 
-def departure_from_family(m: int, alpha: float, result: SolveResult,
-                          eps_grid: Optional[Sequence[float]] = None) -> float:
+def departure_from_family(m: int, alpha: float, result: SolveResult) -> float:
     """min over eps of sup_r |u_0(r) - w_eps(r)| / w_eps(r) on the trajectory
-    nodes: small only when the solution coincides with a family member."""
-    if eps_grid is None:
-        eps_grid = np.geomspace(0.25, 4.0, 61)
+    nodes: small only when the solution coincides with a family member.  The
+    eps grid spans a factor of 16, geometrically centred on the member that
+    matches u_0(r0), or on eps = 1 when u_0(r0) <= 0 and none matches."""
     u0 = result.component(0)
+    centre = match_epsilon(m, alpha, float(u0[0])) if u0[0] > 0 else 1.0
     best = math.inf
-    for eps in eps_grid:
+    for eps in centre * np.geomspace(0.25, 4.0, 61):
         w = bliss_profile(m, alpha, eps)(result.r)
         best = min(best, float(np.max(np.abs(u0 - w) / w)))
     return best

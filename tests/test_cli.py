@@ -145,6 +145,17 @@ class TestClassify:
         assert report["verdict"] == "departs"
         assert report["departure"] >= 0.01
 
+    def test_unperturbed_data_coincides_at_large_eps(self, capsys):
+        # scale 1.0 perturbs nothing; the eps search must reach eps = 10
+        code, out, _ = run_cli(
+            ["classify", "--m", "2", "--alpha", "4", "--eps", "10", "--r-max", "200",
+             "--perturb-index", "1", "--perturb-scale", "1.0"], capsys
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "coincides"
+        assert report["departure"] < 0.01
+
     def test_perturb_index_validated(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["classify", "--m", "2", "--alpha", "4",
@@ -198,6 +209,9 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "0"],
     ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "1,x"],
     ["best-constant", "--m", "1", "--alpha", "3", "--seed", "1"],
+    ["iterate", "--m", "2", "--alpha", "4", "--grid-points", "5"],
+    ["iterate", "--m", "2", "--alpha", "4", "--r-max", "40"],
+    ["iterate", "--m", "2", "--alpha", "4", "--r-min", "0.01"],
 ])
 def test_invalid_arguments_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:

@@ -15,7 +15,6 @@ from polyrad.errors import (
 )
 from polyrad.functionals import (
     PERTURBATION_DIRECTIONS,
-    BlissChain,
     NormReport,
     QuadratureSpec,
     RadialProfile,
@@ -28,6 +27,7 @@ from polyrad.functionals import (
     rayleigh_quotient,
     weighted_lebesgue_norm,
 )
+from polyrad.ode import family_state
 
 SPEC = QuadratureSpec()
 
@@ -94,8 +94,8 @@ class TestBlissProfile:
         w = bliss_profile(2, 4.0, 1.0)
         for r in (0.3, 1.0, 2.5):
             assert w(r) == w(-r)
-        d1 = w.derivative()
-        d3 = d1.derivative().derivative()
+        d1 = w.nabla(1)
+        d3 = d1.nabla(1).nabla(1)
         assert abs(d1(1e-9)) <= 1e-8 * w(0.0)
         assert abs(d3(1e-9)) <= 1e-7 * w(0.0)
 
@@ -106,18 +106,17 @@ class TestBlissProfile:
             bliss_profile(1, 3.0, 0.0)
 
     def test_chain_initial_values(self):
-        chain = BlissChain(2, 4.0, 1.0)
-        vals = chain.initial_values()
+        vals = family_state(2, 4.0, 1.0, 0.0)[0, 0::2]
         # u_1(0) = P^(1/8) * (a-3)(a+1)|_{a=4} = 105^(1/8) * 5
         assert abs(vals[0] - 105 ** 0.125) < 1e-13
         assert abs(vals[1] - 105 ** 0.125 * 5) < 1e-12
 
     def test_chain_derivative_matches_fd(self):
-        chain = BlissChain(2, 4.0, 1.5)
         h = 1e-6
+        state = family_state(2, 4.0, 1.5, [1.0 - h, 1.0, 1.0 + h])
         for j in (0, 1):
-            fd = (chain.value(j, 1.0 + h) - chain.value(j, 1.0 - h)) / (2 * h)
-            assert abs(chain.derivative(j, 1.0) - fd) <= 1e-8 * max(1.0, abs(fd))
+            fd = (state[2, 2 * j] - state[0, 2 * j]) / (2 * h)
+            assert abs(state[1, 2 * j + 1] - fd) <= 1e-8 * max(1.0, abs(fd))
 
 
 class TestWeightedNorm:

@@ -1,6 +1,8 @@
 """Singular IVP: series start, adaptive integration, classification."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from polyrad.errors import (
     SobolevConditionError,
     StepUnderflowError,
 )
-from polyrad.functionals import BlissChain, bliss_profile
+from polyrad.functionals import bliss_profile
 from polyrad.ode import (
     IVPSpec,
     classification_check,
     departure_from_family,
+    family_state,
     formulation_residual,
+    handoff_radius,
     integrate,
     match_epsilon,
     nonlinearity,
@@ -26,6 +30,11 @@ from polyrad.ode import (
 )
 
 SQRT8 = math.sqrt(8.0)
+
+
+def family_data(m, alpha, eps):
+    """The even-order seed (u_0(0), ..., u_{m-1}(0)) of w_eps."""
+    return family_state(m, alpha, eps, 0.0)[0, 0::2]
 
 
 class TestSpecValidation:
@@ -57,7 +66,7 @@ class TestSeriesStart:
             spec = IVPSpec(m=1, alpha=3.0, even_initial=(SQRT8,), r0=r0)
             y = series_start(spec)
             assert abs(y[0] - w(r0)) <= 5.0 * SQRT8 * r0 ** 6
-            assert abs(y[1] - w.derivative()(r0)) <= 20.0 * SQRT8 * r0 ** 5
+            assert abs(y[1] - w.nabla(1)(r0)) <= 20.0 * SQRT8 * r0 ** 5
 
     def test_zero_data_zero_state(self):
         spec = IVPSpec(m=2, alpha=4.0, even_initial=(0.0, 0.0))
@@ -65,7 +74,7 @@ class TestSeriesStart:
 
     def test_second_derivative_relation(self):
         # u_0''(0) = -u_1(0) / (alpha + 1) = -u_1(0)/5 for alpha = 4
-        data = BlissChain(2, 4.0, 1.0).initial_values()
+        data = family_data(2, 4.0, 1.0)
         spec = IVPSpec(m=2, alpha=4.0, even_initial=data)
         u0, a2, _ = series_coefficients(spec)
         assert abs(2.0 * a2[0] + u0[1] / 5.0) <= 1e-14 * abs(u0[1])
@@ -89,14 +98,14 @@ class TestIntegrate:
 
     def test_stats_populated(self):
         res = integrate(IVPSpec(m=2, alpha=4.0,
-                                even_initial=BlissChain(2, 4.0, 1.0).initial_values()))
+                                even_initial=family_data(2, 4.0, 1.0)))
         assert res.stats.steps == len(res.r) - 1
         assert res.stats.min_step > 0
         assert res.stats.rhs_evaluations >= 6 * res.stats.steps
 
     def test_loose_tolerance_exercises_rejections(self):
         res = integrate(IVPSpec(m=2, alpha=4.0,
-                                even_initial=BlissChain(2, 4.0, 1.0).initial_values(),
+                                even_initial=family_data(2, 4.0, 1.0),
                                 rel_tol=1e-4, abs_tol=1e-6))
         assert res.stats.rejected >= 1
 
@@ -108,15 +117,14 @@ class TestIntegrate:
     def test_interp_reproduces_nodes_and_midpoints(self):
         m, alpha = 2, 4.0
         res = integrate(IVPSpec(m=m, alpha=alpha,
-                                even_initial=BlissChain(m, alpha, 1.0).initial_values()))
-        chain = BlissChain(m, alpha, 1.0)
+                                even_initial=family_data(m, alpha, 1.0)))
         # at the nodes the interpolant is the stored state
         probe = res.interp(res.r[10:12])
         assert np.allclose(probe, res.y[10:12], rtol=0, atol=1e-14)
         # between nodes it tracks the closed form
         mids = 0.5 * (res.r[:-1] + res.r[1:])[::7]
         vals = res.interp(mids)
-        exact = chain.value(0, mids)
+        exact = family_state(m, alpha, 1.0, mids)[:, 0]
         assert np.max(np.abs(vals[:, 0] - exact)) <= 1e-6 * np.max(np.abs(exact))
 
     def test_blowup_detected(self):
@@ -128,6 +136,20 @@ class TestIntegrate:
         partial = info.value.result
         assert partial.r[-1] < 50.0
         assert len(partial.r) == len(partial.y)
+
+    def test_partial_result_freed_with_error(self):
+        # no reference cycle holds the error: its partial trajectory dies
+        # with the handler, without the cyclic collector
+        spec = IVPSpec(m=2, alpha=4.0, even_initial=(5.0, -500.0), r_max=50.0)
+        gc.disable()
+        try:
+            try:
+                integrate(spec)
+            except OdeError as err:
+                ref = weakref.ref(err.result)
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestMatchEpsilon:
@@ -173,10 +195,10 @@ class TestClassification:
         m, alpha = 2, 4.0
         gap = alpha - 2 * m + 1
         res1 = integrate(IVPSpec(m=m, alpha=alpha,
-                                 even_initial=BlissChain(m, alpha, 1.0).initial_values(),
+                                 even_initial=family_data(m, alpha, 1.0),
                                  r0=1e-4, r_max=20.0))
         res2 = integrate(IVPSpec(m=m, alpha=alpha,
-                                 even_initial=BlissChain(m, alpha, 2.0).initial_values(),
+                                 even_initial=family_data(m, alpha, 2.0),
                                  r0=2e-4, r_max=20.0))
         mask = (res2.r >= 4e-4) & (res2.r <= 20.0)
         nodes = res2.r[mask][::5]
@@ -189,7 +211,7 @@ class TestClassification:
 
     def test_perturbed_data_departs_from_family(self):
         m, alpha = 2, 4.0
-        data = BlissChain(m, alpha, 1.0).initial_values()
+        data = family_data(m, alpha, 1.0)
         data[1] *= 1.05
         spec = IVPSpec(m=m, alpha=alpha, even_initial=data, r_max=20.0)
         try:
@@ -198,11 +220,12 @@ class TestClassification:
             result = err.result
         assert departure_from_family(m, alpha, result) >= 0.01
 
-    def test_unperturbed_departure_is_tiny(self):
+    @pytest.mark.parametrize("eps", [1.0, 10.0])
+    def test_unperturbed_departure_is_tiny(self, eps):
         m, alpha = 2, 4.0
         res = integrate(IVPSpec(m=m, alpha=alpha,
-                                even_initial=BlissChain(m, alpha, 1.0).initial_values(),
-                                r_max=20.0))
+                                even_initial=family_data(m, alpha, eps),
+                                r0=handoff_radius(eps), r_max=20.0 * eps))
         assert departure_from_family(m, alpha, res) <= 1e-6
 
 
@@ -210,7 +233,7 @@ def test_formulation_consistency():
     """The 2m-th order operator applied to the integrated u_0 by finite
     differences reproduces the nonlinearity (scalar vs system agreement)."""
     m, alpha = 2, 4.0
-    data = BlissChain(m, alpha, 1.0).initial_values()
+    data = family_data(m, alpha, 1.0)
     spec = IVPSpec(m=m, alpha=alpha, even_initial=data, r_max=10.0, max_step=0.005)
     res = integrate(spec)
     assert formulation_residual(res, m, alpha) <= 1e-4
