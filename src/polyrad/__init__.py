@@ -39,7 +39,6 @@ from .constants import (
 )
 from .functionals import (
     NormReport,
-    QuadratureSpec,
     RadialProfile,
     bliss_profile,
     gradient_seminorm,
@@ -76,7 +75,6 @@ from .radial import (
     apply_laplacian,
     apply_polyharmonic,
     differentiate,
-    evaluate,
     nabla_m,
 )
 

@@ -125,12 +125,11 @@ def _cmd_best_constant(args: argparse.Namespace) -> int:
 
 def _cmd_rayleigh(args: argparse.Namespace) -> int:
     m, alpha = args.m, args.alpha
-    spec = fun.QuadratureSpec()
     s_closed = const.best_constant(m, alpha).S
     rows = []
     ok = True
     for eps in args.eps_list:
-        q = fun.rayleigh_quotient(fun.bliss_profile(m, alpha, eps), m, alpha, spec)
+        q = fun.rayleigh_quotient(fun.bliss_profile(m, alpha, eps), m, alpha)
         rel = abs(q - s_closed) / s_closed
         ok = ok and rel <= suite.ATTAIN_REL_TOL
         rows.append([f"{eps:.12g}", q, s_closed, rel])
@@ -139,7 +138,7 @@ def _cmd_rayleigh(args: argparse.Namespace) -> int:
         w = fun.bliss_profile(m, alpha, 1.0)
         for index in range(len(fun.PERTURBATION_DIRECTIONS)):
             q = fun.rayleigh_quotient(
-                w + amp * fun.perturbation_direction(index, m, alpha), m, alpha, spec
+                w + amp * fun.perturbation_direction(index, m, alpha), m, alpha
             )
             rel = (q - s_closed) / s_closed
             ok = ok and -rel <= suite.PROBE_TOL  # (S - q) / S
@@ -222,13 +221,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    results = suite.run_all(quick=args.quick, seed=args.seed, golden=args.golden)
+    results = suite.run_all(seed=args.seed, golden=args.golden)
     for result in results:
         print(result.line())
     passed = all(r.passed for r in results)
     report = {
         "subcommand": "verify-all",
-        "quick": args.quick,
         "seed": args.seed,
         "passed": passed,
         "checks": [
@@ -314,8 +312,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-scale", type=float, default=1.05)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p.add_argument("--quick", action="store_true",
-                   help="cap grids at 1024 nodes and skip what needs more")
     p.add_argument("--golden", default=None,
                    help="path of the golden coefficient table")
     p.add_argument("--seed", type=int, default=suite.DEFAULT_SEED,

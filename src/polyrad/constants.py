@@ -106,8 +106,7 @@ class BestConstantResult:
         }
 
 
-def best_constant(m: int, alpha: float, route: str = "closed_form",
-                  spec=None) -> BestConstantResult:
+def best_constant(m: int, alpha: float, route: str = "closed_form") -> BestConstantResult:
     """Best-constant pair (S, S^(-1/2)) for given (m, alpha).
 
     ``route="closed_form"`` uses the gamma-function formula;
@@ -127,15 +126,13 @@ def best_constant(m: int, alpha: float, route: str = "closed_form",
     elif route == "quadrature":
         from . import functionals  # local import to avoid a module cycle
 
-        qspec = spec if spec is not None else functionals.QuadratureSpec()
-
         def integrand(r: float) -> float:
             # log form keeps r^alpha finite for large alpha
             if r <= 0.0:
                 return 0.0
             return math.exp(alpha * math.log(r) - (alpha + 1.0) * math.log1p(r * r))
 
-        report = functionals.improper_integral(integrand, qspec)
+        report = functionals.improper_integral(integrand)
         s = p * report.value ** expo
         err = s * expo * (report.err_estimate / report.value)
     else:

@@ -32,8 +32,8 @@ class TailDivergenceError(PolyradError):
 
 
 class UnsupportedProfileError(PolyradError, TypeError):
-    """A profile lacks the symbolic structure an operation requires
-    (e.g. a derivative chain for a black-box evaluator)."""
+    """An operation that needs the derivative chain of a RadialProfile got
+    something else (e.g. a plain callable)."""
 
 
 class DivisionGuardError(PolyradError, ZeroDivisionError):

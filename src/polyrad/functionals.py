@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -41,22 +41,14 @@ from .errors import (
 from .radial import ExponentAffine, RadialExpr, nabla_m
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy contract for adaptive quadrature."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
-    split_point: float = 1.0  # domain split for the r -> 1/r tail transform
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not self.split_point > 0:
-            raise ValueError("split_point must be positive")
+#: Accuracy contract of every improper integral: quad's relative and absolute
+#: tolerances and subdivision limit, and the split point of the r -> 1/r tail
+#: transform.  ``rayleigh_quotient`` also refuses a profile norm below
+#: QUAD_ABS_TOL.
+QUAD_REL_TOL = 1e-10
+QUAD_ABS_TOL = 1e-14
+QUAD_MAX_SUBDIVISIONS = 2000
+QUAD_SPLIT_POINT = 1.0
 
 
 @dataclass(frozen=True)
@@ -85,16 +77,12 @@ class ProfilePiece:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial function: either a sum of symbolic pieces bound to a numeric
-    alpha, or a black-box evaluator with declared decay metadata (and, when
-    gradient norms are wanted from a black box, a supplied derivative chain
-    mapping the gradient order to an evaluator)."""
+    """A radial function: a sum of symbolic pieces bound to a numeric alpha,
+    with an optional declared tail decay exponent."""
 
     alpha: float
     pieces: Tuple[ProfilePiece, ...] = ()
-    func: Optional[Callable[[float], float]] = None
     decay_exponent: Optional[float] = None  # |f(r)| ~ r^-decay for large r
-    gradient_evaluators: Optional[dict] = None  # order m -> callable
 
     @classmethod
     def from_expr(cls, expr: RadialExpr, alpha: float, coeff: float = 1.0,
@@ -105,27 +93,10 @@ class RadialProfile:
                    decay_exponent=decay_exponent)
 
     @classmethod
-    def from_callable(cls, func: Callable[[float], float], alpha: float,
-                      decay_exponent: Optional[float] = None,
-                      gradient_evaluators: Optional[dict] = None
-                      ) -> "RadialProfile":
-        return cls(alpha=float(alpha), func=func, decay_exponent=decay_exponent,
-                   gradient_evaluators=gradient_evaluators)
-
-    @classmethod
     def zero(cls, alpha: float) -> "RadialProfile":
         return cls(alpha=float(alpha), decay_exponent=np.inf)
 
-    @property
-    def is_symbolic(self) -> bool:
-        return self.func is None
-
     def __call__(self, r):
-        if self.func is not None:
-            if np.ndim(r) == 0:
-                return self.func(float(r))
-            return np.array([self.func(float(x)) for x in np.asarray(r).ravel()]
-                            ).reshape(np.shape(r))
         if not self.pieces:
             return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
         total = 0.0
@@ -134,17 +105,8 @@ class RadialProfile:
         return total
 
     def nabla(self, m: int) -> "RadialProfile":
-        """The m-th order gradient as a profile: through the exact symbolic
-        chain, or through a supplied evaluator for black-box profiles."""
-        if not self.is_symbolic:
-            supplied = (self.gradient_evaluators or {}).get(m)
-            if supplied is None:
-                raise UnsupportedProfileError(
-                    "black-box profile has no derivative chain for order "
-                    f"{m}; supply one or use a symbolic profile"
-                )
-            return RadialProfile(alpha=self.alpha, func=supplied,
-                                 decay_exponent=None)
+        """The m-th order gradient as a profile, through the exact symbolic
+        chain."""
         pieces = tuple(
             ProfilePiece(p.coeff * p.scale ** (-m), nabla_m(p.expr, m), p.scale)
             for p in self.pieces
@@ -157,8 +119,6 @@ class RadialProfile:
             return NotImplemented
         if self.alpha != other.alpha:
             raise DomainError("cannot add profiles bound to different alpha")
-        if not (self.is_symbolic and other.is_symbolic):
-            raise UnsupportedProfileError("can only add symbolic profiles")
         decays = [d for d in (self.decay_exponent, other.decay_exponent) if d is not None]
         return RadialProfile(
             alpha=self.alpha,
@@ -169,11 +129,6 @@ class RadialProfile:
     def __mul__(self, scalar) -> "RadialProfile":
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        if not self.is_symbolic:
-            f = self.func
-            return RadialProfile(alpha=self.alpha,
-                                 func=lambda r: scalar * f(r),
-                                 decay_exponent=self.decay_exponent)
         return RadialProfile(
             alpha=self.alpha,
             pieces=tuple(ProfilePiece(scalar * p.coeff, p.expr, p.scale)
@@ -215,13 +170,13 @@ def bliss_profile(m: int, alpha: float, eps: float) -> RadialProfile:
 _BENIGN_QUAD = "roundoff error is detected"
 
 
-def _quad(func, lo: float, hi: float, spec: QuadratureSpec) -> Tuple[float, float]:
+def _quad(func, lo: float, hi: float) -> Tuple[float, float]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _integrate.IntegrationWarning)
         out = _integrate.quad(
             func, lo, hi,
-            epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions, full_output=1,
+            epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+            limit=QUAD_MAX_SUBDIVISIONS, full_output=1,
         )
     if len(out) > 3:
         message = out[3]
@@ -264,7 +219,7 @@ def _check_tail_decay(g, split: float) -> None:
         )
 
 
-def improper_integral(f, spec: Optional[QuadratureSpec] = None) -> NormReport:
+def improper_integral(f) -> NormReport:
     """int_0^inf f(r) dr by adaptive quadrature on [0, split] plus the
     transformed tail int_0^(1/split) f(1/u) u^-2 du.
 
@@ -272,35 +227,31 @@ def improper_integral(f, spec: Optional[QuadratureSpec] = None) -> NormReport:
     integrand.  Divergent or pathological integrands surface as
     :class:`NonConvergenceError`.
     """
-    spec = spec or QuadratureSpec()
     g = f if callable(f) else None
     if g is None:
         raise TypeError(f"integrand must be callable, got {type(f).__name__}")
-    c = spec.split_point
+    c = QUAD_SPLIT_POINT
     _check_tail_decay(g, c)
-    head_val, head_err = _quad(g, 0.0, c, spec)
-    tail_val, tail_err = _quad(lambda u: g(1.0 / u) / (u * u), 0.0, 1.0 / c, spec)
+    head_val, head_err = _quad(g, 0.0, c)
+    tail_val, tail_err = _quad(lambda u: g(1.0 / u) / (u * u), 0.0, 1.0 / c)
     return NormReport(value=head_val + tail_val, err_estimate=head_err + tail_err)
 
 
-def _weighted_power_integral(f, q: float, theta: float,
-                             spec: QuadratureSpec) -> NormReport:
+def _weighted_power_integral(f, q: float, theta: float) -> NormReport:
     """int_0^inf |f(r)|^q r^theta dr."""
     def integrand(r: float) -> float:
         return abs(f(r)) ** q * r ** theta
 
-    return improper_integral(integrand, spec)
+    return improper_integral(integrand)
 
 
-def weighted_lebesgue_norm(f, q: float, theta: float,
-                           spec: Optional[QuadratureSpec] = None) -> NormReport:
+def weighted_lebesgue_norm(f, q: float, theta: float) -> NormReport:
     """( int_0^inf |f|^q r^theta dr )^(1/q) for q >= 1, theta > -1."""
     if q < 1:
         raise DomainError(f"Lebesgue exponent must be >= 1, got {q!r}")
     if theta <= -1:
         raise DomainError(f"weight exponent must exceed -1, got {theta!r}")
-    spec = spec or QuadratureSpec()
-    report = _weighted_power_integral(f, q, theta, spec)
+    report = _weighted_power_integral(f, q, theta)
     if report.value <= 0.0:
         return NormReport(value=0.0, err_estimate=report.err_estimate ** (1.0 / q))
     value = report.value ** (1.0 / q)
@@ -308,25 +259,22 @@ def weighted_lebesgue_norm(f, q: float, theta: float,
                       err_estimate=value * report.err_estimate / (q * report.value))
 
 
-def gradient_seminorm(f: RadialProfile, m: int, alpha: float,
-                      spec: Optional[QuadratureSpec] = None) -> NormReport:
+def gradient_seminorm(f: RadialProfile, m: int, alpha: float) -> NormReport:
     """( int_0^inf |nabla_m f|^2 r^alpha dr )^(1/2) through the symbolic
     derivative chain of ``f``."""
     _check_profile_alpha(f, alpha)
-    return weighted_lebesgue_norm(f.nabla(m), 2.0, alpha, spec)
+    return weighted_lebesgue_norm(f.nabla(m), 2.0, alpha)
 
 
-def rayleigh_quotient(f: RadialProfile, m: int, alpha: float,
-                      spec: Optional[QuadratureSpec] = None) -> float:
+def rayleigh_quotient(f: RadialProfile, m: int, alpha: float) -> float:
     """||nabla_m f||^2_{L^2_alpha} / ||f||^2_{L^{2*}_alpha}."""
-    spec = spec or QuadratureSpec()
     _check_profile_alpha(f, alpha)
     two_star = critical_exponent(m, alpha)
-    num = _weighted_power_integral(f.nabla(m), 2.0, alpha, spec).value
-    den_q = _weighted_power_integral(f, two_star, alpha, spec).value
-    if den_q ** (1.0 / two_star) < spec.abs_tol:
+    num = _weighted_power_integral(f.nabla(m), 2.0, alpha).value
+    den_q = _weighted_power_integral(f, two_star, alpha).value
+    if den_q ** (1.0 / two_star) < QUAD_ABS_TOL:
         raise DivisionGuardError(
-            f"profile norm {den_q ** (1.0 / two_star):.3e} below abs_tol; "
+            f"profile norm {den_q ** (1.0 / two_star):.3e} below QUAD_ABS_TOL; "
             "Rayleigh quotient undefined"
         )
     return num / den_q ** (2.0 / two_star)
@@ -335,7 +283,7 @@ def rayleigh_quotient(f: RadialProfile, m: int, alpha: float,
 def _check_profile_alpha(f: RadialProfile, alpha: float) -> None:
     if not isinstance(f, RadialProfile):
         raise UnsupportedProfileError(
-            "gradient operations need a RadialProfile with a derivative chain"
+            f"gradient operations need a RadialProfile, got {type(f).__name__}"
         )
     if abs(f.alpha - alpha) > 1e-12 * max(1.0, abs(alpha)):
         raise DomainError(
@@ -346,6 +294,10 @@ def _check_profile_alpha(f: RadialProfile, alpha: float) -> None:
 # ---------------------------------------------------------------------------
 # Pointwise radial bound
 # ---------------------------------------------------------------------------
+
+
+#: The log grid of ``radial_bound_check``.
+BOUND_GRID = np.geomspace(1e-3, 1e3, 601)
 
 
 @dataclass(frozen=True)
@@ -361,17 +313,14 @@ class BoundCheckReport:
 
 
 def radial_bound_check(f: RadialProfile, m: int, alpha: float,
-                       spec: Optional[QuadratureSpec] = None,
-                       r_grid=None, normalize: bool = True) -> BoundCheckReport:
+                       normalize: bool = True) -> BoundCheckReport:
     require_sobolev(m, alpha)
-    if r_grid is None:
-        r_grid = np.geomspace(1e-3, 1e3, 601)
-    r_grid = np.asarray(r_grid, dtype=float)
+    r_grid = BOUND_GRID
     ratio = np.abs(np.asarray(f(r_grid), dtype=float)) * r_grid ** (sobolev_gap(m, alpha) / 2.0)
     seminorm = None
     values = ratio
     if normalize:
-        seminorm = gradient_seminorm(f, m, alpha, spec).value
+        seminorm = gradient_seminorm(f, m, alpha).value
         if seminorm > 0.0:
             values = ratio / seminorm
     idx = int(np.argmax(values))

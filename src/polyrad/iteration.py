@@ -27,7 +27,7 @@ embedding condition).  The companion exponent sequence is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -249,28 +249,27 @@ class InverseReport:
         return max(self.residuals.values(), default=0.0)
 
 
-def verify_inverse(chain: IterationChain, j: int,
-                   ks: Optional[Sequence[int]] = None,
-                   noise_floor: float = 1e-5) -> InverseReport:
+#: ``verify_inverse`` measures only where the roundoff floor of the repeated
+#: difference stays below this fraction of the target scale.
+INVERSE_NOISE_FLOOR = 1e-5
+
+
+def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
     """Apply (-Delta_alpha)^j by finite differences to each chain member w_k
     (j <= k <= m) and report the sup-norm-relative residual against w_{k-j}.
 
     Repeated differencing amplifies float roundoff like eps / h^(2j), which
     on a geometric grid blows up toward the origin (h ~ delta * r).  The
     residual is therefore measured over the resolved sub-grid where that
-    roundoff floor stays below ``noise_floor`` of the target scale; the
-    report carries the window.
+    roundoff floor stays below INVERSE_NOISE_FLOOR of the target scale;
+    the report carries the window.
     """
     if not 1 <= j <= chain.m:
         raise ValueError(f"need 1 <= j <= m, got j={j}")
-    if ks is None:
-        ks = range(j, chain.m + 1)
     eps = float(np.finfo(float).eps)
     residuals = {}
     windows = {}
-    for k in ks:
-        if not j <= k <= chain.m:
-            raise ValueError(f"need j <= k <= m, got k={k}")
+    for k in range(j, chain.m + 1):
         fd = chain.w[k]
         for _ in range(j):
             fd = neg_laplacian_fd(fd, chain.alpha)
@@ -284,11 +283,11 @@ def verify_inverse(chain: IterationChain, j: int,
         h = np.gradient(r)
         input_scale = float(np.max(np.abs(chain.w[k].values)))
         floor = eps * input_scale * (6.0 / h ** 2) ** j / scale
-        mask = floor <= noise_floor
+        mask = floor <= INVERSE_NOISE_FLOOR
         if not np.any(mask):
             raise DomainError(
                 f"no grid nodes resolve a {j}-fold finite difference at "
-                f"noise floor {noise_floor:g}; refine or shrink the grid"
+                f"noise floor {INVERSE_NOISE_FLOOR:g}; refine or shrink the grid"
             )
         residuals[k] = float(np.max(np.abs(fd.values - target)[mask]) / scale)
         windows[k] = (float(r[mask].min()), float(r[mask].max()))
@@ -317,7 +316,11 @@ class DecayReport:
         return self.entries[k]
 
 
-def decay_report(chain: IterationChain, slack: float = 0.05) -> DecayReport:
+#: ``decay_report`` accepts a fitted slope up to this above the bound exponent.
+DECAY_SLACK = 0.05
+
+
+def decay_report(chain: IterationChain) -> DecayReport:
     """Fit log|w_k| against log r over the last grid decade and compare with
     the guaranteed bound exponent -(alpha+2m+1-4k)/2.  Chains that vanish in
     the tail are flagged skipped."""
@@ -325,6 +328,10 @@ def decay_report(chain: IterationChain, slack: float = 0.05) -> DecayReport:
     if grid.r_max < 50.0:
         raise DomainError("decay fit needs the grid to reach r_max >= 50")
     mask = grid.nodes >= grid.r_max / 10.0
+    if mask.sum() < 2:
+        raise DomainError(
+            f"decay fit needs two grid nodes in the last decade, got {int(mask.sum())}"
+        )
     log_r = np.log(grid.nodes[mask])
     entries = []
     for k, gf in enumerate(chain.w):
@@ -337,7 +344,7 @@ def decay_report(chain: IterationChain, slack: float = 0.05) -> DecayReport:
         slope = float(np.polyfit(log_r, np.log(tail), 1)[0])
         entries.append(DecayEntry(
             k=k, slope=slope, bound_exponent=bound,
-            bound_satisfied=bool(slope <= bound + slack),
+            bound_satisfied=bool(slope <= bound + DECAY_SLACK),
         ))
     return DecayReport(entries=tuple(entries))
 
@@ -371,13 +378,19 @@ class OriginReport:
         return self.entries[k]
 
 
-def _origin_fit(gf: GridFunction, r_fit: float) -> Tuple[float, float, float, float]:
-    """Least-squares degree-6 fit on the nodes below r_fit, in the scaled
-    variable x = r/r_fit; returns (f(0), f'(0), f''(0), f'''(0)).
+#: ``origin_behavior`` fits the nodes at r <= ORIGIN_FIT_RADIUS.
+ORIGIN_FIT_RADIUS = 0.05
+
+
+def _origin_fit(gf: GridFunction) -> Tuple[float, float, float, float]:
+    """Least-squares degree-6 fit on the nodes below r_fit =
+    ORIGIN_FIT_RADIUS, in the scaled variable x = r/r_fit; returns
+    (f(0), f'(0), f''(0), f'''(0)).
 
     Degree 6 matters: the window is one-sided, so an unmodeled even r^6
     term would leak into the odd coefficients.
     """
+    r_fit = ORIGIN_FIT_RADIUS
     r = gf.grid.nodes
     mask = r <= r_fit
     if mask.sum() < 12:
@@ -395,13 +408,13 @@ def _origin_fit(gf: GridFunction, r_fit: float) -> Tuple[float, float, float, fl
     )
 
 
-def origin_behavior(chain: IterationChain, r_fit: float = 0.05) -> OriginReport:
+def origin_behavior(chain: IterationChain) -> OriginReport:
     """One-sided extrapolation of w_k and its first three derivatives at the
     origin.  For a positive chain the first and third derivatives vanish and
     w_k''(0) = -w_{k-1}(0)/(alpha+1)."""
     if chain.grid.r_min > 1e-3:
         raise DomainError("origin extrapolation needs the grid to reach r <= 1e-3")
-    fits = [_origin_fit(gf, r_fit) for gf in chain.w]
+    fits = [_origin_fit(gf) for gf in chain.w]
     entries = []
     for k, (v, d1, d2, d3) in enumerate(fits):
         expected = None if k == 0 else -fits[k - 1][0] / (chain.alpha + 1.0)
@@ -415,14 +428,17 @@ def origin_behavior(chain: IterationChain, r_fit: float = 0.05) -> OriginReport:
 # ---------------------------------------------------------------------------
 
 
+#: ``fixed_point_residual`` divides by max(|u|, FIXED_POINT_FLOOR).
+FIXED_POINT_FLOOR = 1e-12
+
+
 def fixed_point_residual(u: RadialProfile, m: int, alpha: float,
-                         grid: Optional[RadialGrid] = None,
-                         floor: float = 1e-12) -> float:
-    """sup over grid nodes of |w_m - u| / max(|u|, floor); small exactly for
-    solution profiles."""
+                         grid: Optional[RadialGrid] = None) -> float:
+    """sup over grid nodes of |w_m - u| / max(|u|, FIXED_POINT_FLOOR); small
+    exactly for solution profiles."""
     if grid is None:
         grid = RadialGrid.geometric()
     chain = iterate_chain(u, m, alpha, grid)
     u_vals = np.asarray(u(grid.nodes), dtype=float)
-    denom = np.maximum(np.abs(u_vals), floor)
+    denom = np.maximum(np.abs(u_vals), FIXED_POINT_FLOOR)
     return float(np.max(np.abs(chain.w[m].values - u_vals) / denom))

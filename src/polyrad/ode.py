@@ -45,6 +45,13 @@ from .functionals import bliss_amplitude, bliss_profile
 from .iteration import GridFunction, RadialGrid, neg_laplacian_fd
 
 
+#: ``integrate`` raises BlowupError once |u_0| exceeds this.
+OVERFLOW_LIMIT = 1e12
+#: ``integrate`` raises StepUnderflowError once the step falls below this
+#: times max(1, r).
+STEP_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class IVPSpec:
     """Problem statement: even-order initial data (odd-order data is zero by
@@ -58,8 +65,6 @@ class IVPSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: Optional[float] = None
-    overflow_limit: float = 1e12
-    step_floor: float = 1e-12
 
     def __post_init__(self):
         require_sobolev(self.m, self.alpha)
@@ -225,7 +230,7 @@ def integrate(spec: IVPSpec) -> SolveResult:
 
     while r < spec.r_max:
         h = min(h, spec.r_max - r, max_step)
-        if h < spec.step_floor * max(1.0, r):
+        if h < STEP_FLOOR * max(1.0, r):
             raise StepUnderflowError(
                 f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
                 _finish(),
@@ -249,9 +254,9 @@ def integrate(spec: IVPSpec) -> SolveResult:
             nodes.append(r)
             states.append(y.copy())
             derivs.append(k1.copy())
-            if abs(y[0]) > spec.overflow_limit:
+            if abs(y[0]) > OVERFLOW_LIMIT:
                 raise BlowupError(
-                    f"|u_0| = {abs(y[0]):.3e} exceeded {spec.overflow_limit:g} "
+                    f"|u_0| = {abs(y[0]):.3e} exceeded {OVERFLOW_LIMIT:g} "
                     f"at r={r:.6g} (non-global solution)",
                     _finish(),
                 )
@@ -364,11 +369,14 @@ def departure_from_family(m: int, alpha: float, result: SolveResult) -> float:
     return best
 
 
-def formulation_residual(result: SolveResult, m: int, alpha: float,
-                         r_lo: float = 0.5, r_hi: float = 5.0) -> float:
+#: The radial window [r_lo, r_hi] of ``formulation_residual``.
+FORMULATION_WINDOW = (0.5, 5.0)
+
+
+def formulation_residual(result: SolveResult, m: int, alpha: float) -> float:
     """Consistency of the scalar and system formulations: apply
     (-Delta_alpha)^m by finite differences to the integrated u_0 and compare
-    with |u_0|^(2*-2) u_0 over [r_lo, r_hi] (sup-norm relative).
+    with |u_0|^(2*-2) u_0 over FORMULATION_WINDOW (sup-norm relative).
 
     Meaningful on a trajectory integrated with a capped max_step, so the
     node spacing resolves the repeated differencing.
@@ -378,6 +386,7 @@ def formulation_residual(result: SolveResult, m: int, alpha: float,
     for _ in range(m):
         fd = neg_laplacian_fd(fd, alpha)
     r = fd.grid.nodes
+    r_lo, r_hi = FORMULATION_WINDOW
     mask = (r >= r_lo) & (r <= r_hi)
     if not np.any(mask):
         raise DomainError("no finite-difference nodes inside the check window")

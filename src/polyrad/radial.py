@@ -548,8 +548,3 @@ def nabla_m(expr: RadialExpr, m: int) -> RadialExpr:
     if odd:
         out = differentiate(out)
     return out
-
-
-def evaluate(expr: RadialExpr, alpha_value, r):
-    """Functional form of :meth:`RadialExpr.evaluate`."""
-    return expr.evaluate(alpha_value, r)

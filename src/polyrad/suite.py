@@ -40,7 +40,6 @@ CLASSIFICATION_CASES = (
 CHAIN_M, CHAIN_ALPHA = 2, 4.0
 FULL_GRID_NODES = 8192
 CHAIN_GRID_NODES = 4096
-QUICK_GRID_NODES = 1024
 
 # Pass thresholds, one name each.  The comment names the criteria and the
 # CLI subcommands that judge by it.
@@ -152,17 +151,14 @@ def check_best_constant_m1(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_quadrature_vs_gamma() -> CheckResult:
     def body(details: dict) -> bool:
-        spec = fun.QuadratureSpec()
         rels = {}
         for a in GAMMA_QUAD_ALPHAS:
             got = fun.improper_integral(
-                lambda r, a=a: r ** a * (1.0 + r * r) ** (-(a + 1.0)), spec
+                lambda r, a=a: r ** a * (1.0 + r * r) ** (-(a + 1.0))
             ).value
             want = const.beta_integral((a + 1.0) / 2.0, (a + 1.0) / 2.0) / 2.0
             rels[a] = abs(got - want) / want
-        exact = fun.improper_integral(
-            lambda r: r * (1.0 + r * r) ** -2.0, spec
-        ).value
+        exact = fun.improper_integral(lambda r: r * (1.0 + r * r) ** -2.0).value
         details.update(rel_errors=rels, alpha1_value=exact,
                        alpha1_abs_err=abs(exact - 0.5))
         return (max(rels.values()) <= GAMMA_QUAD_REL_TOL
@@ -178,13 +174,12 @@ def check_quadrature_vs_gamma() -> CheckResult:
 
 def check_attainment_dilation() -> CheckResult:
     def body(details: dict) -> bool:
-        spec = fun.QuadratureSpec()
         worst_attain = 0.0
         worst_spread = 0.0
         for m, a in ATTAINMENT_CASES:
             s = const.best_constant(m, a).S
             quotients = [
-                fun.rayleigh_quotient(fun.bliss_profile(m, a, e), m, a, spec)
+                fun.rayleigh_quotient(fun.bliss_profile(m, a, e), m, a)
                 for e in EPS_SET
             ]
             worst_attain = max(worst_attain,
@@ -199,14 +194,13 @@ def check_attainment_dilation() -> CheckResult:
 
 def check_minimality_probes(m: int = 1, alpha: float = 3.0) -> CheckResult:
     def body(details: dict) -> bool:
-        spec = fun.QuadratureSpec()
         s = const.best_constant(m, alpha).S
         w = fun.bliss_profile(m, alpha, 1.0)
         worst_gap = -math.inf
         for index in range(len(fun.PERTURBATION_DIRECTIONS)):
             phi = fun.perturbation_direction(index, m, alpha)
             for amp in PROBE_AMPLITUDES:
-                q = fun.rayleigh_quotient(w + amp * phi, m, alpha, spec)
+                q = fun.rayleigh_quotient(w + amp * phi, m, alpha)
                 worst_gap = max(worst_gap, s - q)
         details.update(S=s, worst_S_minus_quotient=worst_gap)
         return worst_gap <= PROBE_TOL
@@ -242,8 +236,8 @@ def _chain_grid(nodes: int) -> it.RadialGrid:
     return it.RadialGrid.geometric(1e-4, 1e3, nodes)
 
 
-def check_fixed_point(quick: bool = False) -> CheckResult:
-    nodes = QUICK_GRID_NODES if quick else FULL_GRID_NODES
+def check_fixed_point() -> CheckResult:
+    nodes = FULL_GRID_NODES
 
     def body(details: dict) -> bool:
         grid = _chain_grid(nodes)
@@ -257,21 +251,16 @@ def check_fixed_point(quick: bool = False) -> CheckResult:
     return _timed(9, "regularity fixed point and its failure off the solution", body)
 
 
-def check_chain_structure(quick: bool = False) -> CheckResult:
-    nodes = QUICK_GRID_NODES if quick else CHAIN_GRID_NODES
+def check_chain_structure() -> CheckResult:
+    nodes = CHAIN_GRID_NODES
 
     def body(details: dict) -> bool:
         grid = _chain_grid(nodes)
         u = fun.bliss_profile(CHAIN_M, CHAIN_ALPHA, 1.0)
         chain = it.iterate_chain(u, CHAIN_M, CHAIN_ALPHA, grid)
-        ok = True
-        if quick:
-            # the iterated finite difference needs the 4096-node grid
-            details["fd_residual"] = "skipped (needs full grid)"
-        else:
-            inverse = it.verify_inverse(chain, 1)
-            details["fd_residual"] = inverse.residuals
-            ok = inverse.max_residual <= INVERSE_TOL
+        inverse = it.verify_inverse(chain, 1)
+        details["fd_residual"] = inverse.residuals
+        ok = inverse.max_residual <= INVERSE_TOL
         decay = it.decay_report(chain)
         slopes = {}
         for k, entry in enumerate(decay.entries):
@@ -287,8 +276,8 @@ def check_chain_structure(quick: bool = False) -> CheckResult:
     return _timed(10, "chain inverse structure and decay exponents", body)
 
 
-def check_origin_behavior(quick: bool = False) -> CheckResult:
-    nodes = QUICK_GRID_NODES if quick else CHAIN_GRID_NODES
+def check_origin_behavior() -> CheckResult:
+    nodes = CHAIN_GRID_NODES
 
     def body(details: dict) -> bool:
         grid = _chain_grid(nodes)
@@ -350,8 +339,7 @@ def check_golden_table(path: Optional[str] = None) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def run_all(quick: bool = False, seed: int = DEFAULT_SEED,
-            golden: Optional[str] = None) -> List[CheckResult]:
+def run_all(seed: int = DEFAULT_SEED, golden: Optional[str] = None) -> List[CheckResult]:
     """Run the full acceptance suite plus the golden-artifact comparison."""
     return [
         check_polyharmonic_identity(),
@@ -362,8 +350,8 @@ def run_all(quick: bool = False, seed: int = DEFAULT_SEED,
         check_attainment_dilation(),
         check_minimality_probes(),
         check_classification(),
-        check_fixed_point(quick=quick),
-        check_chain_structure(quick=quick),
-        check_origin_behavior(quick=quick),
+        check_fixed_point(),
+        check_chain_structure(),
+        check_origin_behavior(),
         check_golden_table(golden),
     ]

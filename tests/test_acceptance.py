@@ -85,7 +85,7 @@ def test_full_suite_runtime_budget():
     import time
 
     start = time.perf_counter()
-    results = suite.run_all(quick=False)
+    results = suite.run_all()
     elapsed = time.perf_counter() - start
     for result in results:
         print(result.line())

@@ -118,7 +118,8 @@ class TestIterate:
         assert report["checks"]["fixed_point_residual"] <= 1e-3
         for k in range(3):
             path = tmp_path / f"chain_k{k}.csv"
-            rows = list(csv.DictReader(path.open()))
+            with path.open(newline="") as handle:
+                rows = list(csv.DictReader(handle))
             assert len(rows) == 4096
             assert set(rows[0]) == {"r", f"w_{k}"}
 
@@ -164,8 +165,8 @@ class TestClassify:
 
 
 class TestVerifyAll:
-    def test_quick_passes(self, capsys):
-        code, out, _ = run_cli(["verify-all", "--quick"], capsys)
+    def test_full_run_passes(self, capsys):
+        code, out, _ = run_cli(["verify-all"], capsys)
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith("[PASS]")]
         assert len(lines) == 12  # eleven criteria plus the golden artifact
@@ -175,7 +176,7 @@ class TestVerifyAll:
         text = suite.coeff_table_json(suite.GOLDEN_TABLE_M)
         bad.write_text(text.replace('"-5"', '"-4"', 1), encoding="utf-8")
         code, out, err = run_cli(
-            ["verify-all", "--quick", "--golden", str(bad)], capsys
+            ["verify-all", "--golden", str(bad)], capsys
         )
         assert code == 1
         assert "[FAIL]" in out
@@ -184,7 +185,7 @@ class TestVerifyAll:
     def test_report_written_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run_cli(
-            ["verify-all", "--quick", "--output", str(path)], capsys
+            ["verify-all", "--output", str(path)], capsys
         )
         assert code == 0
         report = json.loads(path.read_text())
@@ -212,6 +213,7 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["iterate", "--m", "2", "--alpha", "4", "--grid-points", "5"],
     ["iterate", "--m", "2", "--alpha", "4", "--r-max", "40"],
     ["iterate", "--m", "2", "--alpha", "4", "--r-min", "0.01"],
+    ["verify-all", "--quick"],
 ])
 def test_invalid_arguments_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:

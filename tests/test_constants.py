@@ -18,7 +18,7 @@ from polyrad.constants import (
     p_value,
 )
 from polyrad.errors import DomainError, SobolevConditionError
-from polyrad.functionals import QuadratureSpec, improper_integral
+from polyrad.functionals import improper_integral
 
 mp.mp.dps = 40
 
@@ -68,7 +68,7 @@ class TestBetaIntegral:
     def test_against_quadrature(self):
         x, y = 2.5, 3.1
         got = improper_integral(
-            lambda s: s ** (x - 1) * (1 + s) ** (-(x + y)), QuadratureSpec()
+            lambda s: s ** (x - 1) * (1 + s) ** (-(x + y))
         ).value
         assert abs(got - beta_integral(x, y)) <= 1e-10 * beta_integral(x, y)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from polyrad import functionals
 from polyrad.constants import best_constant, beta_integral
 from polyrad.errors import (
     DivisionGuardError,
@@ -16,7 +17,6 @@ from polyrad.errors import (
 from polyrad.functionals import (
     PERTURBATION_DIRECTIONS,
     NormReport,
-    QuadratureSpec,
     RadialProfile,
     bliss_amplitude,
     bliss_profile,
@@ -28,8 +28,7 @@ from polyrad.functionals import (
     weighted_lebesgue_norm,
 )
 from polyrad.ode import family_state
-
-SPEC = QuadratureSpec()
+from polyrad.radial import RadialExpr
 
 # frozen at 30 digits:
 W_EPS2_AT_ZERO = 1.2651256603483465      # 105^(1/8) / sqrt(2)
@@ -40,43 +39,40 @@ SQRT8 = 2.8284271247461901
 
 class TestQuadratureSpec:
     def test_defaults(self):
-        assert SPEC.rel_tol == 1e-10 and SPEC.abs_tol == 1e-14
-        assert SPEC.max_subdivisions == 2000 and SPEC.split_point == 1.0
+        assert functionals.QUAD_REL_TOL == 1e-10 and functionals.QUAD_ABS_TOL == 1e-14
+        assert functionals.QUAD_MAX_SUBDIVISIONS == 2000
+        assert functionals.QUAD_SPLIT_POINT == 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
         with pytest.raises(ValueError):
             NormReport(value=1.0, err_estimate=-1.0)
 
 
 class TestImproperIntegral:
     def test_antiderivative_case(self):
-        rep = improper_integral(lambda r: r * (1 + r * r) ** -2.0, SPEC)
+        rep = improper_integral(lambda r: r * (1 + r * r) ** -2.0)
         assert abs(rep.value - 0.5) <= 1e-12
         assert rep.err_estimate < 1e-10
 
     def test_gamma_identity_case(self):
-        rep = improper_integral(lambda r: r ** 3 * (1 + r * r) ** -4.0, SPEC)
+        rep = improper_integral(lambda r: r ** 3 * (1 + r * r) ** -4.0)
         assert abs(rep.value - 1 / 12) <= 1e-12
 
     def test_divergent_tail_raises(self):
         with pytest.raises(NonConvergenceError):
-            improper_integral(lambda r: (1 + r * r) ** -0.5, SPEC)
+            improper_integral(lambda r: (1 + r * r) ** -0.5)
 
     @pytest.mark.parametrize("alpha", (1.5, 3.0, 4.0, 7.25))
     def test_quadrature_vs_gamma(self, alpha):
         got = improper_integral(
-            lambda r: r ** alpha * (1 + r * r) ** (-(alpha + 1.0)), SPEC
+            lambda r: r ** alpha * (1 + r * r) ** (-(alpha + 1.0))
         ).value
         want = beta_integral((alpha + 1) / 2, (alpha + 1) / 2) / 2
         assert abs(got - want) <= 1e-10 * want
 
     def test_profile_as_integrand(self):
         w = bliss_profile(1, 3.0, 1.0)
-        rep = improper_integral(lambda r: w(r) ** 2 * r ** 1.0, SPEC)
+        rep = improper_integral(lambda r: w(r) ** 2 * r ** 1.0)
         assert rep.value > 0
 
 
@@ -122,11 +118,11 @@ class TestBlissProfile:
 class TestWeightedNorm:
     def test_w1_fourth_power_norm(self):
         w = bliss_profile(1, 3.0, 1.0)
-        rep = weighted_lebesgue_norm(w, 4.0, 3.0, SPEC)
+        rep = weighted_lebesgue_norm(w, 4.0, 3.0)
         assert abs(rep.value - W1_NORM_4_3) <= 1e-10 * W1_NORM_4_3
 
     def test_zero_profile(self):
-        rep = weighted_lebesgue_norm(RadialProfile.zero(3.0), 4.0, 3.0, SPEC)
+        rep = weighted_lebesgue_norm(RadialProfile.zero(3.0), 4.0, 3.0)
         assert rep.value == 0.0
 
     def test_dilation_independence(self):
@@ -134,7 +130,7 @@ class TestWeightedNorm:
         m, alpha = 2, 4.0
         two_star = 10.0
         values = [
-            weighted_lebesgue_norm(bliss_profile(m, alpha, e), two_star, alpha, SPEC).value
+            weighted_lebesgue_norm(bliss_profile(m, alpha, e), two_star, alpha).value
             for e in (0.5, 1.0, 2.0)
         ]
         spread = (max(values) - min(values)) / min(values)
@@ -143,50 +139,49 @@ class TestWeightedNorm:
     def test_validation(self):
         w = bliss_profile(1, 3.0, 1.0)
         with pytest.raises(DomainError):
-            weighted_lebesgue_norm(w, 0.5, 3.0, SPEC)
+            weighted_lebesgue_norm(w, 0.5, 3.0)
         with pytest.raises(DomainError):
-            weighted_lebesgue_norm(w, 2.0, -1.0, SPEC)
+            weighted_lebesgue_norm(w, 2.0, -1.0)
 
 
 class TestGradientSeminorm:
     def test_w1_m1(self):
         w = bliss_profile(1, 3.0, 1.0)
-        rep = gradient_seminorm(w, 1, 3.0, SPEC)
+        rep = gradient_seminorm(w, 1, 3.0)
         assert abs(rep.value - W1_SEMINORM) <= 1e-9 * W1_SEMINORM
 
     def test_zero(self):
-        assert gradient_seminorm(RadialProfile.zero(4.0), 2, 4.0, SPEC).value == 0.0
+        assert gradient_seminorm(RadialProfile.zero(4.0), 2, 4.0).value == 0.0
 
     def test_m2_matches_best_constant(self):
         m, alpha = 2, 4.0
         w = bliss_profile(m, alpha, 1.0)
-        lhs = gradient_seminorm(w, m, alpha, SPEC).value
+        lhs = gradient_seminorm(w, m, alpha).value
         rhs = best_constant(m, alpha).S ** 0.5 * weighted_lebesgue_norm(
-            w, 10.0, alpha, SPEC
+            w, 10.0, alpha
         ).value
         assert abs(lhs - rhs) <= 1e-6 * rhs
 
     def test_black_box_rejected(self):
-        f = RadialProfile.from_callable(lambda r: math.exp(-r), 3.0)
         with pytest.raises(UnsupportedProfileError):
-            gradient_seminorm(f, 1, 3.0, SPEC)
+            gradient_seminorm(lambda r: math.exp(-r), 1, 3.0)
 
     def test_alpha_mismatch_rejected(self):
         w = bliss_profile(1, 3.0, 1.0)
         with pytest.raises(DomainError):
-            gradient_seminorm(w, 1, 5.0, SPEC)
+            gradient_seminorm(w, 1, 5.0)
 
 
 class TestRayleigh:
     def test_attains_best_constant(self):
         w = bliss_profile(1, 3.0, 1.0)
-        q = rayleigh_quotient(w, 1, 3.0, SPEC)
+        q = rayleigh_quotient(w, 1, 3.0)
         assert abs(q - 4 / math.sqrt(3)) <= 1e-10 * q
 
     @pytest.mark.parametrize("m,alpha", [(1, 3.0), (2, 4.0), (3, 8.0)])
     def test_dilation_invariance_five_eps(self, m, alpha):
         values = [
-            rayleigh_quotient(bliss_profile(m, alpha, e), m, alpha, SPEC)
+            rayleigh_quotient(bliss_profile(m, alpha, e), m, alpha)
             for e in (0.25, 0.5, 1.0, 2.0, 4.0)
         ]
         spread = (max(values) - min(values)) / min(values)
@@ -197,7 +192,7 @@ class TestRayleigh:
         s = best_constant(m, alpha).S
         w = bliss_profile(m, alpha, 1.0)
         probe = w + 0.1 * perturbation_direction(0, m, alpha)
-        assert rayleigh_quotient(probe, m, alpha, SPEC) >= s - 1e-6
+        assert rayleigh_quotient(probe, m, alpha) >= s - 1e-6
 
     def test_minimality_all_directions(self):
         m, alpha = 1, 3.0
@@ -207,24 +202,24 @@ class TestRayleigh:
         for idx in range(10):
             phi = perturbation_direction(idx, m, alpha)
             for amp in (0.05, 0.1):
-                q = rayleigh_quotient(w + amp * phi, m, alpha, SPEC)
+                q = rayleigh_quotient(w + amp * phi, m, alpha)
                 assert q >= s - 1e-6, (idx, amp)
 
     def test_division_guard(self):
         with pytest.raises(DivisionGuardError):
-            rayleigh_quotient(RadialProfile.zero(3.0), 1, 3.0, SPEC)
+            rayleigh_quotient(RadialProfile.zero(3.0), 1, 3.0)
 
 
 class TestRadialBound:
     def test_w1_finite_interior_sup(self):
         w = bliss_profile(1, 3.0, 1.0)
-        rep = radial_bound_check(w, 1, 3.0, SPEC)
+        rep = radial_bound_check(w, 1, 3.0)
         assert math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
         assert 1e-3 < rep.argmax_r < 1e3  # attained away from both ends
         assert rep.seminorm is not None
 
     def test_zero_profile(self):
-        rep = radial_bound_check(RadialProfile.zero(3.0), 1, 3.0, SPEC)
+        rep = radial_bound_check(RadialProfile.zero(3.0), 1, 3.0)
         assert rep.sup_ratio == 0.0
 
     def test_saturating_profile_flat_tail(self):
@@ -232,11 +227,9 @@ class TestRadialBound:
         # asymptotically constant, so the tail variation is small
         m, alpha = 1, 3.0
         gap_half = (alpha - 2 * m + 1) / 2.0
-        f = RadialProfile.from_callable(
-            lambda r: (1.0 + r * r) ** (-gap_half / 2.0), alpha,
-            decay_exponent=gap_half,
-        )
-        rep = radial_bound_check(f, m, alpha, SPEC, normalize=False)
+        f = RadialProfile.from_expr(RadialExpr.single(1, 0, 1), alpha,
+                                    decay_exponent=gap_half)
+        rep = radial_bound_check(f, m, alpha, normalize=False)
         assert rep.tail_variation <= 1e-2
 
 
@@ -267,23 +260,3 @@ class TestProfileAlgebra:
         r = np.linspace(0.1, 5.0, 7)
         assert np.allclose(w(r), [w(x) for x in r], rtol=1e-14)
 
-
-class TestSuppliedDerivativeChain:
-    def test_black_box_with_chain_matches_symbolic(self):
-        m, alpha = 1, 3.0
-        w = bliss_profile(m, alpha, 1.0)
-        grad = w.nabla(1)
-        bb = RadialProfile.from_callable(
-            lambda r: w(r), alpha, decay_exponent=2.0,
-            gradient_evaluators={1: lambda r: grad(r)},
-        )
-        got = gradient_seminorm(bb, 1, alpha, SPEC).value
-        want = gradient_seminorm(w, 1, alpha, SPEC).value
-        assert abs(got - want) <= 1e-9 * want
-
-    def test_missing_order_still_rejected(self):
-        bb = RadialProfile.from_callable(
-            lambda r: math.exp(-r), 3.0, gradient_evaluators={2: lambda r: 0.0}
-        )
-        with pytest.raises(UnsupportedProfileError):
-            gradient_seminorm(bb, 1, 3.0, SPEC)

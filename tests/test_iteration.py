@@ -5,6 +5,7 @@ import pytest
 
 from polyrad.errors import DomainError, TailDivergenceError
 from polyrad.functionals import RadialProfile, bliss_profile
+from polyrad.radial import RadialExpr
 from polyrad.iteration import (
     GridFunction,
     RadialGrid,
@@ -93,18 +94,18 @@ class TestChainConstruction:
             assert np.all(np.diff(np.abs(flux[:100])) > 0)  # grows away from 0
 
     def test_decay_metadata_required(self):
-        f = RadialProfile.from_callable(lambda r: (1 + r * r) ** -2.0, ALPHA)
+        f = RadialProfile.from_expr(RadialExpr.single(1, 0, 4), ALPHA)
         with pytest.raises(DomainError):
             iterate_chain(f, M, ALPHA, GRID)
 
     def test_tail_divergence_error(self):
-        # declared decay too slow: w_0 falls like r^-1.8, the outer integral
-        # needs better than r^-2
-        slow = RadialProfile.from_callable(
-            lambda r: (1.0 + r * r) ** -0.1, ALPHA, decay_exponent=0.2
-        )
+        # declared decay too slow: at m = 1, alpha = 7 (2* - 1 = 5/3) w_0 of
+        # (1+r^2)^(-1/2) falls like r^-5/3, the outer integral needs better
+        # than r^-2
+        slow = RadialProfile.from_expr(RadialExpr.single(1, 0, 1), 7.0,
+                                       decay_exponent=1.0)
         with pytest.raises(TailDivergenceError):
-            iterate_chain(slow, M, ALPHA, GRID)
+            iterate_chain(slow, 1, 7.0, GRID)
 
 
 class TestVerifyInverse:
@@ -114,7 +115,7 @@ class TestVerifyInverse:
         assert rep.residuals[2] <= 1e-4
 
     def test_full_depth_reproduces_source(self, bliss_chain_24):
-        rep = verify_inverse(bliss_chain_24, M, ks=[M])
+        rep = verify_inverse(bliss_chain_24, M)
         assert rep.residuals[M] <= 1e-3
 
     def test_zero_chain(self):
@@ -126,7 +127,7 @@ class TestVerifyInverse:
         with pytest.raises(ValueError):
             verify_inverse(bliss_chain_24, 0)
         with pytest.raises(ValueError):
-            verify_inverse(bliss_chain_24, 1, ks=[0])
+            verify_inverse(bliss_chain_24, M + 1)
 
 
 class TestFiniteDifferenceOperator:
@@ -162,6 +163,14 @@ class TestDecay:
         chain = iterate_chain(RadialProfile.zero(ALPHA), M, ALPHA, GRID)
         rep = decay_report(chain)
         assert all(e.skipped for e in rep.entries)
+
+    def test_single_tail_node_rejected(self):
+        # five nodes over seven decades leave one node in the last decade,
+        # too few for a slope
+        grid = RadialGrid.geometric(1e-4, 1e3, 5)
+        chain = iterate_chain(bliss_profile(M, ALPHA, 1.0), M, ALPHA, grid)
+        with pytest.raises(DomainError, match="two grid nodes"):
+            decay_report(chain)
 
 
 class TestOrigin:

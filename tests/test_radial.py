@@ -17,7 +17,6 @@ from polyrad.radial import (
     apply_laplacian,
     apply_polyharmonic,
     differentiate,
-    evaluate,
     nabla_m,
 )
 from polyrad.coefficients import base_profile_expr, p_constant
@@ -198,30 +197,30 @@ class TestDerivativeAndGradient:
 
 class TestEvaluate:
     def test_zero_expression(self):
-        assert evaluate(RadialExpr.zero(), 3.7, 1.3) == 0.0
+        assert RadialExpr.zero().evaluate(3.7, 1.3) == 0.0
 
     def test_simple_rational(self):
-        v = evaluate(single(1, 0, sigma(0, 2)), 1, 1)
+        v = single(1, 0, sigma(0, 2)).evaluate(1, 1)
         assert v == Fraction(1, 2)
 
     def test_product_constant_profile_value(self):
         # (a-1)(a+1) (1+r^2)^(-(a+3)/2) at a=3, r=1 -> 8 * 2^(-3) = 1
         e = single(p_constant(1), 0, sigma(1, 3))
-        assert evaluate(e, 3, 1) == 1
-        assert abs(evaluate(e, 3.0, 1.0) - 1.0) < 1e-14
+        assert e.evaluate(3, 1) == 1
+        assert abs(e.evaluate(3.0, 1.0) - 1.0) < 1e-14
 
     def test_exact_matches_float_path(self):
         e = single(AlphaPoly((Fraction(1, 3), 2)), 2, sigma(1, 1)) + single(2, 0, sigma(0, 4))
-        exact = evaluate(e, 5, Fraction(3, 2))
+        exact = e.evaluate(5, Fraction(3, 2))
         assert isinstance(exact, Fraction)
-        assert abs(float(exact) - evaluate(e, 5.0, 1.5)) < 1e-13 * abs(float(exact))
+        assert abs(float(exact) - e.evaluate(5.0, 1.5)) < 1e-13 * abs(float(exact))
 
     def test_numpy_vectorized(self):
         import numpy as np
 
         e = single(1, 2, sigma(0, 4))
         r = np.array([0.5, 1.0, 2.0])
-        got = evaluate(e, 3.0, r)
+        got = e.evaluate(3.0, r)
         want = r ** 2 * (1 + r ** 2) ** -2.0
         assert np.allclose(got, want, rtol=1e-14)
 
