@@ -10,9 +10,11 @@ iterate               regularity chain: per-step CSV plus verification summary
 classify              singular IVP against the dilation family
 verify-all            the full acceptance suite
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 invalid arguments
-(including a violated embedding condition alpha - 2m + 1 > 0, and a
-``DomainError`` a handler raises for arguments its checks cannot use).
+Exit codes: 0 all checks pass, 1 verification failure, 2 invalid arguments.
+Every float flag must be a finite number; argparse rejects anything else.
+Argument domains (the embedding condition alpha - 2m + 1 > 0, positive
+dilation parameters, grid and radius bounds, ...) are checked only by the
+library, which raises ``DomainError``; ``main`` turns that into exit 2.
 JSON reports carry a top-level ``schema_version``; numeric fields are
 rounded to 12 significant digits so reports are stable across runs.  CSV
 output uses comma delimiters and ``.`` decimals regardless of locale.  Pass
@@ -24,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
-import os
 import json
+import math
+import os
 import sys
 from typing import List, Optional
 
@@ -66,8 +70,19 @@ def _emit_json(obj: dict, path: Optional[str]) -> None:
     _emit(json.dumps(_round12(body), indent=2, sort_keys=True) + "\n", path)
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> List[float]:
-    return [float(x) for x in text.split(",") if x]
+    values = [_finite(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one number")
+    return values
 
 
 def _csv_text(header: List[str], rows: List[list]) -> str:
@@ -166,16 +181,8 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         "monotone_decreasing": all(
             bool(np.all(np.diff(gf.values) <= 0)) for gf in chain.w[1:]
         ),
-        "decay": [
-            {"k": e.k, "slope": e.slope, "bound_exponent": e.bound_exponent,
-             "bound_satisfied": e.bound_satisfied, "skipped": e.skipped}
-            for e in decay.entries
-        ],
-        "origin": [
-            {"k": e.k, "value": e.value, "d1": e.d1, "d2": e.d2,
-             "d2_expected": e.d2_expected, "d3": e.d3}
-            for e in origin.entries
-        ],
+        "decay": [dataclasses.asdict(e) for e in decay.entries],
+        "origin": [dataclasses.asdict(e) for e in origin.entries],
     }
     passed = (q_ok and checks["monotone_decreasing"]
               and inverse.max_residual <= suite.INVERSE_TOL
@@ -200,6 +207,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         _emit_json({"subcommand": "classify", **report.to_json_obj()}, args.output)
         return 0 if report.verdict == "coincides" else 1
     data = ode.family_state(m, alpha, eps, 0.0)[0, 0::2]
+    if not 0 <= args.perturb_index < m:
+        raise DomainError(f"--perturb-index must lie in [0, m), got {args.perturb_index}")
     data[args.perturb_index] *= args.perturb_scale
     spec = ode.IVPSpec(m=m, alpha=alpha, even_initial=data,
                        r0=ode.handoff_radius(eps), r_max=r_max)
@@ -270,7 +279,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of stdout")
         if with_malpha:
             p.add_argument("--m", type=int, required=True, help="operator order")
-            p.add_argument("--alpha", type=float, required=True,
+            p.add_argument("--alpha", type=_finite, required=True,
                            help="weight exponent (needs alpha - 2m + 1 > 0)")
 
     p = sub.add_parser("verify-polyharmonic",
@@ -293,23 +302,23 @@ def _parser() -> argparse.ArgumentParser:
                    help="comma-separated dilation parameters")
     p.add_argument("--perturb", action="store_true",
                    help="append the ten fixed perturbation probes")
-    p.add_argument("--perturb-amplitude", type=float, default=0.1)
+    p.add_argument("--perturb-amplitude", type=_finite, default=0.1)
 
     p = sub.add_parser("iterate", help="regularity chain with verification summary")
     common(p)
-    p.add_argument("--eps", type=float, default=1.0)
+    p.add_argument("--eps", type=_finite, default=1.0)
     p.add_argument("--grid-points", type=int, default=4096)
-    p.add_argument("--r-min", type=float, default=1e-4)
-    p.add_argument("--r-max", type=float, default=1e3)
+    p.add_argument("--r-min", type=_finite, default=1e-4)
+    p.add_argument("--r-max", type=_finite, default=1e3)
     p.add_argument("--output-dir", default=".", help="directory for per-step CSV files")
 
     p = sub.add_parser("classify", help="singular IVP against the dilation family")
     common(p)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--r-max", type=float, default=20.0)
+    p.add_argument("--eps", type=_finite, default=1.0)
+    p.add_argument("--r-max", type=_finite, default=20.0)
     p.add_argument("--perturb-index", type=int, default=None,
                    help="index of the even-order value to scale")
-    p.add_argument("--perturb-scale", type=float, default=1.05)
+    p.add_argument("--perturb-scale", type=_finite, default=1.05)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
     p.add_argument("--golden", default=None,
@@ -323,33 +332,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    # validate every argument before dispatch, so a bad one exits 2
-    m = getattr(args, "m", None)
-    alpha = getattr(args, "alpha", None)
-    if m is not None and alpha is not None and args.subcommand != "coeff-table":
-        if m < 1 or not alpha - 2 * m + 1 > 0:
-            parser.error(
-                f"Sobolev condition violated: alpha - 2m + 1 = {alpha - 2 * m + 1:g} "
-                "must be positive"
-            )
-    if m is not None and args.subcommand == "coeff-table" and m < 1:
-        parser.error("--m must be a positive integer")
-    pi = getattr(args, "perturb_index", None)
-    if pi is not None and not 0 <= pi < (m or 1):
-        parser.error(f"--perturb-index must lie in [0, m), got {pi}")
-    if getattr(args, "max_m", 1) < 1:
-        parser.error(f"--max-m must be a positive integer, got {args.max_m}")
-    eps_values = getattr(args, "eps_list", []) + [getattr(args, "eps", 1.0)]
-    if not all(eps > 0 for eps in eps_values):
-        parser.error("dilation parameters must be positive")
-    if args.subcommand == "iterate":
-        if args.grid_points < 3:
-            parser.error(f"--grid-points must be at least 3, got {args.grid_points}")
-        if not 0 < args.r_min < args.r_max:
-            parser.error("need 0 < --r-min < --r-max")
-    if args.subcommand == "classify" and not args.r_max > ode.handoff_radius(args.eps):
-        parser.error(f"--r-max must exceed the series handoff radius "
-                     f"{ode.handoff_radius(args.eps):g}")
     try:
         return _HANDLERS[args.subcommand](args)
     except DomainError as exc:  # arguments the checks cannot work with

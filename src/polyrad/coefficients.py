@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+from .errors import DomainError
 from .radial import (
     AlphaPoly,
     ExponentAffine,
@@ -204,7 +205,7 @@ class CoeffTable:
     @classmethod
     def build(cls, m: int) -> "CoeffTable":
         if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+            raise DomainError(f"m must be >= 1, got {m}")
         g = {(i, j): g_coefficient(i, j, m)
              for j in range(1, m + 1) for i in range(-1, j + 3)}
         return cls(m=m, g=g)

@@ -64,6 +64,8 @@ def sobolev_gap(m: int, alpha: float) -> float:
 def require_sobolev(m: int, alpha: float) -> None:
     if m < 1:
         raise DomainError(f"m must be a positive integer, got {m}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     if not sobolev_gap(m, alpha) > 0:
         raise SobolevConditionError(m, alpha)
 

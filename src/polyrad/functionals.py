@@ -147,8 +147,8 @@ class RadialProfile:
 def bliss_amplitude(m: int, alpha: float, eps: float) -> float:
     """w_eps(0) = P^((alpha-2m+1)/(4m)) * eps^(-(alpha-2m+1)/2)."""
     require_sobolev(m, alpha)
-    if not eps > 0:
-        raise DomainError(f"dilation parameter must be positive, got {eps!r}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"dilation parameter must be positive and finite, got {eps!r}")
     gap = sobolev_gap(m, alpha)
     return p_value(m, alpha) ** (gap / (4.0 * m)) * eps ** (-gap / 2.0)
 

@@ -26,7 +26,7 @@ embedding condition).  The companion exponent sequence is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,16 +48,21 @@ class RadialGrid:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("grid needs at least three nodes")
+            raise DomainError("grid needs at least three nodes")
         if not nodes[0] > 0:
-            raise ValueError("grid must start at a positive radius")
+            raise DomainError("grid must start at a positive radius")
         if not np.all(np.diff(nodes) > 0):
-            raise ValueError("grid nodes must be strictly increasing")
+            raise DomainError("grid nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def geometric(cls, r_min: float = 1e-4, r_max: float = 1e3,
                   n: int = 4096) -> "RadialGrid":
+        if n < 3:
+            raise DomainError(f"grid needs at least three nodes, got {n}")
+        if not 0 < r_min < r_max < np.inf:
+            raise DomainError(f"need 0 < r_min < r_max < inf, got r_min={r_min:g}, "
+                              f"r_max={r_max:g}")
         return cls(np.geomspace(r_min, r_max, n))
 
     @property
@@ -82,10 +87,6 @@ class GridFunction:
         if values.shape != self.grid.nodes.shape:
             raise ValueError("values must align with the grid nodes")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def sample(cls, profile, grid: RadialGrid) -> "GridFunction":
-        return cls(grid, np.asarray(profile(grid.nodes), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +121,6 @@ class IterationChain:
     alpha: float
     w: Tuple[GridFunction, ...]            # w_0 .. w_m
     q: Tuple[float, ...]                   # q_0 .. q_m
-    decay: Tuple[float, ...]               # declared tail exponent per w_k
-    source_integrals: Tuple[GridFunction, ...] = field(repr=False)
-    # source_integrals[k-1](r) = int_0^r s^alpha w_{k-1} ds, so that
-    # r^alpha w_k'(r) = -source_integrals[k-1](r) identically.
 
     @property
     def grid(self) -> RadialGrid:
@@ -153,9 +150,8 @@ def _cumtrapz_log(y: np.ndarray, log_r: np.ndarray) -> np.ndarray:
 
 
 def _inverse_neg_laplacian(w: GridFunction, alpha: float, mu: float
-                           ) -> Tuple[GridFunction, GridFunction]:
-    """One chain step: returns (w_next, inner_integral) where
-    w_next(r) = int_r^inf t^-alpha inner(t) dt and
+                           ) -> GridFunction:
+    """One chain step: w_next(r) = int_r^inf t^-alpha inner(t) dt, where
     inner(t) = int_0^t s^alpha w(s) ds, with analytic closures at both ends.
 
     ``mu`` is the declared algebraic decay exponent of w; the outer tail
@@ -179,7 +175,7 @@ def _inverse_neg_laplacian(w: GridFunction, alpha: float, mu: float
     pieces = 0.5 * (outer_integrand[1:] + outer_integrand[:-1]) * np.diff(log_r)
     suffix = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))
     w_next = tail + suffix
-    return GridFunction(w.grid, w_next), GridFunction(w.grid, inner)
+    return GridFunction(w.grid, w_next)
 
 
 def iterate_chain(u: RadialProfile, m: int, alpha: float,
@@ -200,19 +196,14 @@ def iterate_chain(u: RadialProfile, m: int, alpha: float,
     w0 = np.abs(u_vals) ** (two_star - 2.0) * u_vals
     w = [GridFunction(grid, w0)]
     decay = [u.decay_exponent * (two_star - 1.0)]
-    inners = []
     for _ in range(m):
-        w_next, inner = _inverse_neg_laplacian(w[-1], alpha, decay[-1])
-        w.append(w_next)
-        inners.append(inner)
+        w.append(_inverse_neg_laplacian(w[-1], alpha, decay[-1]))
         decay.append(min(alpha - 1.0, decay[-1] - 2.0))
     return IterationChain(
         m=m,
         alpha=float(alpha),
         w=tuple(w),
         q=tuple(q_sequence(m, alpha)),
-        decay=tuple(decay),
-        source_integrals=tuple(inners),
     )
 
 

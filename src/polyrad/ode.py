@@ -72,8 +72,9 @@ class IVPSpec:
             raise ValueError(
                 f"need m={self.m} even-order values, got {len(self.even_initial)}"
             )
-        if not (0 < self.r0 < self.r_max):
-            raise ValueError("need 0 < r0 < r_max")
+        if not 0 < self.r0 < self.r_max:
+            raise DomainError(f"need 0 < series handoff radius ({self.r0:g}) "
+                              f"< r_max ({self.r_max:g})")
         object.__setattr__(self, "even_initial", tuple(float(v) for v in self.even_initial))
 
 
@@ -101,19 +102,13 @@ class SolveResult:
     def interp(self, r_query) -> np.ndarray:
         """Cubic Hermite dense evaluation of the state at query radii
         (error O(h^4) per step).  Returns shape (len(r_query), 2m)."""
+        # imported here: at module level it adds about 40 ms to `import polyrad`
+        from scipy.interpolate import CubicHermiteSpline
+
         rq = np.atleast_1d(np.asarray(r_query, dtype=float))
         if np.any(rq < self.r[0]) or np.any(rq > self.r[-1]):
             raise ValueError("query radius outside the integrated range")
-        idx = np.clip(np.searchsorted(self.r, rq, side="right") - 1, 0, len(self.r) - 2)
-        h = (self.r[idx + 1] - self.r[idx])[:, None]
-        t = ((rq - self.r[idx])[:, None]) / h
-        t2, t3 = t * t, t * t * t
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = t3 - 2 * t2 + t
-        h01 = -2 * t3 + 3 * t2
-        h11 = t3 - t2
-        return (h00 * self.y[idx] + h10 * h * self.f[idx]
-                + h01 * self.y[idx + 1] + h11 * h * self.f[idx + 1])
+        return CubicHermiteSpline(self.r, self.y, self.f, axis=0)(rq)
 
 
 # ---------------------------------------------------------------------------

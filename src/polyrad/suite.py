@@ -22,6 +22,7 @@ from . import constants as const
 from . import functionals as fun
 from . import iteration as it
 from . import ode
+from .errors import DomainError
 from .radial import ExponentAffine, RadialExpr, apply_polyharmonic
 
 #: Seed for the randomized alpha samples of the m = 1 consistency check;
@@ -93,6 +94,9 @@ def _timed(criterion: int, name: str, body: Callable[[dict], bool]) -> CheckResu
 
 
 def check_polyharmonic_identity(max_m: int = 8) -> CheckResult:
+    if max_m < 1:  # raised, not recorded by _timed as a failed check
+        raise DomainError(f"max_m must be a positive integer, got {max_m}")
+
     def body(details: dict) -> bool:
         results = {}
         for m in range(1, max_m + 1):

@@ -214,8 +214,18 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["iterate", "--m", "2", "--alpha", "4", "--r-max", "40"],
     ["iterate", "--m", "2", "--alpha", "4", "--r-min", "0.01"],
     ["verify-all", "--quick"],
+    ["iterate", "--m", "2", "--alpha", "4", "--eps", "inf"],
+    ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", ","],
+    ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "0",
+     "--perturb-scale", "nan"],
+    ["best-constant", "--m", "1", "--alpha", "inf"],
+    ["iterate", "--m", "2", "--alpha", "4", "--r-max", "inf"],
+    ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "1", "--perturb",
+     "--perturb-amplitude", "nan"],
+    ["classify", "--m", "2", "--alpha", "4", "--r-max", "inf"],
 ])
-def test_invalid_arguments_exit_2(argv, capsys):
+def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a wrongly accepted iterate writes CSVs here
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2

@@ -140,6 +140,10 @@ class TestBestConstant:
         with pytest.raises(ValueError):
             best_constant(1, 3.0, route="tea-leaves")
 
+    def test_non_finite_alpha_rejected(self):
+        with pytest.raises(DomainError):
+            best_constant(1, math.inf)
+
     def test_high_precision_against_mpmath(self):
         for m, a in [(1, 3.0), (2, 4.0), (3, 8.0), (2, 11.5)]:
             p = mp.mpf(1)

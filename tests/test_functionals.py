@@ -101,6 +101,10 @@ class TestBlissProfile:
         with pytest.raises(DomainError):
             bliss_profile(1, 3.0, 0.0)
 
+    def test_non_finite_eps_rejected(self):
+        with pytest.raises(DomainError):
+            bliss_profile(2, 4.0, math.inf)
+
     def test_chain_initial_values(self):
         vals = family_state(2, 4.0, 1.0, 0.0)[0, 0::2]
         # u_1(0) = P^(1/8) * (a-3)(a+1)|_{a=4} = 105^(1/8) * 5
