@@ -35,7 +35,6 @@ from .constants import (
     beta_integral,
     critical_exponent,
     gamma,
-    nodal_gap_threshold,
 )
 from .functionals import (
     NormReport,
@@ -43,7 +42,6 @@ from .functionals import (
     bliss_profile,
     gradient_seminorm,
     improper_integral,
-    radial_bound_check,
     rayleigh_quotient,
     weighted_lebesgue_norm,
 )

@@ -193,11 +193,8 @@ def h_case_reduced(i: int, j: int, m: int) -> AlphaPoly:
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Exact G coefficient table for fixed m.
-
-    Entries cover 1 <= j <= m and -1 <= i <= j + 2 with the boundary zero
-    conventions baked in, which makes the induction algebra total.
-    """
+    """Exact G coefficient table for fixed m: entries G(i, j) for
+    1 <= j <= m and 0 <= i <= j."""
 
     m: int
     g: Dict[Tuple[int, int], AlphaPoly] = field(repr=False)
@@ -207,7 +204,7 @@ class CoeffTable:
         if m < 1:
             raise DomainError(f"m must be >= 1, got {m}")
         g = {(i, j): g_coefficient(i, j, m)
-             for j in range(1, m + 1) for i in range(-1, j + 3)}
+             for j in range(1, m + 1) for i in range(j + 1)}
         return cls(m=m, g=g)
 
     def with_g_entry(self, i: int, j: int, poly: AlphaPoly) -> "CoeffTable":

@@ -41,13 +41,6 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0; overflow-safe for large arguments."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires a positive argument, got {x!r}")
-    return math.lgamma(x)
-
-
 def beta_integral(x: float, y: float) -> float:
     """Gamma(x) Gamma(y) / Gamma(x + y), the value of
     int_0^inf s^(x-1) (1+s)^(-(x+y)) ds for x, y > 0."""
@@ -78,9 +71,12 @@ def critical_exponent(m: int, alpha: float) -> float:
 
 def p_value(m: int, alpha: float) -> float:
     """P(alpha, m) evaluated exactly (rational polynomial, then one final
-    rounding), so no cancellation occurs for large m."""
-    exact = p_constant(m)(Fraction(alpha))
-    return float(exact)
+    rounding), so no cancellation occurs for large m.  Raises DomainError
+    when P exceeds the float range."""
+    try:
+        return float(p_constant(m)(Fraction(alpha)))
+    except OverflowError:
+        raise DomainError(f"P(alpha, m) overflows a float at m={m}, alpha={alpha!r}") from None
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ class BestConstantResult:
     S_inv_sqrt: float
     route: str  # "closed_form" | "quadrature"
     err_estimate: float
-    sobolev_gap: float = 0.0  # alpha - 2m + 1, recorded positive
+    sobolev_gap: float  # alpha - 2m + 1, recorded positive
 
     def __post_init__(self):
         if not (self.S > 0 and self.sobolev_gap > 0):
@@ -161,10 +157,3 @@ def bliss_m1_inv_sqrt(alpha: float) -> float:
     p = (alpha - 1.0) * (alpha + 1.0)
     bracket = 2.0 * gamma(alpha + 1.0) / gamma((alpha + 1.0) / 2.0) ** 2
     return p ** -0.5 * bracket ** (1.0 / (alpha + 1.0))
-
-
-def nodal_gap_threshold(m: int, alpha: float) -> float:
-    """2^(2m/(alpha+1)) * S: the energy level no sign-changing solution can
-    undercut.  Always exceeds S and tends to it as alpha grows."""
-    res = best_constant(m, alpha)
-    return 2.0 ** (2.0 * m / (alpha + 1.0)) * res.S

@@ -106,13 +106,20 @@ class RadialProfile:
 
     def nabla(self, m: int) -> "RadialProfile":
         """The m-th order gradient as a profile, through the exact symbolic
-        chain."""
-        pieces = tuple(
-            ProfilePiece(p.coeff * p.scale ** (-m), nabla_m(p.expr, m), p.scale)
-            for p in self.pieces
-        )
+        chain.  Raises DomainError when a piece's coefficient times scale^-m
+        leaves the float range."""
+        pieces = []
+        for p in self.pieces:
+            try:
+                coeff = p.coeff * p.scale ** (-m)
+            except OverflowError:
+                coeff = math.inf
+            if not math.isfinite(coeff):
+                raise DomainError(f"gradient coefficient {p.coeff!r} * {p.scale!r}^-{m} "
+                                  "is not a finite float")
+            pieces.append(ProfilePiece(coeff, nabla_m(p.expr, m), p.scale))
         decay = None if self.decay_exponent is None else self.decay_exponent + m
-        return RadialProfile(alpha=self.alpha, pieces=pieces, decay_exponent=decay)
+        return RadialProfile(alpha=self.alpha, pieces=tuple(pieces), decay_exponent=decay)
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
         if not isinstance(other, RadialProfile):
@@ -145,12 +152,20 @@ class RadialProfile:
 
 
 def bliss_amplitude(m: int, alpha: float, eps: float) -> float:
-    """w_eps(0) = P^((alpha-2m+1)/(4m)) * eps^(-(alpha-2m+1)/2)."""
+    """w_eps(0) = P^((alpha-2m+1)/(4m)) * eps^(-(alpha-2m+1)/2).  Raises
+    DomainError when it is not a positive finite float."""
     require_sobolev(m, alpha)
     if not 0 < eps < math.inf:
         raise DomainError(f"dilation parameter must be positive and finite, got {eps!r}")
     gap = sobolev_gap(m, alpha)
-    return p_value(m, alpha) ** (gap / (4.0 * m)) * eps ** (-gap / 2.0)
+    try:
+        amp = p_value(m, alpha) ** (gap / (4.0 * m)) * eps ** (-gap / 2.0)
+    except OverflowError:
+        amp = math.inf
+    if not 0 < amp < math.inf:
+        raise DomainError(f"amplitude w_eps(0) = {amp!r} is outside the float range "
+                          f"at m={m}, alpha={alpha!r}, eps={eps!r}")
+    return amp
 
 
 def bliss_profile(m: int, alpha: float, eps: float) -> RadialProfile:
@@ -289,50 +304,6 @@ def _check_profile_alpha(f: RadialProfile, alpha: float) -> None:
         raise DomainError(
             f"profile is bound to alpha={f.alpha!r}, operation requested alpha={alpha!r}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Pointwise radial bound
-# ---------------------------------------------------------------------------
-
-
-#: The log grid of ``radial_bound_check``.
-BOUND_GRID = np.geomspace(1e-3, 1e3, 601)
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """sup over a log grid of |f(r)| r^((alpha-2m+1)/2), optionally divided
-    by the gradient seminorm; tail_variation is (max-min)/mean of the ratio
-    over the last grid decade (flat tail <=> saturated decay rate)."""
-
-    sup_ratio: float
-    argmax_r: float
-    seminorm: Optional[float]
-    tail_variation: float
-
-
-def radial_bound_check(f: RadialProfile, m: int, alpha: float,
-                       normalize: bool = True) -> BoundCheckReport:
-    require_sobolev(m, alpha)
-    r_grid = BOUND_GRID
-    ratio = np.abs(np.asarray(f(r_grid), dtype=float)) * r_grid ** (sobolev_gap(m, alpha) / 2.0)
-    seminorm = None
-    values = ratio
-    if normalize:
-        seminorm = gradient_seminorm(f, m, alpha).value
-        if seminorm > 0.0:
-            values = ratio / seminorm
-    idx = int(np.argmax(values))
-    tail = ratio[r_grid >= r_grid[-1] / 10.0]
-    mean = float(np.mean(tail))
-    variation = float((tail.max() - tail.min()) / mean) if mean > 0 else 0.0
-    return BoundCheckReport(
-        sup_ratio=float(values[idx]),
-        argmax_r=float(r_grid[idx]),
-        seminorm=seminorm,
-        tail_variation=variation,
-    )
 
 
 # ---------------------------------------------------------------------------

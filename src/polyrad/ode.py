@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .constants import critical_exponent, require_sobolev, sobolev_gap
 from .errors import BlowupError, DomainError, StepUnderflowError
 from .functionals import bliss_amplitude, bliss_profile
-from .iteration import GridFunction, RadialGrid, neg_laplacian_fd
 
 
 #: ``integrate`` raises BlowupError once |u_0| exceeds this.
@@ -64,7 +63,6 @@ class IVPSpec:
     r_max: float = 20.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: Optional[float] = None
 
     def __post_init__(self):
         require_sobolev(self.m, self.alpha)
@@ -89,26 +87,14 @@ class SolveStats:
 @dataclass(frozen=True)
 class SolveResult:
     """Accepted-step trajectory: state y = (u_0, u_0', ..., u_{m-1}, u_{m-1}')
-    and its derivative at every node."""
+    at every node."""
 
     r: np.ndarray
     y: np.ndarray            # shape (len(r), 2m)
-    f: np.ndarray            # dy/dr at the nodes (for dense evaluation)
     stats: SolveStats
 
-    def component(self, j: int, derivative: bool = False) -> np.ndarray:
-        return self.y[:, 2 * j + (1 if derivative else 0)]
-
-    def interp(self, r_query) -> np.ndarray:
-        """Cubic Hermite dense evaluation of the state at query radii
-        (error O(h^4) per step).  Returns shape (len(r_query), 2m)."""
-        # imported here: at module level it adds about 40 ms to `import polyrad`
-        from scipy.interpolate import CubicHermiteSpline
-
-        rq = np.atleast_1d(np.asarray(r_query, dtype=float))
-        if np.any(rq < self.r[0]) or np.any(rq > self.r[-1]):
-            raise ValueError("query radius outside the integrated range")
-        return CubicHermiteSpline(self.r, self.y, self.f, axis=0)(rq)
+    def component(self, j: int) -> np.ndarray:
+        return self.y[:, 2 * j]
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +186,29 @@ def integrate(spec: IVPSpec) -> SolveResult:
     r = spec.r0
     y = series_start(spec)
     k1 = rhs(r, y)
-    nodes, states, derivs = [r], [y.copy()], [k1.copy()]
+    nodes, states = [r], [y.copy()]
     evals = 1
     steps = rejected = 0
     min_step = math.inf
-    max_step = spec.max_step if spec.max_step is not None else math.inf
-    h = min(0.05 * spec.r0, max_step, spec.r_max - spec.r0)
+    h = min(0.05 * spec.r0, spec.r_max - spec.r0)
     stages = np.empty((7, y.size))
 
     def _finish() -> SolveResult:
         result = SolveResult(
             r=np.array(nodes),
             y=np.array(states),
-            f=np.array(derivs),
             stats=SolveStats(steps=steps, rejected=rejected,
                              min_step=min_step if steps else 0.0,
                              rhs_evaluations=evals),
         )
         # a caller that keeps the raised error keeps this frame alive through
         # its traceback; only the arrays need to live that long
-        for per_step in (nodes, states, derivs):
+        for per_step in (nodes, states):
             per_step.clear()
         return result
 
     while r < spec.r_max:
-        h = min(h, spec.r_max - r, max_step)
+        h = min(h, spec.r_max - r)
         if h < STEP_FLOOR * max(1.0, r):
             raise StepUnderflowError(
                 f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
@@ -248,7 +232,6 @@ def integrate(spec: IVPSpec) -> SolveResult:
             min_step = min(min_step, h)
             nodes.append(r)
             states.append(y.copy())
-            derivs.append(k1.copy())
             if abs(y[0]) > OVERFLOW_LIMIT:
                 raise BlowupError(
                     f"|u_0| = {abs(y[0]):.3e} exceeded {OVERFLOW_LIMIT:g} "
@@ -363,28 +346,3 @@ def departure_from_family(m: int, alpha: float, result: SolveResult) -> float:
         best = min(best, float(np.max(np.abs(u0 - w) / w)))
     return best
 
-
-#: The radial window [r_lo, r_hi] of ``formulation_residual``.
-FORMULATION_WINDOW = (0.5, 5.0)
-
-
-def formulation_residual(result: SolveResult, m: int, alpha: float) -> float:
-    """Consistency of the scalar and system formulations: apply
-    (-Delta_alpha)^m by finite differences to the integrated u_0 and compare
-    with |u_0|^(2*-2) u_0 over FORMULATION_WINDOW (sup-norm relative).
-
-    Meaningful on a trajectory integrated with a capped max_step, so the
-    node spacing resolves the repeated differencing.
-    """
-    g, _ = nonlinearity(m, alpha)
-    fd = GridFunction(RadialGrid(result.r), result.component(0))
-    for _ in range(m):
-        fd = neg_laplacian_fd(fd, alpha)
-    r = fd.grid.nodes
-    r_lo, r_hi = FORMULATION_WINDOW
-    mask = (r >= r_lo) & (r <= r_hi)
-    if not np.any(mask):
-        raise DomainError("no finite-difference nodes inside the check window")
-    target = np.array([g(w) for w in result.component(0)[m:-m]])
-    scale = float(np.max(np.abs(target[mask])))
-    return float(np.max(np.abs(fd.values - target)[mask]) / scale)

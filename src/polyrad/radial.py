@@ -355,9 +355,6 @@ class RadialExpr:
     def __bool__(self):
         return not self.is_zero
 
-    def min_r_power(self) -> int:
-        return min((t.r_power for t in self._terms), default=0)
-
     def require_nonnegative_powers(self) -> "RadialExpr":
         """Defensive check: no negative power of r survived canonicalization.
 

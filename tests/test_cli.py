@@ -223,6 +223,10 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "1", "--perturb",
      "--perturb-amplitude", "nan"],
     ["classify", "--m", "2", "--alpha", "4", "--r-max", "inf"],
+    ["classify", "--m", "2", "--alpha", "4", "--eps", "1e-300"],
+    ["rayleigh", "--m", "2", "--alpha", "4", "--eps-list", "1e-300"],
+    ["best-constant", "--m", "1", "--alpha", "1e300"],
+    ["iterate", "--m", "2", "--alpha", "1e6"],
 ])
 def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a wrongly accepted iterate writes CSVs here

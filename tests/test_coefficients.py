@@ -149,10 +149,11 @@ class TestCoeffTable:
             assert e_factor(j + 1, j).is_zero
             assert e_factor(-1, j).is_zero
         assert k_factor(0, m) == AlphaPoly.one()
-        table = CoeffTable.build(m)
         for j in range(1, m + 1):
-            assert table.g[-1, j].is_zero
-            assert table.g[j + 1, j].is_zero and table.g[j + 2, j].is_zero
+            assert g_coefficient(-1, j, m).is_zero
+            assert g_coefficient(j + 1, j, m).is_zero and g_coefficient(j + 2, j, m).is_zero
+        table = CoeffTable.build(m)
+        assert set(table.g) == {(i, j) for j in range(1, m + 1) for i in range(j + 1)}
 
     def test_expansion_expr_matches_operator(self):
         table = CoeffTable.build(2)

@@ -13,8 +13,6 @@ from polyrad.constants import (
     bliss_m1_inv_sqrt,
     critical_exponent,
     gamma,
-    log_gamma,
-    nodal_gap_threshold,
     p_value,
 )
 from polyrad.errors import DomainError, SobolevConditionError
@@ -54,8 +52,6 @@ class TestGamma:
             gamma(0.0)
         with pytest.raises(DomainError):
             gamma(-2.5)
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
 
 
 class TestBetaIntegral:
@@ -169,27 +165,6 @@ class TestPValue:
         for h in range(-m, m):
             p *= mp.mpf(a) + 1 + 2 * h
         assert abs(p_value(m, a) - float(p)) <= 1e-12 * abs(float(p))
-
-
-class TestNodalGap:
-    def test_example(self):
-        want = 2.0 ** 0.5 * 4.0 / math.sqrt(3.0)
-        assert abs(nodal_gap_threshold(1, 3.0) - want) <= 1e-12 * want
-
-    def test_factor_shrinks_with_alpha(self):
-        for m in (1, 2):
-            r1 = nodal_gap_threshold(m, 50.0) / best_constant(m, 50.0).S
-            r2 = nodal_gap_threshold(m, 500.0) / best_constant(m, 500.0).S
-            assert 1.0 < r2 < r1
-
-    def test_threshold_exceeds_S(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            m = rng.choice((1, 2, 3))
-            a = rng.uniform(2 * m - 0.5, 40.0)
-            if a - 2 * m + 1 <= 0:
-                continue
-            assert nodal_gap_threshold(m, a) > best_constant(m, a).S
 
 
 def test_err_estimate_scales_with_gamma_eps():

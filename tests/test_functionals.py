@@ -23,12 +23,10 @@ from polyrad.functionals import (
     gradient_seminorm,
     improper_integral,
     perturbation_direction,
-    radial_bound_check,
     rayleigh_quotient,
     weighted_lebesgue_norm,
 )
 from polyrad.ode import family_state
-from polyrad.radial import RadialExpr
 
 # frozen at 30 digits:
 W_EPS2_AT_ZERO = 1.2651256603483465      # 105^(1/8) / sqrt(2)
@@ -104,6 +102,14 @@ class TestBlissProfile:
     def test_non_finite_eps_rejected(self):
         with pytest.raises(DomainError):
             bliss_profile(2, 4.0, math.inf)
+
+    def test_amplitude_outside_float_range_rejected(self):
+        # each factor is finite: their product overflows, or eps^(-gap/2)
+        # underflows to 0
+        with pytest.raises(DomainError):
+            bliss_amplitude(1, 3.0, 1e-308)
+        with pytest.raises(DomainError):
+            bliss_amplitude(1, 5.0, 1e300)
 
     def test_chain_initial_values(self):
         vals = family_state(2, 4.0, 1.0, 0.0)[0, 0::2]
@@ -212,29 +218,6 @@ class TestRayleigh:
     def test_division_guard(self):
         with pytest.raises(DivisionGuardError):
             rayleigh_quotient(RadialProfile.zero(3.0), 1, 3.0)
-
-
-class TestRadialBound:
-    def test_w1_finite_interior_sup(self):
-        w = bliss_profile(1, 3.0, 1.0)
-        rep = radial_bound_check(w, 1, 3.0)
-        assert math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
-        assert 1e-3 < rep.argmax_r < 1e3  # attained away from both ends
-        assert rep.seminorm is not None
-
-    def test_zero_profile(self):
-        rep = radial_bound_check(RadialProfile.zero(3.0), 1, 3.0)
-        assert rep.sup_ratio == 0.0
-
-    def test_saturating_profile_flat_tail(self):
-        # synthetic decay exactly r^(-(alpha-2m+1)/2): the weighted ratio is
-        # asymptotically constant, so the tail variation is small
-        m, alpha = 1, 3.0
-        gap_half = (alpha - 2 * m + 1) / 2.0
-        f = RadialProfile.from_expr(RadialExpr.single(1, 0, 1), alpha,
-                                    decay_exponent=gap_half)
-        rep = radial_bound_check(f, m, alpha, normalize=False)
-        assert rep.tail_variation <= 1e-2
 
 
 class TestProfileAlgebra:
