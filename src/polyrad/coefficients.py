@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .errors import DomainError
@@ -96,7 +95,7 @@ def g_coefficient(i: int, j: int, m: int) -> AlphaPoly:
     d = d_factor(i, j, m)
     if b == 0 or d == 0:
         return AlphaPoly.zero()
-    return (Fraction(2) ** i * b * d) * (k_factor(j, m) * e_factor(i, j))
+    return (2 ** i * b * d) * (k_factor(j, m) * e_factor(i, j))
 
 
 def p_constant(m: int) -> AlphaPoly:
@@ -129,9 +128,10 @@ def h_coefficient(i: int, j: int, m: int) -> AlphaPoly:
     out = AlphaPoly.zero()
     for offset in (-1, 0, 1):
         ii = i + offset
-        weight = Fraction(2) ** ii * binomial(j, ii) * d_factor(ii, j, m)
-        if weight == 0:
+        weight = binomial(j, ii) * d_factor(ii, j, m)
+        if weight == 0:  # also every ii < 0, where 2 ** ii is not an int
             continue
+        weight *= 2 ** ii
         a, b, c = abc_coefficients(2 * ii, sigma)
         piece = (a, b, c)[offset + 1]  # offset -1 -> A, 0 -> B, +1 -> C
         out = out + weight * (e_factor(ii, j) * piece)
@@ -176,12 +176,12 @@ def h_case_reduced(i: int, j: int, m: int) -> AlphaPoly:
     if i == 0:
         return -(e_factor(0, j + 1) * AlphaPoly.linear(1, 1 - 2 * m + 2 * j))
     if 1 <= i <= j - 1:
-        w = Fraction(2) ** i * binomial(j + 1, i) * d_factor(i, j + 1, m)
+        w = 2 ** i * binomial(j + 1, i) * d_factor(i, j + 1, m)
         return -w * (AlphaPoly.linear(1, -2 * m + 2 * j + 1) * e_factor(i, j + 1))
     if i == j:
-        return (Fraction(2) ** j * d_factor(j - 1, j, m)) * lmq_bracket(j, m)
+        return (2 ** j * d_factor(j - 1, j, m)) * lmq_bracket(j, m)
     if i == j + 1:
-        w = Fraction(2) ** (j + 1) * d_factor(j, j, m) * (m - j - 1)
+        w = 2 ** (j + 1) * d_factor(j, j, m) * (m - j - 1)
         return -w * AlphaPoly.linear(1, -2 * m + 2 * j + 1)
     raise ValueError(f"need 0 <= i <= j+1, got i={i}, j={j}")
 

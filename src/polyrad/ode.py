@@ -47,7 +47,7 @@ from .functionals import bliss_amplitude, bliss_profile
 #: ``integrate`` raises BlowupError once |u_0| exceeds this.
 OVERFLOW_LIMIT = 1e12
 #: ``integrate`` raises StepUnderflowError once the step falls below this
-#: times max(1, r).
+#: times r; relative to r, so the floor scales with the dilation.
 STEP_FLOOR = 1e-12
 
 
@@ -116,16 +116,22 @@ def nonlinearity(m: int, alpha: float):
 
 
 def series_coefficients(spec: IVPSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Even Taylor coefficients (value, r^2, r^4) of each u_j at the origin."""
+    """Even Taylor coefficients (value, r^2, r^4) of each u_j at the origin.
+    Raises DomainError when the data overflow them."""
     m, alpha = spec.m, spec.alpha
     g, gprime = nonlinearity(m, alpha)
     u0 = np.asarray(spec.even_initial, dtype=float)
-    closing = g(u0[0])                     # u_m(0)
-    chain_vals = np.append(u0, closing)
-    a2 = -chain_vals[1:] / (2.0 * (1.0 + alpha))          # a2[j], j = 0..m-1
-    a2_closing = gprime(u0[0]) * a2[0]                    # r^2 coeff of g(u_0)
-    a2_ext = np.append(a2, a2_closing)
-    a4 = -a2_ext[1:] / (4.0 * (3.0 + alpha))              # a4[j], j = 0..m-1
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            closing = g(u0[0])                                # u_m(0)
+            chain_vals = np.append(u0, closing)
+            a2 = -chain_vals[1:] / (2.0 * (1.0 + alpha))      # a2[j], j = 0..m-1
+            a2_closing = gprime(u0[0]) * a2[0]                # r^2 coeff of g(u_0)
+            a2_ext = np.append(a2, a2_closing)
+            a4 = -a2_ext[1:] / (4.0 * (3.0 + alpha))          # a4[j], j = 0..m-1
+    except FloatingPointError:
+        raise DomainError(f"initial data {u0.tolist()} overflow the series "
+                          f"start at the origin") from None
     return u0, a2, a4
 
 
@@ -209,7 +215,7 @@ def integrate(spec: IVPSpec) -> SolveResult:
 
     while r < spec.r_max:
         h = min(h, spec.r_max - r)
-        if h < STEP_FLOOR * max(1.0, r):
+        if h < STEP_FLOOR * r:
             raise StepUnderflowError(
                 f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
                 _finish(),
@@ -269,7 +275,14 @@ def match_epsilon(m: int, alpha: float, v0: float) -> float:
     amp1 = bliss_amplitude(m, alpha, 1.0)
     if not v0 > 0:
         raise DomainError(f"center value must be positive, got {v0!r}")
-    return (amp1 / v0) ** (2.0 / sobolev_gap(m, alpha))
+    try:
+        eps = (amp1 / v0) ** (2.0 / sobolev_gap(m, alpha))
+    except OverflowError:
+        eps = math.inf
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"no finite positive dilation parameter matches center "
+                          f"value {v0!r} (the inversion gives eps = {eps!r})")
+    return eps
 
 
 def family_state(m: int, alpha: float, eps: float, r) -> np.ndarray:

@@ -26,12 +26,21 @@ with
     B(x, y, z) = 2x(x + y - 1) - z(2x + y + 1)
     C(x, y)    = x(x + y - 1).
 
-All arithmetic on coefficients is exact (``fractions.Fraction``); no floats
-enter the symbolic path.  Canonical forms rewrite r^2 = (1+r^2) - 1 until
-every stored power of r is 0 or 1, so algebraic cancellations (for example
-Delta_alpha r^2 = 2(alpha+1)) happen exactly.  Negative powers of r are
-representable (Delta_alpha r = alpha/r is a legitimate value) but never
-arise from the even-power expressions this toolkit derives; use
+All arithmetic on coefficients is exact; no floats enter the symbolic path.
+A coefficient is stored as an ``int`` when it is integral, which every
+coefficient this toolkit derives is, and as a ``fractions.Fraction``
+otherwise.  Canonical forms lower every power r^(2i+e), e in {0, 1}, in one
+binomial step,
+
+    r^(2i+e) (1+r^2)^(-s/2)
+        = sum_{k=0}^{i} C(i,k) (-1)^(i-k) r^e (1+r^2)^(-(s-2k)/2),
+
+so every stored power of r is 0 or 1 and algebraic cancellations (for
+example Delta_alpha r^2 = 2(alpha+1)) happen exactly.  A term with r^(2i)
+yields i + 1 terms, so the cost of the symbolic checks grows polynomially
+in the order m.  Negative powers of r are representable (Delta_alpha r =
+alpha/r is a legitimate value) and left alone, but never arise from the
+even-power expressions this toolkit derives; use
 :meth:`RadialExpr.require_nonnegative_powers` as a defensive check on such
 pipelines.
 """
@@ -39,6 +48,7 @@ pipelines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -46,13 +56,14 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _exact(x) -> Scalar:
+    """The exact value of x: an int when it is integral, else a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"exact coefficient expected, got {type(x).__name__}")
 
 
@@ -61,13 +72,16 @@ class AlphaPoly:
 
     Coefficients are stored dense by degree with the trailing (leading-degree)
     zeros stripped, so the zero polynomial has an empty coefficient tuple and
-    the leading coefficient is nonzero otherwise.
+    the leading coefficient is nonzero otherwise.  An integral coefficient is
+    stored as an ``int`` and any other as a ``Fraction``; the two compare,
+    hash and print alike, so ``3`` and ``Fraction(3)`` give the same
+    polynomial.  Exact evaluation returns a ``Fraction`` either way.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -144,7 +158,7 @@ class AlphaPoly:
         return AlphaPoly(tuple(-c for c in self._coeffs))
 
     def __sub__(self, other) -> "AlphaPoly":
-        return self + (-other if isinstance(other, AlphaPoly) else AlphaPoly.constant(-_as_fraction(other)))
+        return self + (-other if isinstance(other, AlphaPoly) else AlphaPoly.constant(-_exact(other)))
 
     def __rsub__(self, other) -> "AlphaPoly":
         return (-self) + other
@@ -156,7 +170,7 @@ class AlphaPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return AlphaPoly.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             for j, b in enumerate(other._coeffs):
                 out[i + j] += a * b
@@ -285,8 +299,9 @@ class RadialTerm:
 class RadialExpr:
     """Canonicalized finite sum of :class:`RadialTerm`.
 
-    Canonical form: every power of r at least 2 is rewritten through
-    r^2 = (1+r^2) - 1, like terms are merged on the (r_power, sigma) key,
+    Canonical form: every power r^(2i+e) with 2i+e >= 2 is expanded
+    binomially into r^e times powers of (1+r^2) (see the module docstring),
+    like terms are merged on the (r_power, sigma) key,
     zero coefficients are dropped, and terms are sorted lexicographically on
     (sigma, r_power).  Two expressions built from nonnegative powers of r are
     equal as functions of (alpha, r) iff their canonical forms coincide.
@@ -296,20 +311,18 @@ class RadialExpr:
 
     def __init__(self, terms: Iterable[RadialTerm] = ()):
         merged: dict = {}
-        stack = [(t.coeff, t.r_power, t.sigma) for t in terms]
-        while stack:
-            coeff, rho, sigma = stack.pop()
-            if coeff.is_zero:
+        for t in terms:
+            if t.coeff.is_zero:
                 continue
-            if rho >= 2:
-                # r^rho (1+r^2)^(-s/2) = r^(rho-2) (1+r^2)^(-(s-2)/2)
-                #                        - r^(rho-2) (1+r^2)^(-s/2)
-                stack.append((coeff, rho - 2, sigma.shifted(-2)))
-                stack.append((-coeff, rho - 2, sigma))
-                continue
-            key = (rho, sigma)
-            acc = merged.get(key)
-            merged[key] = coeff if acc is None else acc + coeff
+            # r^(2i+e) (1+r^2)^(-s/2)
+            #   = sum_k C(i,k) (-1)^(i-k) r^e (1+r^2)^(-(s-2k)/2)
+            i, e = divmod(t.r_power, 2) if t.r_power >= 2 else (0, t.r_power)
+            for k in range(i + 1):
+                weight = math.comb(i, k) * (-1) ** (i - k)
+                coeff = t.coeff if weight == 1 else t.coeff * weight
+                key = (e, t.sigma.shifted(-2 * k))
+                acc = merged.get(key)
+                merged[key] = coeff if acc is None else acc + coeff
         out = [
             RadialTerm(c, rho, sigma)
             for (rho, sigma), c in merged.items()

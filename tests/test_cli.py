@@ -227,6 +227,8 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["rayleigh", "--m", "2", "--alpha", "4", "--eps-list", "1e-300"],
     ["best-constant", "--m", "1", "--alpha", "1e300"],
     ["iterate", "--m", "2", "--alpha", "1e6"],
+    ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "0",
+     "--perturb-scale", "1e300"],
 ])
 def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a wrongly accepted iterate writes CSVs here
@@ -234,6 +236,18 @@ def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
         cli.main(argv)
     assert info.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_overflowing_perturbation_names_initial_data(capsys):
+    # u_0(0) ~ 1.8e300 overflows |u|^(2*-2) u; the message names that data
+    # instead of blaming a dilation parameter the user never gave
+    with pytest.raises(SystemExit) as info:
+        cli.main(["classify", "--m", "2", "--alpha", "4", "--perturb-index", "0",
+                  "--perturb-scale", "1e300"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "initial data [1.78" in err
+    assert "dilation parameter" not in err
 
 
 def test_cli_reads_suite_threshold(capsys, tmp_path, monkeypatch):

@@ -177,6 +177,20 @@ class TestVerifyExpansion:
         assert report.passed
         assert [c.j for c in report.checks] == list(range(1, m + 1))
 
+    def test_high_order_exact(self):
+        # guards the cost in m: a lowering exponential in m takes about 9 s
+        # here, the closed form about 0.2 s
+        m = 16
+        report = verify_expansion(m)
+        assert report.passed and len(report.checks) == m
+        assert recursion_report(m)["passed"]
+        assert top_row_report(m)["passed"]
+
+    def test_derived_coefficients_are_ints(self):
+        table = CoeffTable.build(6)
+        polys = [*table.g.values(), p_constant(6), h_coefficient(0, 1, 6)]
+        assert all(type(c) is int for poly in polys for c in poly.coefficients)
+
     def test_m1_single_check(self):
         report = verify_expansion(1)
         assert len(report.checks) == 1 and report.checks[0].ok

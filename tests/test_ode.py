@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -66,6 +67,11 @@ class TestSeriesStart:
             y = series_start(spec)
             assert abs(y[0] - w(r0)) <= 5.0 * SQRT8 * r0 ** 6
             assert abs(y[1] - w.nabla(1)(r0)) <= 20.0 * SQRT8 * r0 ** 5
+
+    def test_overflowing_data_is_a_domain_error(self):
+        spec = IVPSpec(m=2, alpha=4.0, even_initial=(1e300, 1.0))
+        with pytest.raises(DomainError, match="overflow the series start"):
+            series_start(spec)
 
     def test_zero_data_zero_state(self):
         spec = IVPSpec(m=2, alpha=4.0, even_initial=(0.0, 0.0))
@@ -150,6 +156,12 @@ class TestMatchEpsilon:
         with pytest.raises(DomainError):
             match_epsilon(1, 3.0, 0.0)
 
+    @pytest.mark.parametrize("v0", [math.inf, 1e300, 1e-300])
+    def test_unmatchable_center_value_is_named(self, v0):
+        # eps underflows to 0 or overflows; the error names v0, not eps
+        with pytest.raises(DomainError, match=re.escape(f"center value {v0!r}")):
+            match_epsilon(2, 4.0, v0)
+
 
 class TestClassification:
     @pytest.mark.parametrize("m,alpha,eps,r_max,tol", [
@@ -162,6 +174,16 @@ class TestClassification:
         assert rep.max_rel_dev <= tol
         assert rep.verdict == "coincides"
         assert rep.stats.steps > 0
+
+    def test_small_dilation_reaches_r_max(self):
+        # the exact dilation of the eps = 1, r_max = 20 case; a step floor
+        # absolute below r = 1 stops it at r = 1e-11
+        m, alpha, eps, r_max = 2, 4.0, 1e-7, 2e-6
+        res = integrate(IVPSpec(m=m, alpha=alpha,
+                                even_initial=family_data(m, alpha, eps),
+                                r0=handoff_radius(eps), r_max=r_max))
+        assert res.r[-1] == r_max
+        assert classification_check(m, alpha, eps, r_max).verdict == "coincides"
 
     def test_tolerance_convergence_monotone(self):
         devs = [

@@ -60,6 +60,23 @@ class TestAlphaPoly:
         p = AlphaPoly((Fraction(-3, 2), 0, 5))
         assert AlphaPoly.from_strings(p.to_strings()) == p
 
+    def test_integral_coefficients_stored_as_int(self):
+        p = AlphaPoly((Fraction(4, 2), Fraction(1, 3)))
+        assert p.coefficients == (2, Fraction(1, 3))
+        assert type(p.coefficients[0]) is int
+        # the int form reads, compares and hashes like the all-Fraction form
+        all_fraction = (Fraction(2), Fraction(1, 3))
+        assert p.to_strings() == [str(c) for c in all_fraction] == ["2", "1/3"]
+        assert p.coefficients == all_fraction
+        assert hash(p.coefficients) == hash(all_fraction)
+        assert p == AlphaPoly(all_fraction) and hash(p) == hash(AlphaPoly(all_fraction))
+        assert AlphaPoly((Fraction(6, 3),)) == 2 == Fraction(2)
+
+    def test_exact_call_returns_fraction_for_int_data(self):
+        p = AlphaPoly((1, 2))
+        assert type(p(3)) is Fraction and p(3) == 7
+        assert type(single(p).evaluate(3, 2)) is Fraction
+
 
 # ---------------------------------------------------------------------------
 # Sympy differentiation oracle (symbolic in alpha, rho, sigma)
@@ -311,6 +328,20 @@ def test_exact_evaluation_consistent_with_float(e, alpha_int):
     approx = e.evaluate(float(alpha_int), 1.5)
     assert isinstance(exact, Fraction)
     assert abs(float(exact) - approx) <= 1e-10 * max(1.0, abs(float(exact)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 1), st.integers(2, 9), st.integers(-3, 6),
+       fractions_st, st.fractions(min_value=Fraction(1, 8), max_value=4,
+                                  max_denominator=8))
+def test_closed_form_lowering(rho, a, alpha, half_sigma, c, r):
+    # sigma(alpha) = 2 * half_sigma is even, so evaluation is exact
+    sig = ExponentAffine(a, 2 * half_sigma - a * alpha)
+    e = RadialExpr.single(c, rho, sig)
+    assert len(e.terms) <= rho // 2 + 1
+    assert all(t.r_power in (0, 1) for t in e.terms)
+    want = c * r ** rho * (1 + r * r) ** -half_sigma
+    assert e.evaluate(alpha, r) == want
 
 
 def test_sigma_multiplier_validation():
