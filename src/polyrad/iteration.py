@@ -22,14 +22,21 @@ embedding condition).  The companion exponent sequence is
 
     q_0 = 2*/(2*-1),   q_k = q_{k-1} (alpha+1) / (alpha - 2 q_{k-1} + 1)
                            = 2 (alpha+1) / (alpha + 2m + 1 - 4k).
+
+Cost: each call builds its grid-only arrays once.  The chain is stepped
+once per call, in place, with the log-spacing and power weights hoisted;
+``fixed_point_residual`` keeps only the running member.  ``verify_inverse``
+builds the stencil weights once per differencing level for every k, and
+``origin_behavior`` makes one least-squares factorisation per chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dgelss
 
 from .constants import critical_exponent, require_sobolev
 from .errors import DomainError, TailDivergenceError
@@ -142,40 +149,65 @@ def _origin_power(r0: float, r1: float, v0: float, v1: float,
     return v0 * r0 ** (alpha + 1.0) / (alpha + 1.0 + p)
 
 
-def _cumtrapz_log(y: np.ndarray, log_r: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of y d(log r), starting at 0."""
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(log_r))
-    return out
+def _chain_values(u: RadialProfile, u_vals: np.ndarray, m: int, alpha: float,
+                  grid: RadialGrid) -> Iterator[np.ndarray]:
+    """Yield w_0 .. w_m on the grid from the samples u_vals = u(grid.nodes).
 
-
-def _inverse_neg_laplacian(w: GridFunction, alpha: float, mu: float
-                           ) -> GridFunction:
-    """One chain step: w_next(r) = int_r^inf t^-alpha inner(t) dt, where
-    inner(t) = int_0^t s^alpha w(s) ds, with analytic closures at both ends.
-
-    ``mu`` is the declared algebraic decay exponent of w; the outer tail
-    converges only for mu > 2.
+    Each step is w_next(r) = int_r^inf t^-alpha inner(t) dt, where
+    inner(t) = int_0^t s^alpha w(s) ds, with analytic closures at both ends;
+    the declared decay exponent mu of each member closes the outer tail,
+    which converges only for mu > 2.  The grid weights d(log r)/2,
+    r^(alpha+1) and r^(1-alpha) are built once, and each step runs in two
+    work arrays, allocating only the member it yields.
     """
-    if not mu > 2.0:
-        raise TailDivergenceError(
-            f"declared decay r^-{mu:g} is too slow: outer integral needs mu > 2"
+    require_sobolev(m, alpha)
+    if u.decay_exponent is None:
+        raise DomainError("profile needs a declared decay exponent for the chain")
+    two_star = critical_exponent(m, alpha)
+    w = np.abs(u_vals)
+    w **= two_star - 2.0
+    w *= u_vals
+    if not np.any(w) and np.any(u_vals):
+        scales = ", ".join(f"{p.scale:g}" for p in u.pieces)
+        raise DomainError(
+            f"w_0 = |u|^(2*-2) u underflows to zero at every grid node "
+            f"(profile dilation eps = {scales}); the chain would be all zeros"
         )
-    r = w.grid.nodes
-    log_r = np.log(r)
-    vals = w.values
-    inner0 = _origin_power(r[0], r[1], vals[0], vals[1], alpha)
-    inner = inner0 + _cumtrapz_log(r ** (alpha + 1.0) * vals, log_r)
-    # outer integral, accumulated from the right (suffix sums keep the far
-    # tail free of cancellation) plus the analytic tail beyond r_max
+    del u_vals  # the caller need not keep the samples alive
+    yield w
+    r = grid.nodes
     R = r[-1]
-    tail = inner[-1] * R ** (1.0 - alpha) / (alpha - 1.0) \
-        + vals[-1] * R * R / ((mu - 2.0) * (alpha - 1.0))
-    outer_integrand = r ** (1.0 - alpha) * inner
-    pieces = 0.5 * (outer_integrand[1:] + outer_integrand[:-1]) * np.diff(log_r)
-    suffix = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))
-    w_next = tail + suffix
-    return GridFunction(w.grid, w_next)
+    half_dlog = 0.5 * np.diff(np.log(r))
+    r_inner = r ** (alpha + 1.0)
+    r_outer = r ** (1.0 - alpha)
+    work = np.empty_like(r)
+    pieces = np.empty_like(half_dlog)
+    mu = u.decay_exponent * (two_star - 1.0)
+    for _ in range(m):
+        if not mu > 2.0:
+            raise TailDivergenceError(
+                f"declared decay r^-{mu:g} is too slow: outer integral needs mu > 2"
+            )
+        # inner: cumulative trapezoid in log r, from the origin closure
+        np.multiply(r_inner, w, out=work)
+        np.add(work[1:], work[:-1], out=pieces)
+        pieces *= half_dlog
+        work[0] = 0.0
+        np.cumsum(pieces, out=work[1:])
+        work += _origin_power(r[0], r[1], w[0], w[1], alpha)
+        tail = work[-1] * R ** (1.0 - alpha) / (alpha - 1.0) \
+            + w[-1] * R * R / ((mu - 2.0) * (alpha - 1.0))
+        # outer integral, accumulated from the right (suffix sums keep the
+        # far tail free of cancellation) plus the analytic tail beyond r_max
+        work *= r_outer
+        np.add(work[1:], work[:-1], out=pieces)
+        pieces *= half_dlog
+        w = np.empty_like(r)
+        w[-1] = 0.0
+        np.cumsum(pieces[::-1], out=w[-2::-1])
+        w += tail
+        yield w
+        mu = min(alpha - 1.0, mu - 2.0)
 
 
 def iterate_chain(u: RadialProfile, m: int, alpha: float,
@@ -184,25 +216,16 @@ def iterate_chain(u: RadialProfile, m: int, alpha: float,
 
     The profile must carry a tail decay exponent; it closes the truncated
     integrals analytically.  Raises :class:`TailDivergenceError` when the
-    declared decay is too slow for the outer integral to converge.
+    declared decay is too slow for the outer integral to converge, and
+    :class:`DomainError` when w_0 underflows to zero on a nonzero profile.
     """
-    require_sobolev(m, alpha)
     if grid is None:
         grid = RadialGrid.geometric()
-    if u.decay_exponent is None:
-        raise DomainError("profile needs a declared decay exponent for the chain")
-    two_star = critical_exponent(m, alpha)
-    u_vals = np.asarray(u(grid.nodes), dtype=float)
-    w0 = np.abs(u_vals) ** (two_star - 2.0) * u_vals
-    w = [GridFunction(grid, w0)]
-    decay = [u.decay_exponent * (two_star - 1.0)]
-    for _ in range(m):
-        w.append(_inverse_neg_laplacian(w[-1], alpha, decay[-1]))
-        decay.append(min(alpha - 1.0, decay[-1] - 2.0))
+    members = _chain_values(u, np.asarray(u(grid.nodes), dtype=float), m, alpha, grid)
     return IterationChain(
         m=m,
         alpha=float(alpha),
-        w=tuple(w),
+        w=tuple(GridFunction(grid, values) for values in members),
         q=tuple(q_sequence(m, alpha)),
     )
 
@@ -212,21 +235,49 @@ def iterate_chain(u: RadialProfile, m: int, alpha: float,
 # ---------------------------------------------------------------------------
 
 
+def _stencil_weights(r: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Exact local weights of the three-point stencils at the interior nodes
+    r[1:-1] of a non-uniform grid: the coefficients of u[:-2], u[1:-1] and
+    u[2:] in u', then the divisors of the same values in u''/2."""
+    h1 = r[1:-1] - r[:-2]
+    h2 = r[2:] - r[1:-1]
+    div_lo = h1 * (h1 + h2)
+    div_mid = h1 * h2
+    div_hi = h2 * (h1 + h2)
+    return (-h2 / div_lo, (h2 - h1) / div_mid, h1 / div_hi, div_lo, div_mid, div_hi)
+
+
+def _apply_stencil(u: np.ndarray, weights: Tuple[np.ndarray, ...], alpha: float,
+                   r_mid: np.ndarray) -> np.ndarray:
+    """-(u'' + (alpha/r) u') at r_mid = r[1:-1] from the weights of r, in
+    two work arrays besides the result; alpha/r is formed per call so that
+    the weights stay six arrays."""
+    c_lo, c_mid, c_hi, div_lo, div_mid, div_hi = weights
+    lo, mid, hi = u[:-2], u[1:-1], u[2:]
+    du = c_lo * lo
+    term = c_mid * mid
+    du += term
+    np.multiply(c_hi, hi, out=term)
+    du += term
+    np.divide(alpha, r_mid, out=term)
+    du *= term
+    out = lo / div_lo
+    np.divide(mid, div_mid, out=term)
+    out -= term
+    np.divide(hi, div_hi, out=term)
+    out += term
+    out *= 2.0
+    out += du
+    return np.negative(out, out=out)
+
+
 def neg_laplacian_fd(gf: GridFunction, alpha: float) -> GridFunction:
     """-(u'' + (alpha/r) u') by three-point stencils with exact local
     weights for the non-uniform grid; the result loses one node per side."""
     r = gf.grid.nodes
-    u = gf.values
-    h1 = r[1:-1] - r[:-2]
-    h2 = r[2:] - r[1:-1]
-    du = (-h2 / (h1 * (h1 + h2)) * u[:-2]
-          + (h2 - h1) / (h1 * h2) * u[1:-1]
-          + h1 / (h2 * (h1 + h2)) * u[2:])
-    d2u = 2.0 * (u[:-2] / (h1 * (h1 + h2))
-                 - u[1:-1] / (h1 * h2)
-                 + u[2:] / (h2 * (h1 + h2)))
     interior = RadialGrid(r[1:-1])
-    return GridFunction(interior, -(d2u + alpha / r[1:-1] * du))
+    return GridFunction(interior, _apply_stencil(gf.values, _stencil_weights(r),
+                                                 alpha, interior.nodes))
 
 
 @dataclass(frozen=True)
@@ -245,6 +296,27 @@ class InverseReport:
 INVERSE_NOISE_FLOOR = 1e-5
 
 
+def _inverse_residual(fd: np.ndarray, target: np.ndarray, source: np.ndarray,
+                      r: np.ndarray, noise: np.ndarray, j: int
+                      ) -> Tuple[float, Tuple[float, float]]:
+    """Residual and window of one j-fold difference fd of ``source`` against
+    ``target`` on the nodes r, where noise = (6/h^2)^j; overwrites fd."""
+    scale = float(np.max(np.abs(target)))
+    if scale == 0.0:
+        return float(np.max(np.abs(fd))), (float(r[0]), float(r[-1]))
+    eps = float(np.finfo(float).eps)
+    input_scale = float(np.max(np.abs(source)))
+    mask = eps * input_scale * noise / scale <= INVERSE_NOISE_FLOOR
+    if not np.any(mask):
+        raise DomainError(
+            f"no grid nodes resolve a {j}-fold finite difference at "
+            f"noise floor {INVERSE_NOISE_FLOOR:g}; refine or shrink the grid"
+        )
+    fd -= target
+    np.abs(fd, out=fd)
+    return float(np.max(fd[mask]) / scale), (float(r[mask].min()), float(r[mask].max()))
+
+
 def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
     """Apply (-Delta_alpha)^j by finite differences to each chain member w_k
     (j <= k <= m) and report the sup-norm-relative residual against w_{k-j}.
@@ -254,34 +326,35 @@ def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
     residual is therefore measured over the resolved sub-grid where that
     roundoff floor stays below INVERSE_NOISE_FLOOR of the target scale;
     the report carries the window.
+
+    The differencing runs one level at a time over every k, so each level's
+    stencil weights are built once; the last level is applied and judged
+    one k at a time, so no more than one final difference is held.
     """
     if not 1 <= j <= chain.m:
         raise ValueError(f"need 1 <= j <= m, got j={j}")
-    eps = float(np.finfo(float).eps)
+    r = chain.grid.nodes
+    if len(r) - 2 * j < 3:
+        raise DomainError(f"a {j}-fold difference needs at least {2 * j + 3} grid "
+                          f"nodes, got {len(r)}")
+    alpha = chain.alpha
+    members = [gf.values for gf in chain.w[j:]]
+    for _ in range(j - 1):
+        weights = _stencil_weights(r)
+        r = r[1:-1]
+        for i in range(len(members)):
+            members[i] = _apply_stencil(members[i], weights, alpha, r)
+        del weights  # free before the next level builds its own
+    weights = _stencil_weights(r)
+    r = r[1:-1]
+    noise = (6.0 / np.gradient(r) ** 2) ** j
     residuals = {}
     windows = {}
     for k in range(j, chain.m + 1):
-        fd = chain.w[k]
-        for _ in range(j):
-            fd = neg_laplacian_fd(fd, chain.alpha)
-        target = chain.w[k - j].values[j:-j]
-        scale = float(np.max(np.abs(target)))
-        if scale == 0.0:
-            residuals[k] = float(np.max(np.abs(fd.values)))
-            windows[k] = (float(fd.grid.r_min), float(fd.grid.r_max))
-            continue
-        r = fd.grid.nodes
-        h = np.gradient(r)
-        input_scale = float(np.max(np.abs(chain.w[k].values)))
-        floor = eps * input_scale * (6.0 / h ** 2) ** j / scale
-        mask = floor <= INVERSE_NOISE_FLOOR
-        if not np.any(mask):
-            raise DomainError(
-                f"no grid nodes resolve a {j}-fold finite difference at "
-                f"noise floor {INVERSE_NOISE_FLOOR:g}; refine or shrink the grid"
-            )
-        residuals[k] = float(np.max(np.abs(fd.values - target)[mask]) / scale)
-        windows[k] = (float(r[mask].min()), float(r[mask].max()))
+        residuals[k], windows[k] = _inverse_residual(
+            _apply_stencil(members.pop(0), weights, alpha, r),
+            chain.w[k - j].values[j:-j], chain.w[k].values, r, noise, j,
+        )
     return InverseReport(j=j, residuals=residuals, windows=windows)
 
 
@@ -373,29 +446,46 @@ class OriginReport:
 ORIGIN_FIT_RADIUS = 0.05
 
 
-def _origin_fit(gf: GridFunction) -> Tuple[float, float, float, float]:
-    """Least-squares degree-6 fit on the nodes below r_fit =
-    ORIGIN_FIT_RADIUS, in the scaled variable x = r/r_fit; returns
-    (f(0), f'(0), f''(0), f'''(0)).
+def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
+    """Least-squares degree-6 fit of every chain member on the nodes below
+    r_fit = ORIGIN_FIT_RADIUS, in the scaled variable x = r/r_fit, with one
+    design matrix and one SVD factorisation (LAPACK dgelss) for all members;
+    returns the arrays (f(0), f'(0), f''(0), f'''(0)) indexed by k.
 
     Degree 6 matters: the window is one-sided, so an unmodeled even r^6
     term would leak into the odd coefficients.
     """
     r_fit = ORIGIN_FIT_RADIUS
-    r = gf.grid.nodes
-    mask = r <= r_fit
-    if mask.sum() < 12:
+    # the nodes increase, so the window is a prefix of the grid
+    count = int(np.searchsorted(chain.grid.nodes, r_fit, side="right"))
+    if count < 12:
         raise DomainError(
-            f"grid too coarse near the origin: {int(mask.sum())} nodes below {r_fit:g}"
+            f"grid too coarse near the origin: {count} nodes below {r_fit:g}"
         )
-    x = r[mask] / r_fit
-    design = np.vander(x, 7, increasing=True)
-    coeff, *_ = np.linalg.lstsq(design, gf.values[mask], rcond=None)
+    # x^0..x^6 and the samples are built as rows, so that their transposes
+    # are the Fortran-ordered matrices LAPACK factors and overwrites in
+    # place: the fit copies neither.  The rank cutoff eps * rows is the
+    # default of numpy's lstsq.
+    x = chain.grid.nodes[:count] / r_fit
+    powers = np.empty((7, count))
+    powers[0] = 1.0
+    powers[1] = x
+    for i in range(2, 7):
+        np.multiply(powers[i - 1], x, out=powers[i])
+    samples = np.empty((chain.m + 1, count))
+    for k, gf in enumerate(chain.w):
+        samples[k] = gf.values[:count]
+    _, solution, _, _, _, info = dgelss(powers.T, samples.T,
+                                        cond=np.finfo(float).eps * count,
+                                        overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"origin fit: LAPACK dgelss returned info={info}")
+    coeff = solution[:7]
     return (
-        float(coeff[0]),
-        float(coeff[1] / r_fit),
-        float(2.0 * coeff[2] / r_fit ** 2),
-        float(6.0 * coeff[3] / r_fit ** 3),
+        coeff[0],
+        coeff[1] / r_fit,
+        2.0 * coeff[2] / r_fit ** 2,
+        6.0 * coeff[3] / r_fit ** 3,
     )
 
 
@@ -405,11 +495,12 @@ def origin_behavior(chain: IterationChain) -> OriginReport:
     w_k''(0) = -w_{k-1}(0)/(alpha+1)."""
     if chain.grid.r_min > 1e-3:
         raise DomainError("origin extrapolation needs the grid to reach r <= 1e-3")
-    fits = [_origin_fit(gf) for gf in chain.w]
+    value, d1, d2, d3 = _origin_fit(chain)
     entries = []
-    for k, (v, d1, d2, d3) in enumerate(fits):
-        expected = None if k == 0 else -fits[k - 1][0] / (chain.alpha + 1.0)
-        entries.append(OriginEntry(k=k, value=v, d1=d1, d2=d2, d3=d3,
+    for k in range(chain.m + 1):
+        expected = None if k == 0 else float(-value[k - 1] / (chain.alpha + 1.0))
+        entries.append(OriginEntry(k=k, value=float(value[k]), d1=float(d1[k]),
+                                   d2=float(d2[k]), d3=float(d3[k]),
                                    d2_expected=expected))
     return OriginReport(entries=tuple(entries))
 
@@ -426,10 +517,12 @@ FIXED_POINT_FLOOR = 1e-12
 def fixed_point_residual(u: RadialProfile, m: int, alpha: float,
                          grid: Optional[RadialGrid] = None) -> float:
     """sup over grid nodes of |w_m - u| / max(|u|, FIXED_POINT_FLOOR); small
-    exactly for solution profiles."""
+    exactly for solution profiles.  The chain is stepped without keeping
+    the members before w_m."""
     if grid is None:
         grid = RadialGrid.geometric()
-    chain = iterate_chain(u, m, alpha, grid)
     u_vals = np.asarray(u(grid.nodes), dtype=float)
+    for w_m in _chain_values(u, u_vals, m, alpha, grid):
+        pass
     denom = np.maximum(np.abs(u_vals), FIXED_POINT_FLOOR)
-    return float(np.max(np.abs(chain.w[m].values - u_vals) / denom))
+    return float(np.max(np.abs(w_m - u_vals) / denom))

@@ -186,12 +186,12 @@ def integrate(spec: IVPSpec) -> SolveResult:
 
     Raises :class:`StepUnderflowError` when the controller collapses the
     step below the floor and :class:`BlowupError` when |u_0| exceeds the
-    overflow limit; both carry the partial trajectory in ``.result``.
+    overflow limit or a step is not finite; both carry the partial
+    trajectory in ``.result``.
     """
     rhs = _make_rhs(spec.m, spec.alpha)
     r = spec.r0
     y = series_start(spec)
-    k1 = rhs(r, y)
     nodes, states = [r], [y.copy()]
     evals = 1
     steps = rejected = 0
@@ -213,42 +213,50 @@ def integrate(spec: IVPSpec) -> SolveResult:
             per_step.clear()
         return result
 
-    while r < spec.r_max:
-        h = min(h, spec.r_max - r)
-        if h < STEP_FLOOR * r:
-            raise StepUnderflowError(
-                f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
-                _finish(),
-            )
-        stages[0] = k1
-        for s in range(1, 7):
-            ys = y + h * (stages[:s].T @ _DP_A[s])
-            stages[s] = rhs(r + _DP_C[s] * h, ys)
-        evals += 6
-        y_new = y + h * (stages[:6].T @ _DP_A[6][:6])  # 5th order, FSAL
-        # stage 7 was evaluated at (r+h, y_new): reuse as next k1
-        err_vec = h * (stages.T @ _DP_ERR)
-        scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err_norm <= 1.0:
-            r += h
-            y = y_new
-            k1 = stages[6]
-            steps += 1
-            min_step = min(min_step, h)
-            nodes.append(r)
-            states.append(y.copy())
-            if abs(y[0]) > OVERFLOW_LIMIT:
-                raise BlowupError(
-                    f"|u_0| = {abs(y[0]):.3e} exceeded {OVERFLOW_LIMIT:g} "
-                    f"at r={r:.6g} (non-global solution)",
+    # an overflowing stage shows up as a non-finite step, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(r, y)
+        while r < spec.r_max:
+            h = min(h, spec.r_max - r)
+            if h < STEP_FLOOR * r:
+                raise StepUnderflowError(
+                    f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
                     _finish(),
                 )
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-        else:
-            rejected += 1
-            factor = max(0.2, 0.9 * err_norm ** -0.2)
-        h *= factor
+            stages[0] = k1
+            for s in range(1, 7):
+                ys = y + h * (stages[:s].T @ _DP_A[s])
+                stages[s] = rhs(r + _DP_C[s] * h, ys)
+            evals += 6
+            y_new = y + h * (stages[:6].T @ _DP_A[6][:6])  # 5th order, FSAL
+            # stage 7 was evaluated at (r+h, y_new): reuse as next k1
+            err_vec = h * (stages.T @ _DP_ERR)
+            scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            # the last stage is the RHS at y_new, so a non-finite y_new
+            # also makes the error norm non-finite
+            if not math.isfinite(err_norm):
+                raise BlowupError(f"non-finite step from r={r:.6g} with h={h:.3e} "
+                                  f"(non-global solution)", _finish())
+            if err_norm <= 1.0:
+                r += h
+                y = y_new
+                k1 = stages[6]
+                steps += 1
+                min_step = min(min_step, h)
+                nodes.append(r)
+                states.append(y.copy())
+                if abs(y[0]) > OVERFLOW_LIMIT:
+                    raise BlowupError(
+                        f"|u_0| = {abs(y[0]):.3e} exceeded {OVERFLOW_LIMIT:g} "
+                        f"at r={r:.6g} (non-global solution)",
+                        _finish(),
+                    )
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            else:
+                rejected += 1
+                factor = max(0.2, 0.9 * err_norm ** -0.2)
+            h *= factor
     return _finish()
 
 

@@ -157,6 +157,18 @@ class TestClassify:
         assert report["verdict"] == "coincides"
         assert report["departure"] < 0.01
 
+    def test_overflowing_perturbation_departs(self, capsys):
+        # the nonlinearity overflows at the start radius: the integration
+        # stops with a blow-up (no numpy warning) and the data depart
+        code, out, _ = run_cli(
+            ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "0",
+             "--perturb-scale", "1e10"], capsys
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "departs"
+        assert report["steps"] == 0
+
     def test_perturb_index_validated(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["classify", "--m", "2", "--alpha", "4",
@@ -229,6 +241,7 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["iterate", "--m", "2", "--alpha", "1e6"],
     ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "0",
      "--perturb-scale", "1e300"],
+    ["iterate", "--m", "2", "--alpha", "4", "--eps", "1e300"],
 ])
 def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a wrongly accepted iterate writes CSVs here

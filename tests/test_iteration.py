@@ -1,5 +1,7 @@
 """Regularity chain: construction, inverse structure, decay, origin, fixed point."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from polyrad.errors import DomainError, TailDivergenceError
 from polyrad.functionals import RadialProfile, bliss_profile
 from polyrad.radial import RadialExpr
 from polyrad.iteration import (
+    FIXED_POINT_FLOOR,
+    INVERSE_NOISE_FLOOR,
+    ORIGIN_FIT_RADIUS,
     GridFunction,
     RadialGrid,
     bliss_decay_exponent,
@@ -98,6 +103,16 @@ class TestChainConstruction:
         f = RadialProfile.from_expr(RadialExpr.single(1, 0, 4), ALPHA)
         with pytest.raises(DomainError):
             iterate_chain(f, M, ALPHA, GRID)
+
+    def test_underflowed_chain_rejected(self):
+        # at eps = 1e300 the profile is about 1.8e-150, and |u|^(2*-2) u
+        # underflows to zero everywhere: a chain of zeros would pass vacuously
+        u = bliss_profile(M, ALPHA, 1e300)
+        assert np.all(u(GRID.nodes) > 0.0)
+        with pytest.raises(DomainError, match=r"eps = 1e\+300"):
+            iterate_chain(u, M, ALPHA, GRID)
+        with pytest.raises(DomainError, match=r"eps = 1e\+300"):
+            fixed_point_residual(u, M, ALPHA, GRID)
 
     def test_tail_divergence_error(self):
         # declared decay too slow: at m = 1, alpha = 7 (2* - 1 = 5/3) w_0 of
@@ -223,3 +238,122 @@ class TestFixedPoint:
 def test_positive_input_gives_positive_chain(bliss_chain_24):
     for gf in bliss_chain_24.w:
         assert np.all(gf.values > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The hoisted, in-place routines against their plain per-member forms
+# ---------------------------------------------------------------------------
+
+
+def _fd_reference(gf, alpha):
+    """The three-point stencil as one expression, per call."""
+    r, u = gf.grid.nodes, gf.values
+    h1 = r[1:-1] - r[:-2]
+    h2 = r[2:] - r[1:-1]
+    du = (-h2 / (h1 * (h1 + h2)) * u[:-2]
+          + (h2 - h1) / (h1 * h2) * u[1:-1]
+          + h1 / (h2 * (h1 + h2)) * u[2:])
+    d2u = 2.0 * (u[:-2] / (h1 * (h1 + h2))
+                 - u[1:-1] / (h1 * h2)
+                 + u[2:] / (h2 * (h1 + h2)))
+    return -(d2u + alpha / r[1:-1] * du)
+
+
+def _inverse_reference(chain, j):
+    """verify_inverse member by member through repeated neg_laplacian_fd."""
+    eps = float(np.finfo(float).eps)
+    residuals, windows = {}, {}
+    for k in range(j, chain.m + 1):
+        fd = chain.w[k]
+        for _ in range(j):
+            fd = neg_laplacian_fd(fd, chain.alpha)
+        target = chain.w[k - j].values[j:-j]
+        scale = float(np.max(np.abs(target)))
+        r = fd.grid.nodes
+        input_scale = float(np.max(np.abs(chain.w[k].values)))
+        floor = eps * input_scale * (6.0 / np.gradient(r) ** 2) ** j / scale
+        mask = floor <= INVERSE_NOISE_FLOOR
+        residuals[k] = float(np.max(np.abs(fd.values - target)[mask]) / scale)
+        windows[k] = (float(r[mask].min()), float(r[mask].max()))
+    return residuals, windows
+
+
+@pytest.fixture(scope="module")
+def chain_38():
+    return iterate_chain(bliss_profile(3, 8.0, 1.3), 3, 8.0, GRID)
+
+
+class TestEquivalence:
+    def test_fd_matches_single_expression(self, chain_38):
+        for gf in chain_38.w:
+            fd = neg_laplacian_fd(gf, 8.0)
+            assert np.array_equal(fd.values, _fd_reference(gf, 8.0))
+            assert np.array_equal(fd.grid.nodes, GRID.nodes[1:-1])
+
+    @pytest.mark.parametrize("m, alpha, eps", [(2, 4.0, 1.0), (3, 8.0, 1.3)])
+    def test_fixed_point_matches_chain(self, m, alpha, eps):
+        u = bliss_profile(m, alpha, eps)
+        chain = iterate_chain(u, m, alpha, GRID)
+        u_vals = u(GRID.nodes)
+        want = float(np.max(np.abs(chain.w[m].values - u_vals)
+                            / np.maximum(np.abs(u_vals), FIXED_POINT_FLOOR)))
+        assert fixed_point_residual(u, m, alpha, GRID) == want
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_inverse_matches_repeated_fd(self, chain_38, j):
+        rep = verify_inverse(chain_38, j)
+        assert (rep.residuals, rep.windows) == _inverse_reference(chain_38, j)
+
+    @pytest.mark.parametrize("j", [1, M])
+    def test_inverse_matches_repeated_fd_m2(self, bliss_chain_24, j):
+        rep = verify_inverse(bliss_chain_24, j)
+        assert (rep.residuals, rep.windows) == _inverse_reference(bliss_chain_24, j)
+
+    def test_origin_matches_per_member_fits(self, chain_38):
+        # one factorisation for all members moves the fit at roundoff only
+        r_fit = ORIGIN_FIT_RADIUS
+        mask = GRID.nodes <= r_fit
+        design = np.vander(GRID.nodes[mask] / r_fit, 7, increasing=True)
+        rep = origin_behavior(chain_38)
+        for entry, gf in zip(rep.entries, chain_38.w):
+            coeff = np.linalg.lstsq(design, gf.values[mask], rcond=None)[0]
+            want = (coeff[0], coeff[1] / r_fit, 2.0 * coeff[2] / r_fit ** 2,
+                    6.0 * coeff[3] / r_fit ** 3)
+            got = (entry.value, entry.d1, entry.d2, entry.d3)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-7 * abs(entry.value), entry.k
+
+
+# ---------------------------------------------------------------------------
+# Memory: traced peak in arrays of n floats, m = 4, n = 2^16
+# ---------------------------------------------------------------------------
+
+
+MEM_N, MEM_M, MEM_ALPHA = 2 ** 16, 4, 11.0
+
+
+def _peak_arrays(func, *args) -> float:
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] / (8 * MEM_N)
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        grid = RadialGrid.geometric(1e-4, 1e3, MEM_N)
+        u = bliss_profile(MEM_M, MEM_ALPHA, 1.0)
+        return grid, u, iterate_chain(u, MEM_M, MEM_ALPHA, grid)
+
+    def test_chain_checks_within_eleven_arrays(self, setup):
+        grid, u, chain = setup
+        assert _peak_arrays(iterate_chain, u, MEM_M, MEM_ALPHA, grid) <= 11.0
+        assert _peak_arrays(verify_inverse, chain, 1) <= 11.0
+        assert _peak_arrays(origin_behavior, chain) <= 11.0
+
+    def test_fixed_point_keeps_only_the_running_member(self, setup):
+        grid, u, _ = setup
+        assert _peak_arrays(fixed_point_residual, u, MEM_M, MEM_ALPHA, grid) <= 9.0

@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -123,6 +124,18 @@ class TestIntegrate:
         partial = info.value.result
         assert partial.r[-1] < 50.0
         assert len(partial.r) == len(partial.y)
+
+    def test_non_finite_step_raises_blowup(self):
+        # u_0(0) scaled by 1e10 overflows the nonlinearity at the start
+        # radius: a blow-up before the first step, raised without a warning
+        data = family_data(2, 4.0, 1.0)
+        data[0] *= 1e10
+        spec = IVPSpec(m=2, alpha=4.0, even_initial=data, r0=handoff_radius(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError, match=r"non-finite step from r=0\.0001") as info:
+                integrate(spec)
+        assert info.value.result.stats.steps == 0
 
     def test_partial_result_freed_with_error(self):
         # no reference cycle holds the error: its partial trajectory dies
