@@ -15,14 +15,17 @@ initial data and the origin relations
 
 (the fourth-order coefficient follows from the same relations one level
 up), and proceeds with an embedded Dormand-Prince 5(4) pair under a
-standard error-per-step controller.  Forward integration is not well
-conditioned: the singular homogeneous modes r^-(alpha-2j+1) decay with
-increasing r, but the regular modes of the linearization grow like r^(2j)
-while w_eps decays like r^-(alpha-2m+1), so a roundoff error at ``rel_tol``
-grows relative to the solution by about r^(alpha-2m+1+2(m-1)).  At
-alpha - 2m + 1 between 2 and 2.75 and r_max = 20, exact family data for
-m = 5 is classified "departs" and m = 6..8 raise BlowupError or
-StepUnderflowError.
+standard error-per-step controller.  The pair is FSAL: its last stage is f
+at the new state, and it becomes the next step's first stage only after
+the step is accepted; a rejected attempt retries from f(r, y).
+
+Forward integration is not well conditioned: the singular homogeneous
+modes r^-(alpha-2j+1) decay with increasing r, but the regular modes of the
+linearization grow like r^(2j) while w_eps decays like r^-(alpha-2m+1), so
+a roundoff error at ``rel_tol`` grows relative to the solution by about
+r^(alpha-2m+1+2(m-1)).  At alpha - 2m + 1 between 2 and 2.75 and
+r_max = 20, exact family data for m = 5 is classified "departs" and
+m = 6..8 raise BlowupError or StepUnderflowError.
 
 Nonsingular solutions with vanishing odd-order data coincide with the
 dilation family w_eps; ``classification_check`` quantifies that statement by
@@ -150,7 +153,7 @@ def series_start(spec: IVPSpec) -> np.ndarray:
 # Embedded Dormand-Prince 5(4)
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -165,18 +168,18 @@ _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 
 def _make_rhs(m: int, alpha: float):
+    """The system's right-hand side, written into a given row: rhs(r, y, dy)
+    stores f(r, y) in dy and allocates nothing."""
     g, _ = nonlinearity(m, alpha)
 
-    def rhs(r: float, y: np.ndarray) -> np.ndarray:
-        us = y[0::2]
-        vs = y[1::2]
-        source = np.empty(m)
-        source[: m - 1] = us[1:]
-        source[m - 1] = g(us[0])
-        dy = np.empty_like(y)
-        dy[0::2] = vs
-        dy[1::2] = -(alpha / r) * vs - source
-        return dy
+    def rhs(r: float, y: np.ndarray, dy: np.ndarray) -> None:
+        # u_j' = v_j and v_j' = -(alpha/r) v_j - u_{j+1}, closed by u_m = g(u_0)
+        dy[0::2] = y[1::2]
+        dv = dy[1::2]
+        np.multiply(y[1::2], -(alpha / r), out=dv)
+        head = dv[: m - 1]
+        np.subtract(head, y[2::2], out=head)
+        dv[m - 1] -= g(y[0])
 
     return rhs
 
@@ -184,20 +187,27 @@ def _make_rhs(m: int, alpha: float):
 def integrate(spec: IVPSpec) -> SolveResult:
     """Adaptive integration of the coupled system from r0 to r_max.
 
-    Raises :class:`StepUnderflowError` when the controller collapses the
-    step below the floor and :class:`BlowupError` when |u_0| exceeds the
-    overflow limit or a step is not finite; both carry the partial
-    trajectory in ``.result``.
+    The stages, the stage point and the error estimate live in arrays
+    allocated once per call.  Raises :class:`StepUnderflowError` when the
+    controller collapses the step below the floor and :class:`BlowupError`
+    when |u_0| exceeds the overflow limit or a step is not finite; both
+    carry the partial trajectory in ``.result``.
     """
     rhs = _make_rhs(spec.m, spec.alpha)
+    r_max, rel_tol, abs_tol = spec.r_max, spec.rel_tol, spec.abs_tol
     r = spec.r0
     y = series_start(spec)
+    n = y.size
     nodes, states = [r], [y.copy()]
     evals = 1
     steps = rejected = 0
     min_step = math.inf
-    h = min(0.05 * spec.r0, spec.r_max - spec.r0)
-    stages = np.empty((7, y.size))
+    h = min(0.05 * spec.r0, r_max - spec.r0)
+    stages = np.empty((7, n))
+    # stage s combines the rows before it; row 6 is the 5th-order update
+    combine = [(stages[:s].T, _DP_A[s], _DP_C[s]) for s in range(1, 7)]
+    stages_t = stages.T
+    ys, tmp, scale = np.empty(n), np.empty(n), np.empty(n)
 
     def _finish() -> SolveResult:
         result = SolveResult(
@@ -215,24 +225,31 @@ def integrate(spec: IVPSpec) -> SolveResult:
 
     # an overflowing stage shows up as a non-finite step, which raises
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(r, y)
-        while r < spec.r_max:
-            h = min(h, spec.r_max - r)
+        rhs(r, y, stages[0])
+        while r < r_max:
+            h = min(h, r_max - r)
             if h < STEP_FLOOR * r:
                 raise StepUnderflowError(
                     f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
                     _finish(),
                 )
-            stages[0] = k1
-            for s in range(1, 7):
-                ys = y + h * (stages[:s].T @ _DP_A[s])
-                stages[s] = rhs(r + _DP_C[s] * h, ys)
+            for s, (prev_t, a_s, c_s) in enumerate(combine, 1):
+                # np.dot runs the same BLAS product as ``@``, with less overhead
+                np.dot(prev_t, a_s, out=tmp)
+                tmp *= h
+                np.add(y, tmp, out=ys)
+                rhs(r + c_s * h, ys, stages[s])
             evals += 6
-            y_new = y + h * (stages[:6].T @ _DP_A[6][:6])  # 5th order, FSAL
-            # stage 7 was evaluated at (r+h, y_new): reuse as next k1
-            err_vec = h * (stages.T @ _DP_ERR)
-            scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            # the last stage point is the 5th-order solution y_new, so ys
+            # holds it and stage 6 is f(r + h, y_new)
+            np.dot(stages_t, _DP_ERR, out=tmp)
+            tmp *= h
+            np.abs(y, out=scale)
+            np.maximum(scale, np.abs(ys), out=scale)
+            scale *= rel_tol
+            scale += abs_tol
+            tmp /= scale
+            err_norm = math.sqrt(np.add.reduce(tmp * tmp) / n)
             # the last stage is the RHS at y_new, so a non-finite y_new
             # also makes the error norm non-finite
             if not math.isfinite(err_norm):
@@ -240,8 +257,8 @@ def integrate(spec: IVPSpec) -> SolveResult:
                                   f"(non-global solution)", _finish())
             if err_norm <= 1.0:
                 r += h
-                y = y_new
-                k1 = stages[6]
+                y, ys = ys, y            # the old state's buffer takes the next stages
+                stages[0] = stages[6]    # FSAL, only after acceptance
                 steps += 1
                 min_step = min(min_step, h)
                 nodes.append(r)

@@ -307,7 +307,7 @@ class RadialExpr:
     equal as functions of (alpha, r) iff their canonical forms coincide.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_bound")
 
     def __init__(self, terms: Iterable[RadialTerm] = ()):
         merged: dict = {}
@@ -330,6 +330,8 @@ class RadialExpr:
         ]
         out.sort(key=lambda t: (t.sigma, t.r_power))
         self._terms = tuple(out)
+        # float evaluation memo: (alpha, ((c(alpha), rho, -sigma(alpha)/2), ...))
+        self._bound = (None, ())
 
     # -- constructors -------------------------------------------------------
 
@@ -417,10 +419,16 @@ class RadialExpr:
         If both arguments are exact (int / Fraction) and every exponent
         sigma(alpha) is an even integer, the result is an exact Fraction;
         otherwise ordinary floating arithmetic is used (r may be a numpy
-        array in that case).
+        array in that case).  The float path binds each term's c(alpha) and
+        -sigma(alpha)/2 once per alpha and keeps them until the next call
+        with a different alpha, so an integrand evaluated node by node at
+        fixed alpha pays for Horner's rule once per term, not once per node.
         """
-        exact = isinstance(alpha_value, (int, Fraction)) and isinstance(
-            r, (int, Fraction)
+        # a float alpha skips the Fraction isinstance test, a slow ABC check
+        exact = (
+            not isinstance(alpha_value, float)
+            and isinstance(alpha_value, (int, Fraction))
+            and isinstance(r, (int, Fraction))
         )
         if exact:
             sigmas = [t.sigma.value_at(Fraction(alpha_value)) for t in self._terms]
@@ -434,12 +442,17 @@ class RadialExpr:
                     -(s // 2)
                 )
             return total
-        a = float(alpha_value)
+        bound_alpha, bound = self._bound
+        if bound_alpha != alpha_value:
+            a = float(alpha_value)
+            bound = tuple(
+                (t.coeff(a), t.r_power, -0.5 * t.sigma.value_at(a)) for t in self._terms
+            )
+            self._bound = (alpha_value, bound)
         base = 1.0 + r * r
         total = 0.0
-        for t in self._terms:
-            sv = t.sigma.value_at(a)
-            total = total + t.coeff(a) * r ** t.r_power * base ** (-0.5 * sv)
+        for c, rho, e in bound:
+            total = total + c * r ** rho * base ** e
         return total
 
     # -- io -------------------------------------------------------------

@@ -38,6 +38,61 @@ def family_data(m, alpha, eps):
     return family_state(m, alpha, eps, 0.0)[0, 0::2]
 
 
+# the Dormand-Prince 5(4) tableau: nodes, stage weights, error weights
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = [
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                   -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def reference_dormand_prince(spec):
+    """Dormand-Prince 5(4) with the controller of ``integrate``, written
+    plainly: every attempt, accepted or not, starts from f(r, y) evaluated
+    afresh.  Returns the accepted nodes, states and the rejection count."""
+    m, alpha = spec.m, spec.alpha
+    g, _ = nonlinearity(m, alpha)
+
+    def f(r, y):
+        source = np.append(y[2::2], g(y[0]))
+        dy = np.empty_like(y)
+        dy[0::2] = y[1::2]
+        dy[1::2] = -(alpha / r) * y[1::2] - source
+        return dy
+
+    r, y = spec.r0, series_start(spec)
+    nodes, states, rejected = [r], [y], 0
+    h = min(0.05 * spec.r0, spec.r_max - spec.r0)
+    k = np.empty((7, y.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while r < spec.r_max:
+            h = min(h, spec.r_max - r)
+            k[0] = f(r, y)
+            for s in range(1, 7):
+                k[s] = f(r + DP_C[s] * h, y + h * (k[:s].T @ DP_A[s]))
+            y_new = y + h * (k[:6].T @ DP_A[6])
+            err = h * (k.T @ DP_ERR)
+            scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            if err_norm <= 1.0:
+                r, y = r + h, y_new
+                nodes.append(r)
+                states.append(y)
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            else:
+                rejected += 1
+                factor = max(0.2, 0.9 * err_norm ** -0.2)
+            h *= factor
+    return np.array(nodes), np.array(states), rejected
+
+
 class TestSpecValidation:
     def test_sobolev_gate(self):
         with pytest.raises(SobolevConditionError):
@@ -110,10 +165,23 @@ class TestIntegrate:
         assert res.stats.rhs_evaluations >= 6 * res.stats.steps
 
     def test_loose_tolerance_exercises_rejections(self):
-        res = integrate(IVPSpec(m=2, alpha=4.0,
-                                even_initial=family_data(2, 4.0, 1.0),
-                                rel_tol=1e-4, abs_tol=1e-6))
-        assert res.stats.rejected >= 1
+        stats = integrate(IVPSpec(m=2, alpha=4.0,
+                                  even_initial=family_data(2, 4.0, 1.0),
+                                  rel_tol=1e-4, abs_tol=1e-6)).stats
+        assert stats.rejected >= 1
+        # one evaluation at the start, six per attempt: the seventh stage
+        # of an accepted step is the next step's first
+        assert stats.rhs_evaluations == 1 + 6 * (stats.steps + stats.rejected)
+
+    @pytest.mark.parametrize("m,alpha", [(2, 4.0), (3, 7.5)])
+    def test_retry_after_rejection_restarts_from_f_at_y(self, m, alpha):
+        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
+                       rel_tol=1e-4, abs_tol=1e-6)
+        res = integrate(spec)
+        r_ref, y_ref, rejected = reference_dormand_prince(spec)
+        assert rejected == res.stats.rejected >= 1
+        assert res.r.tobytes() == r_ref.tobytes()
+        assert res.y.tobytes() == y_ref.tobytes()
 
     def test_blowup_detected(self):
         # strongly inconsistent data: u_0'' = -u_1 > 0 ramps u_0, the

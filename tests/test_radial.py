@@ -242,6 +242,61 @@ class TestEvaluate:
         assert np.allclose(got, want, rtol=1e-14)
 
 
+def horner_reference(expr, alpha, r):
+    """The float value with c(alpha) and sigma(alpha) recomputed per call."""
+    a = float(alpha)
+    base = 1.0 + r * r
+    total = 0.0
+    for t in expr.terms:
+        c = 0.0
+        for k in reversed(t.coeff.coefficients):
+            c = c * a + float(k)
+        sv = t.sigma.alpha_multiplier * a + t.sigma.constant_shift
+        total = total + c * r ** t.r_power * base ** (-0.5 * sv)
+    return total
+
+
+class TestBoundEvaluate:
+    """The float path binds c(alpha) and sigma(alpha) once per alpha; every
+    value keeps the bits of the per-call computation."""
+
+    EXPR = nabla_m(base_profile_expr(4), 5) + single(AlphaPoly((Fraction(1, 3), -2, 1)), 3,
+                                                      sigma(1, -1))
+    R = [1e-3, 0.37, 1.0, 2.5, 40.0, 1e4]
+
+    def test_scalar_r_with_alpha_switched_back_and_forth(self):
+        e = self.EXPR
+        for alpha in (9.3, 11.75, 9.3, 11.75):
+            for r in self.R:
+                assert e.evaluate(alpha, r) == horner_reference(e, alpha, r)
+
+    def test_ndarray_r_with_alpha_switched_back_and_forth(self):
+        import numpy as np
+
+        e = self.EXPR
+        r = np.geomspace(1e-3, 1e4, 101)
+        for alpha in (9.3, 11.75, 9.3):
+            got = e.evaluate(alpha, r)
+            assert got.tobytes() == horner_reference(e, alpha, r).tobytes()
+
+    def test_int_and_numpy_alpha_share_the_float_binding(self):
+        import numpy as np
+
+        e = self.EXPR
+        for alpha in (10, np.float64(10.0), 10.0, 12):
+            assert e.evaluate(alpha, 0.8) == horner_reference(e, alpha, 0.8)
+
+    def test_exact_arguments_stay_exact_after_float_calls(self):
+        e = single(AlphaPoly((Fraction(1, 3), 2)), 2, sigma(1, 1)) + single(2, 0, sigma(0, 4))
+        e.evaluate(5.0, 1.5)
+        exact = e.evaluate(5, Fraction(3, 2))
+        assert isinstance(exact, Fraction)
+        assert exact == e.evaluate(Fraction(5), Fraction(3, 2))
+        # alpha = 5: sigma = 6 and 4, so every term is rational
+        assert exact == (Fraction(1, 3) + 10) * Fraction(9, 4) * Fraction(13, 4) ** -3 \
+            + 2 * Fraction(13, 4) ** -2
+
+
 # ---------------------------------------------------------------------------
 # Float finite-difference consistency (fixed non-degenerate samples)
 # ---------------------------------------------------------------------------
