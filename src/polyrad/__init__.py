@@ -46,7 +46,6 @@ from .functionals import (
     weighted_lebesgue_norm,
 )
 from .iteration import (
-    GridFunction,
     IterationChain,
     RadialGrid,
     decay_report,

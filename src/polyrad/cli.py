@@ -179,7 +179,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         "fd_inverse_residual": inverse.max_residual,
         "fixed_point_residual": fixed,
         "monotone_decreasing": all(
-            bool(np.all(np.diff(gf.values) <= 0)) for gf in chain.w[1:]
+            bool(np.all(np.diff(w) <= 0)) for w in chain.w[1:]
         ),
         "decay": [dataclasses.asdict(e) for e in decay.entries],
         "origin": [dataclasses.asdict(e) for e in origin.entries],
@@ -189,8 +189,8 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
               and fixed <= suite.FIXED_POINT_TOL
               and all(e.bound_satisfied for e in decay.entries if not e.skipped))
     os.makedirs(args.output_dir, exist_ok=True)
-    for k, gf in enumerate(chain.w):
-        rows = [[float(r), float(v)] for r, v in zip(grid.nodes, gf.values)]
+    for k, w in enumerate(chain.w):
+        rows = [[float(r), float(v)] for r, v in zip(grid.nodes, w)]
         _emit(_csv_text(["r", f"w_{k}"], rows), f"{args.output_dir}/chain_k{k}.csv")
     _emit_json(
         {"subcommand": "iterate", "m": m, "alpha": alpha, "eps": args.eps,
@@ -284,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-polyharmonic",
                        help="exact operator identity for m = 1..max-m")
-    p.add_argument("--max-m", type=int, default=8)
+    p.add_argument("--max-m", type=int, default=suite.SYMBOLIC_MAX_M)
     common(p, with_malpha=False)
 
     p = sub.add_parser("coeff-table", help="expansion coefficient table as JSON")

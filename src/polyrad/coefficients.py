@@ -255,16 +255,6 @@ class ExpansionReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "passed": self.passed,
-            "checks": [
-                {"j": c.j, "ok": c.ok, **({"diff": c.diff} if c.diff else {})}
-                for c in self.checks
-            ],
-        }
-
 
 def verify_expansion(m: int, table: Optional[CoeffTable] = None) -> ExpansionReport:
     """Symbolically apply (-Delta_alpha)^j to the base profile for each

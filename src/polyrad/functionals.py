@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -77,24 +77,31 @@ class ProfilePiece:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial function: a sum of symbolic pieces bound to a numeric alpha,
-    with an optional declared tail decay exponent."""
+    """A radial function: a sum of symbolic pieces bound to a numeric alpha."""
 
     alpha: float
     pieces: Tuple[ProfilePiece, ...] = ()
-    decay_exponent: Optional[float] = None  # |f(r)| ~ r^-decay for large r
 
     @classmethod
     def from_expr(cls, expr: RadialExpr, alpha: float, coeff: float = 1.0,
-                  scale: float = 1.0, decay_exponent: Optional[float] = None
-                  ) -> "RadialProfile":
+                  scale: float = 1.0) -> "RadialProfile":
         return cls(alpha=float(alpha),
-                   pieces=(ProfilePiece(float(coeff), expr, float(scale)),),
-                   decay_exponent=decay_exponent)
+                   pieces=(ProfilePiece(float(coeff), expr, float(scale)),))
 
     @classmethod
     def zero(cls, alpha: float) -> "RadialProfile":
-        return cls(alpha=float(alpha), decay_exponent=np.inf)
+        return cls(alpha=float(alpha))
+
+    @property
+    def decay_exponent(self) -> float:
+        """The tail exponent mu of |f(r)| ~ r^-mu for large r: a term
+        c r^rho (1+r^2)^(-sigma/2) falls like r^(rho-sigma), so mu is the
+        least sigma(alpha) - rho over the terms with c(alpha) != 0 of the
+        pieces with a nonzero coefficient, and inf when there are none."""
+        return min((t.sigma.value_at(self.alpha) - t.r_power
+                    for p in self.pieces if p.coeff != 0.0
+                    for t in p.expr.terms if t.coeff(self.alpha) != 0.0),
+                   default=math.inf)
 
     def __call__(self, r):
         if not self.pieces:
@@ -118,20 +125,14 @@ class RadialProfile:
                 raise DomainError(f"gradient coefficient {p.coeff!r} * {p.scale!r}^-{m} "
                                   "is not a finite float")
             pieces.append(ProfilePiece(coeff, nabla_m(p.expr, m), p.scale))
-        decay = None if self.decay_exponent is None else self.decay_exponent + m
-        return RadialProfile(alpha=self.alpha, pieces=tuple(pieces), decay_exponent=decay)
+        return RadialProfile(alpha=self.alpha, pieces=tuple(pieces))
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
         if not isinstance(other, RadialProfile):
             return NotImplemented
         if self.alpha != other.alpha:
             raise DomainError("cannot add profiles bound to different alpha")
-        decays = [d for d in (self.decay_exponent, other.decay_exponent) if d is not None]
-        return RadialProfile(
-            alpha=self.alpha,
-            pieces=self.pieces + other.pieces,
-            decay_exponent=min(decays) if len(decays) == 2 else None,
-        )
+        return RadialProfile(alpha=self.alpha, pieces=self.pieces + other.pieces)
 
     def __mul__(self, scalar) -> "RadialProfile":
         if not isinstance(scalar, (int, float)):
@@ -140,7 +141,6 @@ class RadialProfile:
             alpha=self.alpha,
             pieces=tuple(ProfilePiece(scalar * p.coeff, p.expr, p.scale)
                          for p in self.pieces),
-            decay_exponent=self.decay_exponent,
         )
 
     __rmul__ = __mul__
@@ -172,10 +172,7 @@ def bliss_profile(m: int, alpha: float, eps: float) -> RadialProfile:
     """The extremal profile w_eps, with its exact derivative chain via the
     dilation scaling laws."""
     amp = bliss_amplitude(m, alpha, eps)
-    return RadialProfile.from_expr(
-        base_profile_expr(m), alpha, coeff=amp, scale=eps,
-        decay_exponent=sobolev_gap(m, alpha),
-    )
+    return RadialProfile.from_expr(base_profile_expr(m), alpha, coeff=amp, scale=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +322,4 @@ def perturbation_direction(index: int, m: int, alpha: float) -> RadialProfile:
     require_sobolev(m, alpha)
     a, b = PERTURBATION_DIRECTIONS[index]
     expr = RadialExpr.single(1, 2 * a, ExponentAffine(1, 1 - 2 * m + 2 * b))
-    return RadialProfile.from_expr(
-        expr, alpha, decay_exponent=sobolev_gap(m, alpha) + 2 * (b - a)
-    )
+    return RadialProfile.from_expr(expr, alpha)

@@ -10,7 +10,8 @@ w_m = u (the fixed point).  Everything lives on a geometric grid; integrals
 are trapezoid sums in log coordinates (the integrands vary polynomially in
 log r), the inner integral is closed at the origin by a power-law
 extrapolation of the first two nodes, and the outer integral is closed at
-r_max analytically from the declared algebraic decay exponent:
+r_max analytically from the algebraic decay exponent that the profile's
+exact terms determine (``RadialProfile.decay_exponent``):
 
     with  w(s) ~ w(R) (s/R)^(-mu)  for s > R = r_max,
 
@@ -22,6 +23,9 @@ embedding condition).  The companion exponent sequence is
 
     q_0 = 2*/(2*-1),   q_k = q_{k-1} (alpha+1) / (alpha - 2 q_{k-1} + 1)
                            = 2 (alpha+1) / (alpha + 2m + 1 - 4k).
+
+A chain holds its grid once and its members as plain float arrays on that
+grid; ``iterate_chain`` and ``fixed_point_residual`` need the grid given.
 
 Cost: each call builds its grid-only arrays once.  The chain is stepped
 once per call, in place, with the log-spacing and power weights hoisted;
@@ -63,8 +67,7 @@ class RadialGrid:
         object.__setattr__(self, "nodes", nodes)
 
     @classmethod
-    def geometric(cls, r_min: float = 1e-4, r_max: float = 1e3,
-                  n: int = 4096) -> "RadialGrid":
+    def geometric(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
         if n < 3:
             raise DomainError(f"grid needs at least three nodes, got {n}")
         if not 0 < r_min < r_max < np.inf:
@@ -82,18 +85,6 @@ class RadialGrid:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.nodes.shape:
-            raise ValueError("values must align with the grid nodes")
-        object.__setattr__(self, "values", values)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +117,9 @@ def q_closed_form(k: int, m: int, alpha: float) -> float:
 class IterationChain:
     m: int
     alpha: float
-    w: Tuple[GridFunction, ...]            # w_0 .. w_m
+    grid: RadialGrid
+    w: Tuple[np.ndarray, ...]              # w_0 .. w_m on grid.nodes
     q: Tuple[float, ...]                   # q_0 .. q_m
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.w[0].grid
 
 
 def _origin_power(r0: float, r1: float, v0: float, v1: float,
@@ -155,14 +143,14 @@ def _chain_values(u: RadialProfile, u_vals: np.ndarray, m: int, alpha: float,
 
     Each step is w_next(r) = int_r^inf t^-alpha inner(t) dt, where
     inner(t) = int_0^t s^alpha w(s) ds, with analytic closures at both ends;
-    the declared decay exponent mu of each member closes the outer tail,
-    which converges only for mu > 2.  The grid weights d(log r)/2,
-    r^(alpha+1) and r^(1-alpha) are built once, and each step runs in two
-    work arrays, allocating only the member it yields.
+    the decay exponent mu of each member closes the outer tail, which
+    converges only for mu > 2.  mu starts from the decay exponent derived
+    from u's exact terms.  The grid weights d(log r)/2, r^(alpha+1) and
+    r^(1-alpha) are built once, and each step runs in two work arrays,
+    allocating only the member it yields.  Raises :class:`DomainError` when
+    either power weight is not a finite nonzero float at an end node.
     """
     require_sobolev(m, alpha)
-    if u.decay_exponent is None:
-        raise DomainError("profile needs a declared decay exponent for the chain")
     two_star = critical_exponent(m, alpha)
     w = np.abs(u_vals)
     w **= two_star - 2.0
@@ -178,15 +166,22 @@ def _chain_values(u: RadialProfile, u_vals: np.ndarray, m: int, alpha: float,
     r = grid.nodes
     R = r[-1]
     half_dlog = 0.5 * np.diff(np.log(r))
-    r_inner = r ** (alpha + 1.0)
-    r_outer = r ** (1.0 - alpha)
+    with np.errstate(over="ignore"):
+        r_inner = r ** (alpha + 1.0)
+        r_outer = r ** (1.0 - alpha)
+    ends = (r_inner[0], r_inner[-1], r_outer[0], r_outer[-1])
+    if not all(0.0 < x < np.inf for x in ends):
+        raise DomainError(
+            f"chain weights r^(alpha+1) and r^(1-alpha) leave the float range at "
+            f"alpha={alpha:g} on the grid ends r_min={r[0]:g}, r_max={R:g}"
+        )
     work = np.empty_like(r)
     pieces = np.empty_like(half_dlog)
     mu = u.decay_exponent * (two_star - 1.0)
     for _ in range(m):
         if not mu > 2.0:
             raise TailDivergenceError(
-                f"declared decay r^-{mu:g} is too slow: outer integral needs mu > 2"
+                f"decay r^-{mu:g} is too slow: outer integral needs mu > 2"
             )
         # inner: cumulative trapezoid in log r, from the origin closure
         np.multiply(r_inner, w, out=work)
@@ -211,23 +206,18 @@ def _chain_values(u: RadialProfile, u_vals: np.ndarray, m: int, alpha: float,
 
 
 def iterate_chain(u: RadialProfile, m: int, alpha: float,
-                  grid: Optional[RadialGrid] = None) -> IterationChain:
+                  grid: RadialGrid) -> IterationChain:
     """Build w_0..w_m from the profile u on the grid.
 
-    The profile must carry a tail decay exponent; it closes the truncated
-    integrals analytically.  Raises :class:`TailDivergenceError` when the
-    declared decay is too slow for the outer integral to converge, and
-    :class:`DomainError` when w_0 underflows to zero on a nonzero profile.
+    The tail decay exponent derived from u's exact terms closes the
+    truncated integrals analytically.  Raises :class:`TailDivergenceError`
+    when that decay is too slow for the outer integral to converge, and
+    :class:`DomainError` when w_0 underflows to zero on a nonzero profile or
+    the power weights leave the float range at this alpha on this grid.
     """
-    if grid is None:
-        grid = RadialGrid.geometric()
     members = _chain_values(u, np.asarray(u(grid.nodes), dtype=float), m, alpha, grid)
-    return IterationChain(
-        m=m,
-        alpha=float(alpha),
-        w=tuple(GridFunction(grid, values) for values in members),
-        q=tuple(q_sequence(m, alpha)),
-    )
+    return IterationChain(m=m, alpha=float(alpha), grid=grid, w=tuple(members),
+                          q=tuple(q_sequence(m, alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +261,11 @@ def _apply_stencil(u: np.ndarray, weights: Tuple[np.ndarray, ...], alpha: float,
     return np.negative(out, out=out)
 
 
-def neg_laplacian_fd(gf: GridFunction, alpha: float) -> GridFunction:
-    """-(u'' + (alpha/r) u') by three-point stencils with exact local
-    weights for the non-uniform grid; the result loses one node per side."""
-    r = gf.grid.nodes
-    interior = RadialGrid(r[1:-1])
-    return GridFunction(interior, _apply_stencil(gf.values, _stencil_weights(r),
-                                                 alpha, interior.nodes))
+def neg_laplacian_fd(r: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+    """-(u'' + (alpha/r) u') of the samples u on the nodes r by three-point
+    stencils with exact local weights for the non-uniform grid; the result
+    lives on the interior nodes r[1:-1]."""
+    return _apply_stencil(u, _stencil_weights(r), alpha, r[1:-1])
 
 
 @dataclass(frozen=True)
@@ -338,7 +326,7 @@ def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
         raise DomainError(f"a {j}-fold difference needs at least {2 * j + 3} grid "
                           f"nodes, got {len(r)}")
     alpha = chain.alpha
-    members = [gf.values for gf in chain.w[j:]]
+    members = list(chain.w[j:])
     for _ in range(j - 1):
         weights = _stencil_weights(r)
         r = r[1:-1]
@@ -353,7 +341,7 @@ def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
     for k in range(j, chain.m + 1):
         residuals[k], windows[k] = _inverse_residual(
             _apply_stencil(members.pop(0), weights, alpha, r),
-            chain.w[k - j].values[j:-j], chain.w[k].values, r, noise, j,
+            chain.w[k - j][j:-j], chain.w[k], r, noise, j,
         )
     return InverseReport(j=j, residuals=residuals, windows=windows)
 
@@ -376,9 +364,6 @@ class DecayEntry:
 class DecayReport:
     entries: Tuple[DecayEntry, ...]
 
-    def entry(self, k: int) -> DecayEntry:
-        return self.entries[k]
-
 
 #: ``decay_report`` accepts a fitted slope up to this above the bound exponent.
 DECAY_SLACK = 0.05
@@ -398,9 +383,9 @@ def decay_report(chain: IterationChain) -> DecayReport:
         )
     log_r = np.log(grid.nodes[mask])
     entries = []
-    for k, gf in enumerate(chain.w):
+    for k, w in enumerate(chain.w):
         bound = -(chain.alpha + 2.0 * chain.m + 1.0 - 4.0 * k) / 2.0
-        tail = gf.values[mask]
+        tail = w[mask]
         if np.any(tail <= 0.0) or tail.max() < 1e-300:
             entries.append(DecayEntry(k=k, slope=None, bound_exponent=bound,
                                       bound_satisfied=None, skipped=True))
@@ -438,9 +423,6 @@ class OriginEntry:
 class OriginReport:
     entries: Tuple[OriginEntry, ...]
 
-    def entry(self, k: int) -> OriginEntry:
-        return self.entries[k]
-
 
 #: ``origin_behavior`` fits the nodes at r <= ORIGIN_FIT_RADIUS.
 ORIGIN_FIT_RADIUS = 0.05
@@ -473,8 +455,8 @@ def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
     for i in range(2, 7):
         np.multiply(powers[i - 1], x, out=powers[i])
     samples = np.empty((chain.m + 1, count))
-    for k, gf in enumerate(chain.w):
-        samples[k] = gf.values[:count]
+    for k, w in enumerate(chain.w):
+        samples[k] = w[:count]
     _, solution, _, _, _, info = dgelss(powers.T, samples.T,
                                         cond=np.finfo(float).eps * count,
                                         overwrite_a=True, overwrite_b=True)
@@ -515,12 +497,10 @@ FIXED_POINT_FLOOR = 1e-12
 
 
 def fixed_point_residual(u: RadialProfile, m: int, alpha: float,
-                         grid: Optional[RadialGrid] = None) -> float:
+                         grid: RadialGrid) -> float:
     """sup over grid nodes of |w_m - u| / max(|u|, FIXED_POINT_FLOOR); small
     exactly for solution profiles.  The chain is stepped without keeping
     the members before w_m."""
-    if grid is None:
-        grid = RadialGrid.geometric()
     u_vals = np.asarray(u(grid.nodes), dtype=float)
     for w_m in _chain_values(u, u_vals, m, alpha, grid):
         pass

@@ -29,7 +29,10 @@ from .radial import ExponentAffine, RadialExpr, apply_polyharmonic
 #: fixed so reports are reproducible run to run.
 DEFAULT_SEED = 20250810
 
+#: Order bound of the exact symbolic checks 1-3 and of verify-polyharmonic.
+SYMBOLIC_MAX_M = 8
 ATTAINMENT_CASES = ((1, 3.0), (1, 5.0), (2, 4.0), (2, 6.0), (3, 8.0))
+PROBE_M, PROBE_ALPHA = 1, 3.0
 EPS_SET = (0.5, 1.0, 2.0)
 PROBE_AMPLITUDES = (0.05, 0.1)
 GAMMA_QUAD_ALPHAS = (1.5, 3.0, 4.0, 7.25)
@@ -93,7 +96,7 @@ def _timed(criterion: int, name: str, body: Callable[[dict], bool]) -> CheckResu
 # --------------------------------------------------------------------------
 
 
-def check_polyharmonic_identity(max_m: int = 8) -> CheckResult:
+def check_polyharmonic_identity(max_m: int = SYMBOLIC_MAX_M) -> CheckResult:
     if max_m < 1:  # raised, not recorded by _timed as a failed check
         raise DomainError(f"max_m must be a positive integer, got {max_m}")
 
@@ -106,25 +109,27 @@ def check_polyharmonic_identity(max_m: int = 8) -> CheckResult:
         details["per_m"] = results
         return all(results.values())
 
-    return _timed(1, "exact polyharmonic identity, m = 1..8", body)
+    return _timed(1, f"exact polyharmonic identity, m = 1..{SYMBOLIC_MAX_M}", body)
 
 
-def check_coefficient_recursion(max_m: int = 8) -> CheckResult:
+def check_coefficient_recursion() -> CheckResult:
     def body(details: dict) -> bool:
-        reports = [coeff.recursion_report(m) for m in range(1, max_m + 1)]
+        reports = [coeff.recursion_report(m) for m in range(1, SYMBOLIC_MAX_M + 1)]
         details["failures"] = [f for r in reports for f in r["failures"]]
         return all(r["passed"] for r in reports)
 
-    return _timed(2, "coefficient recursion and case reductions, m <= 8", body)
+    return _timed(2, f"coefficient recursion and case reductions, m <= {SYMBOLIC_MAX_M}",
+                  body)
 
 
-def check_vanishing_top_row(max_m: int = 8) -> CheckResult:
+def check_vanishing_top_row() -> CheckResult:
     def body(details: dict) -> bool:
-        reports = [coeff.top_row_report(m) for m in range(1, max_m + 1)]
+        reports = [coeff.top_row_report(m) for m in range(1, SYMBOLIC_MAX_M + 1)]
         details["failures"] = [f for r in reports for f in r["failures"]]
         return all(r["passed"] for r in reports)
 
-    return _timed(3, "vanishing top row and product constant, m <= 8", body)
+    return _timed(3, f"vanishing top row and product constant, m <= {SYMBOLIC_MAX_M}",
+                  body)
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +201,9 @@ def check_attainment_dilation() -> CheckResult:
     return _timed(6, "minimizer attainment and dilation invariance", body)
 
 
-def check_minimality_probes(m: int = 1, alpha: float = 3.0) -> CheckResult:
+def check_minimality_probes() -> CheckResult:
+    m, alpha = PROBE_M, PROBE_ALPHA
+
     def body(details: dict) -> bool:
         s = const.best_constant(m, alpha).S
         w = fun.bliss_profile(m, alpha, 1.0)

@@ -242,6 +242,7 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "0",
      "--perturb-scale", "1e300"],
     ["iterate", "--m", "2", "--alpha", "4", "--eps", "1e300"],
+    ["iterate", "--m", "1", "--alpha", "100"],
 ])
 def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a wrongly accepted iterate writes CSVs here
@@ -261,6 +262,19 @@ def test_overflowing_perturbation_names_initial_data(capsys):
     err = capsys.readouterr().err
     assert "initial data [1.78" in err
     assert "dilation parameter" not in err
+
+
+def test_chain_weight_overflow_names_alpha(capsys, tmp_path, monkeypatch):
+    # r_min^(1 - alpha) = 1e396 overflows; the message names alpha and the
+    # grid ends instead of the finite differences that the NaNs would break
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["iterate", "--m", "1", "--alpha", "100"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "alpha=100" in err and "r_min=0.0001" in err
+    assert "finite difference" not in err
+    assert not list(tmp_path.iterdir())  # no CSV written
 
 
 def test_cli_reads_suite_threshold(capsys, tmp_path, monkeypatch):

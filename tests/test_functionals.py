@@ -242,6 +242,28 @@ class TestProfileAlgebra:
         want = 2.0 ** (-gap / 2 - m) * g1(r / 2.0)
         assert abs(g2(r) - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("m, alpha", [(1, 3.0), (2, 4.0), (3, 8.0), (2, 6.5)])
+    def test_derived_decay_exponent(self, m, alpha):
+        # closed forms: w_eps ~ r^-(alpha-2m+1), phi_(a,b) ~ r^-(alpha-2m+1+2(b-a));
+        # a sum decays like its slowest piece
+        gap = alpha - 2 * m + 1
+        w = bliss_profile(m, alpha, 1.7)
+        assert w.decay_exponent == gap
+        assert (1.1 * w).decay_exponent == gap
+        assert w.nabla(m).decay_exponent == gap + m
+        for index, (a, b) in enumerate(PERTURBATION_DIRECTIONS):
+            phi = perturbation_direction(index, m, alpha)
+            assert phi.decay_exponent == gap + 2 * (b - a)
+            assert (w + 0.1 * phi).decay_exponent == gap
+            assert (0.1 * phi + 0.0 * w).decay_exponent == gap + 2 * (b - a)
+        # and the exponent is the measured log-log slope of the tail
+        r = np.array([1e4, 1e5])
+        slope = np.diff(np.log(w(r))) / np.diff(np.log(r))
+        assert abs(slope[0] + w.decay_exponent) <= 1e-6
+
+    def test_zero_profile_decay_exponent(self):
+        assert RadialProfile.zero(3.0).decay_exponent == math.inf
+
     def test_vectorized_call(self):
         w = bliss_profile(1, 3.0, 1.0)
         r = np.linspace(0.1, 5.0, 7)

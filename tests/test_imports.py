@@ -1,0 +1,61 @@
+"""Every module-level import of a polyrad module is referenced by that module.
+
+Deletions tend to leave imports behind; this walks each module's syntax tree
+with the standard library only.  ``__init__`` re-exports the public API, so
+its imports are the point of the module and are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import polyrad
+
+MODULES = sorted(p for p in Path(polyrad.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Bound name -> line of each module-level import (not __future__)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Names loaded anywhere, including inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as -> "RadialGrid"
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _referenced_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_walk_flags_an_unused_import():
+    tree = ast.parse("import os\nfrom typing import Optional, Tuple\n"
+                     "def f(x: Tuple) -> 'int':\n    return x\n")
+    used = _referenced_names(tree)
+    assert {n for n in _imported_names(tree) if n not in used} == {"os", "Optional"}

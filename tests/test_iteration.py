@@ -12,7 +12,6 @@ from polyrad.iteration import (
     FIXED_POINT_FLOOR,
     INVERSE_NOISE_FLOOR,
     ORIGIN_FIT_RADIUS,
-    GridFunction,
     RadialGrid,
     bliss_decay_exponent,
     decay_report,
@@ -46,8 +45,6 @@ class TestGrid:
             RadialGrid(np.array([0.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
             RadialGrid(np.array([1.0, 1.0, 2.0]))
-        with pytest.raises(ValueError):
-            GridFunction(RadialGrid.geometric(n=16), np.zeros(5))
 
 
 class TestQSequence:
@@ -72,37 +69,32 @@ class TestChainConstruction:
         for k in range(M + 1):
             j = M - k
             exact = w(GRID.nodes) if j == 0 else (-1) ** j * w.nabla(2 * j)(GRID.nodes)
-            rel = np.abs(bliss_chain_24.w[k].values - exact) / np.maximum(
+            rel = np.abs(bliss_chain_24.w[k] - exact) / np.maximum(
                 np.abs(exact), 1e-12
             )
             assert rel.max() <= 1e-3, k
 
     def test_zero_profile(self):
         chain = iterate_chain(RadialProfile.zero(ALPHA), M, ALPHA, GRID)
-        for gf in chain.w:
-            assert np.all(gf.values == 0.0)
+        for w in chain.w:
+            assert np.all(w == 0.0)
 
     def test_positive_chain_monotone_decreasing(self, bliss_chain_24):
         for k in range(1, M + 1):
-            assert np.all(np.diff(bliss_chain_24.w[k].values) < 0.0)
+            assert np.all(np.diff(bliss_chain_24.w[k]) < 0.0)
 
     def test_center_values_finite(self, bliss_chain_24):
-        for gf in bliss_chain_24.w:
-            assert np.isfinite(gf.values[0])
+        for w in bliss_chain_24.w:
+            assert np.isfinite(w[0])
 
     def test_boundary_limit_at_origin(self, bliss_chain_24):
         # r^alpha w_k'(r) = -int_0^r s^alpha w_{k-1} ds -> 0 as r -> 0
         r = GRID.nodes
         for k in range(1, M + 1):
-            flux = r ** ALPHA * np.gradient(bliss_chain_24.w[k].values, r)
-            w0 = bliss_chain_24.w[k].values[0]
+            flux = r ** ALPHA * np.gradient(bliss_chain_24.w[k], r)
+            w0 = bliss_chain_24.w[k][0]
             assert abs(flux[0]) <= 1e-10 * w0
             assert np.all(np.diff(np.abs(flux[:100])) > 0)  # grows away from 0
-
-    def test_decay_metadata_required(self):
-        f = RadialProfile.from_expr(RadialExpr.single(1, 0, 4), ALPHA)
-        with pytest.raises(DomainError):
-            iterate_chain(f, M, ALPHA, GRID)
 
     def test_underflowed_chain_rejected(self):
         # at eps = 1e300 the profile is about 1.8e-150, and |u|^(2*-2) u
@@ -115,13 +107,19 @@ class TestChainConstruction:
             fixed_point_residual(u, M, ALPHA, GRID)
 
     def test_tail_divergence_error(self):
-        # declared decay too slow: at m = 1, alpha = 7 (2* - 1 = 5/3) w_0 of
+        # decay too slow: at m = 1, alpha = 7 (2* - 1 = 5/3) w_0 of
         # (1+r^2)^(-1/2) falls like r^-5/3, the outer integral needs better
         # than r^-2
-        slow = RadialProfile.from_expr(RadialExpr.single(1, 0, 1), 7.0,
-                                       decay_exponent=1.0)
+        slow = RadialProfile.from_expr(RadialExpr.single(1, 0, 1), 7.0)
+        assert slow.decay_exponent == 1.0
         with pytest.raises(TailDivergenceError):
             iterate_chain(slow, 1, 7.0, GRID)
+
+    def test_weight_overflow_names_alpha(self):
+        # r_min^(1 - alpha) = 1e396 overflows at alpha = 100: the chain
+        # would be NaN and the finite differences would blame the grid
+        with pytest.raises(DomainError, match=r"alpha=100 .*r_min=0\.0001, r_max=1000"):
+            iterate_chain(bliss_profile(1, 100.0, 1.0), 1, 100.0, GRID)
 
 
 class TestVerifyInverse:
@@ -152,28 +150,27 @@ class TestFiniteDifferenceOperator:
         # the roundoff-limited left edge
         grid = RadialGrid.geometric(1e-2, 1e2, 2048)
         vals = (1.0 + grid.nodes ** 2) ** -1.0
-        fd = neg_laplacian_fd(GridFunction(grid, vals), 3.0)
-        r = fd.grid.nodes
+        fd = neg_laplacian_fd(grid.nodes, vals, 3.0)
+        r = grid.nodes[1:-1]
         exact = -(
             (6.0 * r ** 2 - 2.0) / (1 + r ** 2) ** 3
             + (3.0 / r) * (-2.0 * r / (1 + r ** 2) ** 2)
         )
         mask = (r > 0.05) & (r < 50.0)
-        rel = np.abs(fd.values - exact)[mask] / np.max(np.abs(exact))
+        rel = np.abs(fd - exact)[mask] / np.max(np.abs(exact))
         assert rel.max() <= 1e-5
 
 
 class TestDecay:
     def test_bliss_chain_slopes(self, bliss_chain_24):
         rep = decay_report(bliss_chain_24)
-        for k in range(M + 1):
-            entry = rep.entry(k)
+        for k, entry in enumerate(rep.entries):
             assert entry.bound_satisfied
             if k >= 1:
                 assert abs(entry.slope + bliss_decay_exponent(k, ALPHA)) <= 0.05
         # spot values: w_1 ~ r^-3, w_2 ~ r^-1
-        assert abs(rep.entry(1).slope + 3.0) <= 0.05
-        assert abs(rep.entry(2).slope + 1.0) <= 0.05
+        assert abs(rep.entries[1].slope + 3.0) <= 0.05
+        assert abs(rep.entries[2].slope + 1.0) <= 0.05
 
     def test_zero_chain_skipped(self):
         chain = iterate_chain(RadialProfile.zero(ALPHA), M, ALPHA, GRID)
@@ -192,8 +189,7 @@ class TestDecay:
 class TestOrigin:
     def test_identities_m2(self, bliss_chain_24):
         rep = origin_behavior(bliss_chain_24)
-        for k in (1, 2):
-            entry = rep.entry(k)
+        for entry in rep.entries[1:]:
             assert abs(entry.d1) <= 1e-3 * entry.value
             rel = abs(entry.d2 - entry.d2_expected) / abs(entry.d2_expected)
             assert rel <= 1e-3
@@ -202,9 +198,9 @@ class TestOrigin:
     def test_identities_m1_alpha3(self):
         chain = iterate_chain(bliss_profile(1, 3.0, 1.0), 1, 3.0, GRID)
         rep = origin_behavior(chain)
-        entry = rep.entry(1)
+        w0, w1 = rep.entries
         # w_1''(0) = -w_0(0)/(alpha+1) = -w_0(0)/4
-        assert abs(entry.d2 + rep.entry(0).value / 4.0) <= 1e-3 * abs(entry.d2)
+        assert abs(w1.d2 + w0.value / 4.0) <= 1e-3 * abs(w1.d2)
 
     def test_needs_fine_grid(self):
         coarse = RadialGrid.geometric(1e-2, 1e2, 256)
@@ -236,8 +232,8 @@ class TestFixedPoint:
 
 
 def test_positive_input_gives_positive_chain(bliss_chain_24):
-    for gf in bliss_chain_24.w:
-        assert np.all(gf.values > 0.0)
+    for w in bliss_chain_24.w:
+        assert np.all(w > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +241,8 @@ def test_positive_input_gives_positive_chain(bliss_chain_24):
 # ---------------------------------------------------------------------------
 
 
-def _fd_reference(gf, alpha):
+def _fd_reference(r, u, alpha):
     """The three-point stencil as one expression, per call."""
-    r, u = gf.grid.nodes, gf.values
     h1 = r[1:-1] - r[:-2]
     h2 = r[2:] - r[1:-1]
     du = (-h2 / (h1 * (h1 + h2)) * u[:-2]
@@ -264,16 +259,15 @@ def _inverse_reference(chain, j):
     eps = float(np.finfo(float).eps)
     residuals, windows = {}, {}
     for k in range(j, chain.m + 1):
-        fd = chain.w[k]
+        fd, r = chain.w[k], chain.grid.nodes
         for _ in range(j):
-            fd = neg_laplacian_fd(fd, chain.alpha)
-        target = chain.w[k - j].values[j:-j]
+            fd, r = neg_laplacian_fd(r, fd, chain.alpha), r[1:-1]
+        target = chain.w[k - j][j:-j]
         scale = float(np.max(np.abs(target)))
-        r = fd.grid.nodes
-        input_scale = float(np.max(np.abs(chain.w[k].values)))
+        input_scale = float(np.max(np.abs(chain.w[k])))
         floor = eps * input_scale * (6.0 / np.gradient(r) ** 2) ** j / scale
         mask = floor <= INVERSE_NOISE_FLOOR
-        residuals[k] = float(np.max(np.abs(fd.values - target)[mask]) / scale)
+        residuals[k] = float(np.max(np.abs(fd - target)[mask]) / scale)
         windows[k] = (float(r[mask].min()), float(r[mask].max()))
     return residuals, windows
 
@@ -285,17 +279,17 @@ def chain_38():
 
 class TestEquivalence:
     def test_fd_matches_single_expression(self, chain_38):
-        for gf in chain_38.w:
-            fd = neg_laplacian_fd(gf, 8.0)
-            assert np.array_equal(fd.values, _fd_reference(gf, 8.0))
-            assert np.array_equal(fd.grid.nodes, GRID.nodes[1:-1])
+        for w in chain_38.w:
+            fd = neg_laplacian_fd(GRID.nodes, w, 8.0)
+            assert np.array_equal(fd, _fd_reference(GRID.nodes, w, 8.0))
+            assert fd.shape == (len(GRID) - 2,)
 
     @pytest.mark.parametrize("m, alpha, eps", [(2, 4.0, 1.0), (3, 8.0, 1.3)])
     def test_fixed_point_matches_chain(self, m, alpha, eps):
         u = bliss_profile(m, alpha, eps)
         chain = iterate_chain(u, m, alpha, GRID)
         u_vals = u(GRID.nodes)
-        want = float(np.max(np.abs(chain.w[m].values - u_vals)
+        want = float(np.max(np.abs(chain.w[m] - u_vals)
                             / np.maximum(np.abs(u_vals), FIXED_POINT_FLOOR)))
         assert fixed_point_residual(u, m, alpha, GRID) == want
 
@@ -315,8 +309,8 @@ class TestEquivalence:
         mask = GRID.nodes <= r_fit
         design = np.vander(GRID.nodes[mask] / r_fit, 7, increasing=True)
         rep = origin_behavior(chain_38)
-        for entry, gf in zip(rep.entries, chain_38.w):
-            coeff = np.linalg.lstsq(design, gf.values[mask], rcond=None)[0]
+        for entry, w in zip(rep.entries, chain_38.w):
+            coeff = np.linalg.lstsq(design, w[mask], rcond=None)[0]
             want = (coeff[0], coeff[1] / r_fit, 2.0 * coeff[2] / r_fit ** 2,
                     6.0 * coeff[3] / r_fit ** 3)
             got = (entry.value, entry.d1, entry.d2, entry.d3)

@@ -267,11 +267,16 @@ class TestClassification:
         assert classification_check(m, alpha, eps, r_max).verdict == "coincides"
 
     def test_tolerance_convergence_monotone(self):
-        devs = [
-            classification_check(2, 4.0, 1.0, 20.0,
-                                 rel_tol=t, abs_tol=t * 1e-2).max_rel_dev
-            for t in (1e-5, 5e-6, 2.5e-6)
-        ]
+        m, alpha, eps = 2, 4.0, 1.0
+        devs = []
+        for t in (1e-5, 5e-6, 2.5e-6):
+            res = integrate(IVPSpec(m=m, alpha=alpha,
+                                    even_initial=family_data(m, alpha, eps),
+                                    r0=handoff_radius(eps), r_max=20.0,
+                                    rel_tol=t, abs_tol=t * 1e-2))
+            exact = family_state(m, alpha, eps, res.r)
+            devs.append(float(np.max(np.max(np.abs(res.y - exact), axis=0)
+                                     / np.max(np.abs(exact), axis=0))))
         assert devs[0] > devs[1] > devs[2]
 
     def test_scaling_equivariance(self):
