@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .coefficients import p_constant
 from .errors import DomainError, SobolevConditionError
 
@@ -108,7 +110,7 @@ def best_constant(m: int, alpha: float, route: str = "closed_form") -> BestConst
     """Best-constant pair (S, S^(-1/2)) for given (m, alpha).
 
     ``route="closed_form"`` uses the gamma-function formula;
-    ``route="quadrature"`` replaces the gamma bracket by adaptive quadrature
+    ``route="quadrature"`` replaces the gamma bracket by exp-sinh quadrature
     of the defining improper integral (cross-check path).
     """
     require_sobolev(m, alpha)
@@ -124,11 +126,9 @@ def best_constant(m: int, alpha: float, route: str = "closed_form") -> BestConst
     elif route == "quadrature":
         from . import functionals  # local import to avoid a module cycle
 
-        def integrand(r: float) -> float:
+        def integrand(r: np.ndarray) -> np.ndarray:
             # log form keeps r^alpha finite for large alpha
-            if r <= 0.0:
-                return 0.0
-            return math.exp(alpha * math.log(r) - (alpha + 1.0) * math.log1p(r * r))
+            return np.exp(alpha * np.log(r) - (alpha + 1.0) * np.log1p(r * r))
 
         report = functionals.improper_integral(integrand)
         s = p * report.value ** expo

@@ -23,8 +23,9 @@ class SobolevConditionError(DomainError):
 
 
 class NonConvergenceError(PolyradError):
-    """Adaptive quadrature failed to converge (divergent or pathological
-    integrand, or subdivision budget exhausted)."""
+    """Quadrature failed to converge: a divergent tail, an integrand that is
+    not finite or not negligible at the window's ends, or no agreement of
+    successive sums by the smallest step."""
 
 
 class TailDivergenceError(PolyradError):

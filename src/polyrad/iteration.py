@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgelss
 
 from .constants import critical_exponent, require_sobolev
 from .errors import DomainError, TailDivergenceError
@@ -431,8 +430,8 @@ ORIGIN_FIT_RADIUS = 0.05
 def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
     """Least-squares degree-6 fit of every chain member on the nodes below
     r_fit = ORIGIN_FIT_RADIUS, in the scaled variable x = r/r_fit, with one
-    design matrix and one SVD factorisation (LAPACK dgelss) for all members;
-    returns the arrays (f(0), f'(0), f''(0), f'''(0)) indexed by k.
+    design matrix and one SVD-based solve (``numpy.linalg.lstsq``) for all
+    members; returns the arrays (f(0), f'(0), f''(0), f'''(0)) indexed by k.
 
     Degree 6 matters: the window is one-sided, so an unmodeled even r^6
     term would leak into the odd coefficients.
@@ -444,10 +443,8 @@ def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
         raise DomainError(
             f"grid too coarse near the origin: {count} nodes below {r_fit:g}"
         )
-    # x^0..x^6 and the samples are built as rows, so that their transposes
-    # are the Fortran-ordered matrices LAPACK factors and overwrites in
-    # place: the fit copies neither.  The rank cutoff eps * rows is the
-    # default of numpy's lstsq.
+    # built as contiguous rows, which is cheaper than np.vander's strided
+    # columns; lstsq takes their transposes, which are Fortran-ordered
     x = chain.grid.nodes[:count] / r_fit
     powers = np.empty((7, count))
     powers[0] = 1.0
@@ -457,12 +454,8 @@ def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
     samples = np.empty((chain.m + 1, count))
     for k, w in enumerate(chain.w):
         samples[k] = w[:count]
-    _, solution, _, _, _, info = dgelss(powers.T, samples.T,
-                                        cond=np.finfo(float).eps * count,
-                                        overwrite_a=True, overwrite_b=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"origin fit: LAPACK dgelss returned info={info}")
-    coeff = solution[:7]
+    # singular values below eps * count of the largest count as zero
+    coeff = np.linalg.lstsq(powers.T, samples.T, rcond=np.finfo(float).eps * count)[0]
     return (
         coeff[0],
         coeff[1] / r_fit,

@@ -109,7 +109,7 @@ def check_polyharmonic_identity(max_m: int = SYMBOLIC_MAX_M) -> CheckResult:
         details["per_m"] = results
         return all(results.values())
 
-    return _timed(1, f"exact polyharmonic identity, m = 1..{SYMBOLIC_MAX_M}", body)
+    return _timed(1, f"exact polyharmonic identity, m = 1..{max_m}", body)
 
 
 def check_coefficient_recursion() -> CheckResult:

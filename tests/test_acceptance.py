@@ -25,6 +25,12 @@ def test_criterion_01_polyharmonic_identity():
     _report(suite.check_polyharmonic_identity(), budget=10.0)
 
 
+def test_polyharmonic_identity_names_its_range():
+    assert suite.check_polyharmonic_identity(3).name.endswith("m = 1..3")
+    assert suite.check_polyharmonic_identity().name.endswith(
+        f"m = 1..{suite.SYMBOLIC_MAX_M}")
+
+
 def test_criterion_02_coefficient_recursion():
     # G(i,j+1) = -K_j H(i,j) exactly, with all four reduced case forms and
     # the quadratic bracket identity

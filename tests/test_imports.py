@@ -2,10 +2,14 @@
 
 Deletions tend to leave imports behind; this walks each module's syntax tree
 with the standard library only.  ``__init__`` re-exports the public API, so
-its imports are the point of the module and are not checked.
+its imports are the point of the module and are not checked.  The runtime
+needs numpy alone: importing the command line loads no scipy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,14 @@ def test_walk_flags_an_unused_import():
                      "def f(x: Tuple) -> 'int':\n    return x\n")
     used = _referenced_names(tree)
     assert {n for n in _imported_names(tree) if n not in used} == {"os", "Optional"}
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(polyrad.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import polyrad.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -13,6 +13,7 @@ from polyrad.iteration import (
     INVERSE_NOISE_FLOOR,
     ORIGIN_FIT_RADIUS,
     RadialGrid,
+    _origin_fit,
     bliss_decay_exponent,
     decay_report,
     fixed_point_residual,
@@ -316,6 +317,29 @@ class TestEquivalence:
             got = (entry.value, entry.d1, entry.d2, entry.d3)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-7 * abs(entry.value), entry.k
+
+
+    @pytest.mark.parametrize("chain", ["chain_38", "bliss_chain_24"])
+    def test_origin_fit_matches_svd_solve(self, chain, request):
+        # c = V S^-1 U^T b with one refinement step on the residual; the two
+        # solvers differ at roundoff, which d3 = 6 c_3 / r_fit^3 amplifies
+        chain = request.getfixturevalue(chain)
+        r_fit = ORIGIN_FIT_RADIUS
+        mask = GRID.nodes <= r_fit
+        design = np.vander(GRID.nodes[mask] / r_fit, 7, increasing=True)
+        samples = np.column_stack([w[mask] for w in chain.w])
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+
+        def solve(rhs):
+            return vt.T @ ((u.T @ rhs) / s[:, None])
+
+        coeff = solve(samples)
+        coeff += solve(samples - design @ coeff)
+        want = (coeff[0], coeff[1] / r_fit, 2.0 * coeff[2] / r_fit ** 2,
+                6.0 * coeff[3] / r_fit ** 3)
+        got = _origin_fit(chain)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-8 * np.abs(got[0]))
 
 
 # ---------------------------------------------------------------------------
