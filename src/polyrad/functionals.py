@@ -7,7 +7,9 @@ into double-exponential decay in t, so the trapezoid rule in t on a fixed
 window converges geometrically in the step.  Each level is one numpy call on
 an array of radii; halving the step reuses every node, and the difference of
 two successive sums is the error estimate (Bailey, Jeyabalan and Li, Exp.
-Math. 14, 2005).
+Math. 14, 2005).  Past the window the sum goes on in closed form along the
+integrand's power law at 0 and at infinity, which a profile's exact terms
+give, so slowly decaying tails (small Sobolev gaps) are summed, not cut.
 
 Radial profiles carry their symbolic structure: a profile is a finite sum of
 pieces ``coeff * expr(alpha; r / scale)`` with ``expr`` in the exact term
@@ -229,7 +231,42 @@ def _check_tail_decay(g) -> None:
         )
 
 
-def improper_integral(f) -> NormReport:
+def _power_law_factor(rate: float, t: np.ndarray) -> np.ndarray:
+    """The summand at |t| over the summand at |t| = DE_WINDOW, for an
+    integrand that follows a power law in r from the window's end on:
+    exp(-rate (phi(|t|) - phi(DE_WINDOW))) cosh t / cosh DE_WINDOW with
+    phi = pi/2 sinh, formed in log space because r leaves the float range.
+    ``rate`` is the power plus one at the origin and minus that at infinity."""
+    phi = 0.5 * math.pi * (np.sinh(np.abs(t)) - math.sinh(DE_WINDOW))
+    with np.errstate(over="ignore"):
+        return np.exp(np.log(np.cosh(t) / math.cosh(DE_WINDOW)) - rate * phi)
+
+
+@functools.lru_cache(maxsize=256)
+def _continuation_weight(rate: float, h: float) -> float:
+    """h times the sum of the power-law factors at |t| = DE_WINDOW + k h,
+    k >= 1: the summands beyond one end of the window at step h, per unit
+    summand at the end.  The nodes stop where the factor falls below e^-40.
+    Kept per (rate, h), which a sweep over eps or probe directions repeats."""
+    t_max = math.asinh(math.sinh(DE_WINDOW) + 40.0 / (0.5 * math.pi * rate))
+    t = DE_WINDOW + h * np.arange(1, math.ceil((t_max - DE_WINDOW) / h) + 1)
+    return h * float(_power_law_factor(rate, t).sum())
+
+
+def _decay_rate(power, sign: float, where: str):
+    """sign * (power + 1), the rate at which a summand following r^power
+    decays beyond the window's end; None when the power is not known."""
+    if power is None:
+        return None
+    rate = sign * (power + 1.0)
+    if not rate > 0.0:
+        raise NonConvergenceError(
+            f"integrand behaves like r^{power!r} {where}; integral diverges"
+        )
+    return rate
+
+
+def improper_integral(f, *, origin_power=None, tail_power=None) -> NormReport:
     """int_0^inf f(r) dr by the exp-sinh rule: r = exp(pi/2 sinh t) and the
     trapezoid rule in t on [-DE_WINDOW, DE_WINDOW], halving the step with
     nested nodes until two successive sums agree to
@@ -240,52 +277,103 @@ def improper_integral(f) -> NormReport:
     serves.  The sums at steps 2 DE_FIRST_STEP and DE_FIRST_STEP come from
     one evaluation, the coarser one a strided slice of it; each further
     level evaluates only its new nodes.  The error estimate is the last
-    difference, floored at the roundoff of the sum.  Divergent tails, a
-    summand not negligible at either end of the window, non-finite values
-    and no convergence by DE_MIN_STEP raise :class:`NonConvergenceError`.
+    difference, floored at the roundoff of the sum.
+
+    Beyond the window (r below about 2e-31 or above 5e30) the sum goes on
+    in closed form when the caller states the power law f follows there:
+    f(r) ~ r^origin_power at the origin, f(r) ~ r^tail_power at infinity,
+    with the amplitude taken from the summand at the window's end.  The
+    law is checked against the node 2 DE_FIRST_STEP inside the end; its
+    mismatch times the continued sum is added to the error estimate.  At an
+    end with no stated power the summand must be negligible.
+
+    Raises :class:`NonConvergenceError` for a divergent tail (a stated power
+    of -1 or beyond, or the slope probe when ``tail_power`` is None), a
+    summand not negligible at an end with no stated power, a continuation
+    whose power law does not fit the integrand to the tolerance, non-finite
+    values and no convergence by DE_MIN_STEP.
     """
     if not callable(f):
         raise TypeError(f"integrand must be callable, got {type(f).__name__}")
-    _check_tail_decay(f)
+    rates = (_decay_rate(origin_power, 1.0, "at the origin"),
+             _decay_rate(tail_power, -1.0, "at infinity"))
+    if tail_power is None:
+        _check_tail_decay(f)
     h = DE_FIRST_STEP
     n = round(DE_WINDOW / h)
     values = _de_summands(f, h * np.arange(-n, n + 1))
+    ends = (float(values[0]), float(values[-1]))
+
+    def beyond(step: float) -> float:
+        return sum(end * _continuation_weight(rate, step)
+                   for end, rate in zip(ends, rates) if rate is not None)
+
     fine = h * float(values.sum())
     coarse = 2.0 * h * float(values[::2].sum())
+    total, coarse_total = fine + beyond(h), coarse + beyond(2.0 * h)
     magnitude = h * float(np.abs(values).sum())
-    ends = max(abs(values[0]), abs(values[-1]))
-    if ends > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(fine)):
+    tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
+    model_err = 0.0
+    for end, inner, rate in zip(ends, (float(values[2]), float(values[-3])), rates):
+        if rate is None:
+            if abs(end) > tol:
+                raise NonConvergenceError(
+                    f"integrand is not negligible at the ends of the exp-sinh "
+                    f"window: summand {abs(end):.3e} against a sum of {total:.3e}"
+                )
+        else:
+            continued = end * _continuation_weight(rate, h)
+            if continued != 0.0:
+                with np.errstate(all="ignore"):  # a subnormal end: NaN raises below
+                    predicted = end * _power_law_factor(rate, DE_WINDOW - 2.0 * h)
+                    model_err += abs(continued * (inner / predicted - 1.0))
+    if not model_err <= tol:
         raise NonConvergenceError(
-            f"integrand is not negligible at the ends of the exp-sinh window: "
-            f"summand {ends:.3e} against a sum of {fine:.3e}"
+            f"integrand does not follow the stated power law beyond the exp-sinh "
+            f"window: continuation error {model_err:.3e} against a sum of {total:.3e}"
         )
-    while abs(fine - coarse) > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(fine)):
+    while abs(total - coarse_total) > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
         if h / 2.0 < DE_MIN_STEP:
             raise NonConvergenceError(
                 f"exp-sinh rule did not converge by step {h:g}: successive sums "
-                f"{coarse!r} and {fine!r}"
+                f"{coarse_total!r} and {total!r}"
             )
         h /= 2.0
         n *= 2
         new = _de_summands(f, h * np.arange(1 - n, n, 2))
-        coarse, fine = fine, 0.5 * fine + h * float(new.sum())
+        fine = 0.5 * fine + h * float(new.sum())
+        coarse_total, total = total, fine + beyond(h)
         magnitude = 0.5 * magnitude + h * float(np.abs(new).sum())
-    return NormReport(value=fine, err_estimate=max(abs(fine - coarse),
-                                                   np.finfo(float).eps * magnitude))
+    # the floor counts the window's summands and the continued sums
+    roundoff = np.finfo(float).eps * (magnitude + abs(total - fine))
+    return NormReport(value=total,
+                      err_estimate=max(abs(total - coarse_total), roundoff) + model_err)
 
 
 def _weighted_power_integral(f, q: float, theta: float) -> NormReport:
     """int_0^inf |f(r)|^q r^theta dr, summed as exp(q log|f| + theta log r)
-    because r^theta overflows at the window's ends for theta above 10."""
+    because r^theta overflows at the window's ends for theta above 10.
+
+    Below the window the integrand is continued as r^theta, which holds when
+    |f| tends to a nonzero limit at the origin; for a :class:`RadialProfile`
+    it is continued above the window as r^(theta - q mu), mu the profile's
+    exact ``decay_exponent``.  A plain callable must be negligible there."""
     def integrand(r: np.ndarray) -> np.ndarray:
         # log(0) = -inf is exp'd back to 0; the caller silences its warning
         return np.exp(q * np.log(np.abs(f(r))) + theta * np.log(r))
 
-    return improper_integral(integrand)
+    tail = theta - q * f.decay_exponent if isinstance(f, RadialProfile) else None
+    return improper_integral(integrand, origin_power=theta, tail_power=tail)
 
 
 def weighted_lebesgue_norm(f, q: float, theta: float) -> NormReport:
-    """( int_0^inf |f|^q r^theta dr )^(1/q) for q >= 1, theta > -1."""
+    """( int_0^inf |f|^q r^theta dr )^(1/q) for q >= 1, theta > -1.
+
+    The quadrature continues the integrand past r ~ 2e-31 as r^theta, so
+    |f| must tend to a nonzero limit at the origin or be negligible there;
+    past r ~ 5e30 it continues a :class:`RadialProfile` by its exact decay
+    exponent, and a plain callable must be negligible there.  Otherwise it
+    raises :class:`NonConvergenceError` (see :func:`improper_integral`)."""
     if q < 1:
         raise DomainError(f"Lebesgue exponent must be >= 1, got {q!r}")
     if theta <= -1:

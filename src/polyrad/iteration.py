@@ -444,7 +444,7 @@ def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
             f"grid too coarse near the origin: {count} nodes below {r_fit:g}"
         )
     # built as contiguous rows, which is cheaper than np.vander's strided
-    # columns; lstsq takes their transposes, which are Fortran-ordered
+    # columns
     x = chain.grid.nodes[:count] / r_fit
     powers = np.empty((7, count))
     powers[0] = 1.0

@@ -93,6 +93,16 @@ class TestRayleigh:
         assert len(probes) == 10
         assert all(float(r["rel_diff"]) >= -1e-6 for r in probes)
 
+    def test_small_sobolev_gap(self, capsys):
+        # gap 0.05: the numerator's r^-1.05 tail is summed past the
+        # quadrature window, not refused
+        code, out, _ = run_cli(
+            ["rayleigh", "--m", "1", "--alpha", "1.05", "--eps-list", "1"], capsys
+        )
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert abs(float(row["rel_diff"])) <= 1e-10
+
     def test_probes_judged_relative_to_large_S(self, capsys):
         # S(6, 15) is about 4.4e9, so roundoff alone puts S - q far above 1e-6
         code, out, _ = run_cli(

@@ -86,6 +86,33 @@ class TestImproperIntegral:
         with pytest.raises(NonConvergenceError, match="not finite"):
             improper_integral(lambda r: np.sqrt(2.0 - r) / (1 + r * r) ** 2)
 
+    @pytest.mark.parametrize("s", (0.505, 0.525, 0.65))
+    def test_stated_tail_power_continues_past_window(self, s):
+        # int (1+r^2)^-s dr = sqrt(pi) Gamma(s - 1/2) / (2 Gamma(s))
+        rep = improper_integral(lambda r: (1 + r * r) ** -s, tail_power=-2.0 * s)
+        want = math.sqrt(math.pi) * math.gamma(s - 0.5) / (2.0 * math.gamma(s))
+        assert abs(rep.value - want) <= functionals.QUAD_REL_TOL * want
+        assert 0 < rep.err_estimate <= functionals.QUAD_REL_TOL * want
+
+    @pytest.mark.parametrize("theta", (-0.9, -0.99))
+    def test_stated_origin_power_continues_past_window(self, theta):
+        # int r^theta (1+r^2)^-2 dr = Gamma(s/2) Gamma(2 - s/2) / 2, s = theta + 1
+        rep = improper_integral(lambda r: r ** theta * (1 + r * r) ** -2.0,
+                                origin_power=theta)
+        s = theta + 1.0
+        want = math.gamma(s / 2) * math.gamma(2 - s / 2) / 2
+        assert abs(rep.value - want) <= functionals.QUAD_REL_TOL * want
+        assert rep.err_estimate > 0
+
+    def test_wrong_stated_power_raises(self):
+        with pytest.raises(NonConvergenceError, match="does not follow"):
+            improper_integral(lambda r: (1 + r * r) ** -0.525, tail_power=-1.2)
+
+    @pytest.mark.parametrize("powers", ({"tail_power": -1.0}, {"origin_power": -1.0}))
+    def test_divergent_stated_power_raises(self, powers):
+        with pytest.raises(NonConvergenceError, match="diverges"):
+            improper_integral(lambda r: 1.0 / r, **powers)
+
 
 def _mp_profile(f: RadialProfile):
     """f evaluated term by term in mpmath from its exact structure."""
@@ -105,18 +132,29 @@ def _mp_profile(f: RadialProfile):
 
 
 def _mp_power_integral(f: RadialProfile, q: float, split: float):
-    """int_0^inf |f|^q r^alpha dr by mpmath's tanh-sinh rule, split at ``split``."""
+    """int_0^inf |f|^q r^alpha dr by mpmath's tanh-sinh rule, split at
+    ``split``.  Above it r = split v^(-1/p) maps the tail onto v in (0, 1],
+    with p + 1 the tail's power (any p > 0 is the same integral; this one
+    makes the mapped integrand smooth at v = 0 even for slow tails)."""
     g = _mp_profile(f)
+    p = q * f.decay_exponent - f.alpha - 1.0
+
+    def h(r):
+        return abs(g(r)) ** q * r ** f.alpha
+
     with mp.workdps(25):
-        return float(mp.quad(lambda r: abs(g(r)) ** q * r ** f.alpha,
-                             [0, split, mp.inf]))
+        head = mp.quad(h, [0, split])
+        tail = mp.quad(lambda v: h(split * v ** (-1 / p)) * split * v ** (-1 / p - 1) / p,
+                       [0, 1])
+    return float(head + tail)
 
 
 class TestAgainstMpmath:
     @settings(max_examples=12, deadline=None)
-    @given(st.integers(1, 8), st.floats(0.5, 8.0), st.floats(0.25, 4.0))
-    def test_extremal_integrals(self, m, gap, eps):
+    @given(st.integers(1, 8), st.floats(0.05, 8.0), st.floats(-3.0, 3.0))
+    def test_extremal_integrals(self, m, gap, log_eps):
         alpha = 2 * m - 1 + gap
+        eps = 10.0 ** log_eps
         w = bliss_profile(m, alpha, eps)
         for f, q in ((w.nabla(m), 2.0), (w, critical_exponent(m, alpha))):
             rep = functionals._weighted_power_integral(f, q, alpha)
@@ -219,6 +257,25 @@ class TestWeightedNorm:
         with pytest.raises(DomainError):
             weighted_lebesgue_norm(w, 2.0, -1.0)
 
+    @pytest.mark.parametrize("theta", (-0.6, -0.9, -0.99))
+    def test_weight_exponent_near_minus_one(self, theta):
+        # int (1+r^2)^-2 r^theta dr = Gamma(s/2) Gamma(2 - s/2) / 2, s = theta + 1
+        rep = weighted_lebesgue_norm(lambda r: 1.0 / (1.0 + r * r), 2.0, theta)
+        s = theta + 1.0
+        want = math.gamma(s / 2) * math.gamma(2 - s / 2) / 2
+        assert abs(rep.value ** 2 - want) <= functionals.QUAD_REL_TOL * want
+
+    def test_no_nonzero_limit_at_origin_near_minus_one_raises(self):
+        # |f|^2 r^-0.9 ~ r^-0.8: f -> 0 too slowly to be negligible at the
+        # window's lower end, and the continuation as r^-0.9 does not fit
+        with pytest.raises(NonConvergenceError, match="does not follow"):
+            weighted_lebesgue_norm(lambda r: r ** 0.05 / (1.0 + r * r), 2.0, -0.9)
+
+    def test_plain_callable_slow_tail_raises(self):
+        # a plain callable has no known tail law: r^-1.05 is cut, loudly
+        with pytest.raises(NonConvergenceError, match="not negligible"):
+            weighted_lebesgue_norm(lambda r: (1.0 + r * r) ** -0.525, 1.0, 0.0)
+
 
 class TestGradientSeminorm:
     def test_w1_m1(self):
@@ -262,6 +319,17 @@ class TestRayleigh:
         ]
         spread = (max(values) - min(values)) / min(values)
         assert spread <= 1e-8
+
+    @pytest.mark.parametrize("m", (1, 2, 4, 8))
+    @pytest.mark.parametrize("gap", (0.05, 0.1, 0.2, 0.3))
+    def test_attains_best_constant_at_small_gaps(self, m, gap):
+        # |nabla_m w|^2 r^alpha decays like r^-(1+gap): not negligible at the
+        # exp-sinh window's upper end, so the sum continues past it
+        alpha = 2 * m - 1 + gap
+        want = best_constant(m, alpha).S
+        for eps in (1e-3, 1.0, 1e6):
+            q = rayleigh_quotient(bliss_profile(m, alpha, eps), m, alpha)
+            assert abs(q - want) <= 1e-10 * want
 
     def test_minimality_single_direction(self):
         m, alpha = 1, 3.0
