@@ -223,7 +223,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
          "r_max": r_max, "perturb_index": args.perturb_index,
          "perturb_scale": args.perturb_scale, "reached_r": float(result.r[-1]),
          "departure": departure, "steps": result.stats.steps,
-         "verdict": verdict},
+         "rejected_steps": result.stats.rejected,
+         "rhs_evaluations": result.stats.rhs_evaluations, "verdict": verdict},
         args.output,
     )
     return 0 if verdict == "departs" else 1

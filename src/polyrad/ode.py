@@ -14,10 +14,13 @@ initial data and the origin relations
     u_j'(0) = 0,      u_j''(0) = -u_{j+1}(0) / (alpha + 1),
 
 (the fourth-order coefficient follows from the same relations one level
-up), and proceeds with an embedded Dormand-Prince 5(4) pair under a
-standard error-per-step controller.  The pair is FSAL: its last stage is f
-at the new state, and it becomes the next step's first stage only after
-the step is accepted; a rejected attempt retries from f(r, y).
+up), and proceeds with the embedded Dormand-Prince 5(4) pair of Hairer,
+Norsett and Wanner (Solving ODEs I, II.4-5) under a standard error-per-step
+controller.  The pair is FSAL: its last stage is f at the new state, and it
+becomes the next step's first stage only after the step is accepted; a
+rejected attempt retries from f(r, y).  The steps run on lists of Python
+floats, because at 2m <= 16 entries a numpy call costs more than the
+arithmetic it does.
 
 Forward integration is not well conditioned: the singular homogeneous
 modes r^-(alpha-2j+1) decay with increasing r, but the regular modes of the
@@ -37,6 +40,7 @@ measures how far a perturbed data set drifts from every member of the family.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -68,6 +72,10 @@ class IVPSpec:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
+        # plain floats throughout: a numpy scalar would slow every stage and
+        # turn an overflow into a warning and inf
+        for name in ("alpha", "r0", "r_max", "rel_tol", "abs_tol"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         require_sobolev(self.m, self.alpha)
         if len(self.even_initial) != self.m:
             raise ValueError(
@@ -153,33 +161,36 @@ def series_start(spec: IVPSpec) -> np.ndarray:
 # Embedded Dormand-Prince 5(4)
 # ---------------------------------------------------------------------------
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                    -17253 / 339200, 22 / 525, -1 / 40])
+# The tableau of Hairer, Norsett and Wanner, Solving ODEs I, Table II.5.2:
+# stage nodes _Cs, stage weights _Asj, 5th-order weights _Bj (b2 = 0, and
+# b7 = 0 because the pair is FSAL) and error weights _Ej = b_j - b*_j (e2 = 0).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
 
 
 def _make_rhs(m: int, alpha: float):
-    """The system's right-hand side, written into a given row: rhs(r, y, dy)
-    stores f(r, y) in dy and allocates nothing."""
+    """The system's right-hand side on a list state: rhs(r, y) returns f(r, y)
+    as a new list.  Raises OverflowError when |u_0|^(2*-2) leaves the float
+    range."""
     g, _ = nonlinearity(m, alpha)
 
-    def rhs(r: float, y: np.ndarray, dy: np.ndarray) -> None:
-        # u_j' = v_j and v_j' = -(alpha/r) v_j - u_{j+1}, closed by u_m = g(u_0)
-        dy[0::2] = y[1::2]
-        dv = dy[1::2]
-        np.multiply(y[1::2], -(alpha / r), out=dv)
-        head = dv[: m - 1]
-        np.subtract(head, y[2::2], out=head)
-        dv[m - 1] -= g(y[0])
+    def rhs(r: float, y: list) -> list:
+        # u_j' = v_j and v_j' = -(alpha/r) v_j - u_{j+1}, closed by u_m = g(u_0):
+        # y shifted left by one holds v_j at 2j and u_{j+1} at 2j + 1
+        k = -(alpha / r)
+        dy = y[1:]
+        dy.append(g(y[0]))
+        for i in range(1, len(dy), 2):
+            dy[i] = k * y[i] - dy[i]
+        return dy
 
     return rhs
 
@@ -187,93 +198,107 @@ def _make_rhs(m: int, alpha: float):
 def integrate(spec: IVPSpec) -> SolveResult:
     """Adaptive integration of the coupled system from r0 to r_max.
 
-    The stages, the stage point and the error estimate live in arrays
-    allocated once per call.  Raises :class:`StepUnderflowError` when the
-    controller collapses the step below the floor and :class:`BlowupError`
-    when |u_0| exceeds the overflow limit or a step is not finite; both
-    carry the partial trajectory in ``.result``.
+    The state and the stages are lists of Python floats: at 2m <= 16 entries
+    a float loop is several times cheaper than a numpy call per stage, whose
+    cost is nearly all call overhead.  (A much larger system, such as the
+    full variational one, may favour arrays again.)  Each stage point is one
+    sum with h folded into that step's coefficients.  The accepted nodes and
+    states are kept in ``array('d')`` buffers, 8 bytes a value, which become
+    ``SolveResult.r`` and ``.y`` without a copy.
+
+    Raises :class:`StepUnderflowError` when the controller collapses the
+    step below the floor and :class:`BlowupError` when |u_0| exceeds the
+    overflow limit or a step is not finite (a stage that overflows counts
+    as not finite); both carry the partial trajectory in ``.result``.
     """
     rhs = _make_rhs(spec.m, spec.alpha)
     r_max, rel_tol, abs_tol = spec.r_max, spec.rel_tol, spec.abs_tol
     r = spec.r0
-    y = series_start(spec)
-    n = y.size
-    nodes, states = [r], [y.copy()]
+    y = series_start(spec).tolist()
+    n = len(y)
+    nodes, states = array("d", (r,)), array("d", y)
     evals = 1
     steps = rejected = 0
     min_step = math.inf
     h = min(0.05 * spec.r0, r_max - spec.r0)
-    stages = np.empty((7, n))
-    # stage s combines the rows before it; row 6 is the 5th-order update
-    combine = [(stages[:s].T, _DP_A[s], _DP_C[s]) for s in range(1, 7)]
-    stages_t = stages.T
-    ys, tmp, scale = np.empty(n), np.empty(n), np.empty(n)
 
     def _finish() -> SolveResult:
-        result = SolveResult(
-            r=np.array(nodes),
-            y=np.array(states),
+        return SolveResult(
+            r=np.frombuffer(nodes, dtype=float),
+            y=np.frombuffer(states, dtype=float).reshape(-1, n),
             stats=SolveStats(steps=steps, rejected=rejected,
                              min_step=min_step if steps else 0.0,
                              rhs_evaluations=evals),
         )
-        # a caller that keeps the raised error keeps this frame alive through
-        # its traceback; only the arrays need to live that long
-        for per_step in (nodes, states):
-            per_step.clear()
-        return result
 
-    # an overflowing stage shows up as a non-finite step, which raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs(r, y, stages[0])
-        while r < r_max:
-            h = min(h, r_max - r)
-            if h < STEP_FLOOR * r:
-                raise StepUnderflowError(
-                    f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
+    def _non_finite() -> BlowupError:
+        return BlowupError(f"non-finite step from r={r:.6g} with h={h:.3e} "
+                           f"(non-global solution)", _finish())
+
+    try:
+        k1 = rhs(r, y)
+    except OverflowError:
+        raise _non_finite() from None
+    while r < r_max:
+        h = min(h, r_max - r)
+        if h < STEP_FLOOR * r:
+            raise StepUnderflowError(
+                f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
+                _finish(),
+            )
+        evals += 6               # counted also when a stage ends the attempt
+        try:
+            a1 = h * _A21
+            k2 = rhs(r + _C2 * h, [yi + a1 * p1 for yi, p1 in zip(y, k1)])
+            a1, a2 = h * _A31, h * _A32
+            k3 = rhs(r + _C3 * h, [yi + a1 * p1 + a2 * p2
+                                   for yi, p1, p2 in zip(y, k1, k2)])
+            a1, a2, a3 = h * _A41, h * _A42, h * _A43
+            k4 = rhs(r + _C4 * h, [yi + a1 * p1 + a2 * p2 + a3 * p3
+                                   for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
+            a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+            k5 = rhs(r + _C5 * h, [yi + a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4
+                                   for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+            a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+            k6 = rhs(r + h, [yi + a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4 + a5 * p5
+                             for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+            a1, a3, a4, a5, a6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+            y_new = [yi + a1 * p1 + a3 * p3 + a4 * p4 + a5 * p5 + a6 * p6
+                     for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(r + h, y_new)
+            e1, e3, e4, e5, e6, e7 = h * _E1, h * _E3, h * _E4, h * _E5, h * _E6, h * _E7
+            total = 0.0
+            for yi, zi, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                err = (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) / (
+                    abs_tol + rel_tol * max(abs(yi), abs(zi)))
+                total += err * err
+        except (OverflowError, ZeroDivisionError):
+            # where numpy gave inf or nan: a stage past the float range, or
+            # a zero error scale (abs_tol = 0 at a zero state)
+            raise _non_finite() from None
+        err_norm = math.sqrt(total / n)
+        # the last stage is the RHS at y_new, so a non-finite y_new
+        # also makes the error norm non-finite
+        if not math.isfinite(err_norm):
+            raise _non_finite()
+        if err_norm <= 1.0:
+            r += h
+            y, k1 = y_new, k7        # FSAL, only after acceptance
+            steps += 1
+            min_step = min(min_step, h)
+            nodes.append(r)
+            states.extend(y)
+            if abs(y[0]) > OVERFLOW_LIMIT:
+                raise BlowupError(
+                    f"|u_0| = {abs(y[0]):.3e} exceeded {OVERFLOW_LIMIT:g} "
+                    f"at r={r:.6g} (non-global solution)",
                     _finish(),
                 )
-            for s, (prev_t, a_s, c_s) in enumerate(combine, 1):
-                # np.dot runs the same BLAS product as ``@``, with less overhead
-                np.dot(prev_t, a_s, out=tmp)
-                tmp *= h
-                np.add(y, tmp, out=ys)
-                rhs(r + c_s * h, ys, stages[s])
-            evals += 6
-            # the last stage point is the 5th-order solution y_new, so ys
-            # holds it and stage 6 is f(r + h, y_new)
-            np.dot(stages_t, _DP_ERR, out=tmp)
-            tmp *= h
-            np.abs(y, out=scale)
-            np.maximum(scale, np.abs(ys), out=scale)
-            scale *= rel_tol
-            scale += abs_tol
-            tmp /= scale
-            err_norm = math.sqrt(np.add.reduce(tmp * tmp) / n)
-            # the last stage is the RHS at y_new, so a non-finite y_new
-            # also makes the error norm non-finite
-            if not math.isfinite(err_norm):
-                raise BlowupError(f"non-finite step from r={r:.6g} with h={h:.3e} "
-                                  f"(non-global solution)", _finish())
-            if err_norm <= 1.0:
-                r += h
-                y, ys = ys, y            # the old state's buffer takes the next stages
-                stages[0] = stages[6]    # FSAL, only after acceptance
-                steps += 1
-                min_step = min(min_step, h)
-                nodes.append(r)
-                states.append(y.copy())
-                if abs(y[0]) > OVERFLOW_LIMIT:
-                    raise BlowupError(
-                        f"|u_0| = {abs(y[0]):.3e} exceeded {OVERFLOW_LIMIT:g} "
-                        f"at r={r:.6g} (non-global solution)",
-                        _finish(),
-                    )
-                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            else:
-                rejected += 1
-                factor = max(0.2, 0.9 * err_norm ** -0.2)
-            h *= factor
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        else:
+            rejected += 1
+            factor = max(0.2, 0.9 * err_norm ** -0.2)
+        h *= factor
     return _finish()
 
 
@@ -345,6 +370,8 @@ class ClassificationReport:
             "max_rel_dev": self.max_rel_dev,
             "steps": self.stats.steps,
             "rejected_steps": self.stats.rejected,
+            "rhs_evaluations": self.stats.rhs_evaluations,
+            "min_step": self.stats.min_step,
             "verdict": self.verdict,
         }
 

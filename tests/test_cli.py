@@ -179,6 +179,20 @@ class TestClassify:
         assert report["verdict"] == "departs"
         assert report["steps"] == 0
 
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--perturb-index", "1", "--perturb-scale", "1.05"],
+    ])
+    def test_reports_rhs_evaluations(self, extra, capsys):
+        # one evaluation at the start and six per attempted step
+        _, out, _ = run_cli(["classify", "--m", "2", "--alpha", "4"] + extra, capsys)
+        report = json.loads(out)
+        assert report["steps"] > 0
+        assert report["rhs_evaluations"] == 1 + 6 * (report["steps"]
+                                                     + report["rejected_steps"])
+        if not extra:
+            assert 0.0 < report["min_step"] < report["r_max"]
+
     def test_perturb_index_validated(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["classify", "--m", "2", "--alpha", "4",

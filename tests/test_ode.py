@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -38,58 +39,72 @@ def family_data(m, alpha, eps):
     return family_state(m, alpha, eps, 0.0)[0, 0::2]
 
 
-# the Dormand-Prince 5(4) tableau: nodes, stage weights, error weights
+# the Dormand-Prince 5(4) tableau: nodes, stage weights (the last row gives
+# the 5th-order solution), error weights
 DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 DP_A = [
-    None,
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ]
-DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                   -17253 / 339200, 22 / 525, -1 / 40])
+DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _combine(h, base, weights, stages):
+    """base + sum_j (h w_j) k_j over the nonzero weights, summed left to
+    right in plain floats."""
+    out = []
+    for i, acc in enumerate(base):
+        for w, k in zip(weights, stages):
+            if w:
+                acc += (h * w) * k[i]
+        out.append(acc)
+    return out
 
 
 def reference_dormand_prince(spec):
     """Dormand-Prince 5(4) with the controller of ``integrate``, written
-    plainly: every attempt, accepted or not, starts from f(r, y) evaluated
-    afresh.  Returns the accepted nodes, states and the rejection count."""
+    plainly on Python floats with sums in the same order: every attempt,
+    accepted or not, starts from f(r, y) evaluated afresh.  Returns the
+    accepted nodes, states and the rejection count."""
     m, alpha = spec.m, spec.alpha
     g, _ = nonlinearity(m, alpha)
 
     def f(r, y):
-        source = np.append(y[2::2], g(y[0]))
-        dy = np.empty_like(y)
-        dy[0::2] = y[1::2]
-        dy[1::2] = -(alpha / r) * y[1::2] - source
+        dy = []
+        for j in range(m):
+            source = y[2 * j + 2] if j < m - 1 else g(y[0])
+            dy += [y[2 * j + 1], -(alpha / r) * y[2 * j + 1] - source]
         return dy
 
-    r, y = spec.r0, series_start(spec)
+    r, y = spec.r0, series_start(spec).tolist()
     nodes, states, rejected = [r], [y], 0
     h = min(0.05 * spec.r0, spec.r_max - spec.r0)
-    k = np.empty((7, y.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        while r < spec.r_max:
-            h = min(h, spec.r_max - r)
-            k[0] = f(r, y)
-            for s in range(1, 7):
-                k[s] = f(r + DP_C[s] * h, y + h * (k[:s].T @ DP_A[s]))
-            y_new = y + h * (k[:6].T @ DP_A[6])
-            err = h * (k.T @ DP_ERR)
-            scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if err_norm <= 1.0:
-                r, y = r + h, y_new
-                nodes.append(r)
-                states.append(y)
-                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            else:
-                rejected += 1
-                factor = max(0.2, 0.9 * err_norm ** -0.2)
-            h *= factor
+    while r < spec.r_max:
+        h = min(h, spec.r_max - r)
+        k = [f(r, y)]
+        for s in range(1, 7):
+            k.append(f(r + DP_C[s] * h, _combine(h, y, DP_A[s], k)))
+        y_new = _combine(h, y, DP_A[6], k[:6])
+        err = _combine(h, [0.0] * len(y), DP_ERR, k)
+        total = 0.0
+        for e, a, b in zip(err, y, y_new):
+            q = e / (spec.abs_tol + spec.rel_tol * max(abs(a), abs(b)))
+            total += q * q
+        err_norm = math.sqrt(total / len(y))
+        if err_norm <= 1.0:
+            r, y = r + h, y_new
+            nodes.append(r)
+            states.append(y)
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        else:
+            rejected += 1
+            factor = max(0.2, 0.9 * err_norm ** -0.2)
+        h *= factor
     return np.array(nodes), np.array(states), rejected
 
 
@@ -205,6 +220,31 @@ class TestIntegrate:
                 integrate(spec)
         assert info.value.result.stats.steps == 0
 
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_overflow_inside_a_stage_raises_blowup(self, scalar):
+        # at gap 0.01, 2* - 2 = 800 and |u_0|^800 leaves the float range
+        # past |u_0| ~ 2.4; u_1 < 0 ramps u_0 through 1 after nine smooth
+        # steps, and the stages of the next attempt overflow the power.
+        # A numpy scalar alpha would turn the overflow into a warning.
+        spec = IVPSpec(m=2, alpha=scalar(3.01), even_initial=(0.9, -0.1),
+                       r_max=scalar(20.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError, match="non-finite step from r=") as info:
+                integrate(spec)
+        assert isinstance(info.value.__context__, OverflowError)
+        partial = info.value.result
+        assert partial.stats.steps >= 1
+        assert partial.r.dtype == partial.y.dtype == np.float64
+        assert partial.y.shape == (partial.stats.steps + 1, 4)
+        assert np.all(np.isfinite(partial.y)) and partial.r[-1] < 20.0
+
+    def test_zero_error_scale_raises_blowup(self):
+        # abs_tol = 0 at a zero state divides zero by zero in the error norm
+        spec = IVPSpec(m=1, alpha=3.0, even_initial=(0.0,), abs_tol=0.0)
+        with pytest.raises(BlowupError, match=r"non-finite step from r=0\.0001"):
+            integrate(spec)
+
     def test_partial_result_freed_with_error(self):
         # no reference cycle holds the error: its partial trajectory dies
         # with the handler, without the cyclic collector
@@ -316,3 +356,21 @@ class TestClassification:
                                 r0=handoff_radius(eps), r_max=20.0 * eps))
         assert departure_from_family(m, alpha, res) <= 1e-6
 
+
+class TestMemory:
+    def test_failing_trajectory_within_three_copies(self):
+        # a high-order case that stops at the step floor: the traced peak
+        # stays within three times the partial trajectory it returns
+        m, alpha = 8, 17.59
+        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
+                       r0=handoff_radius(1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StepUnderflowError) as info:
+                integrate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        partial = info.value.result
+        assert partial.stats.steps > 1000
+        assert peak <= 3.0 * (partial.r.nbytes + partial.y.nbytes)
