@@ -18,9 +18,8 @@ up), and proceeds with the embedded Dormand-Prince 5(4) pair of Hairer,
 Norsett and Wanner (Solving ODEs I, II.4-5) under a standard error-per-step
 controller.  The pair is FSAL: its last stage is f at the new state, and it
 becomes the next step's first stage only after the step is accepted; a
-rejected attempt retries from f(r, y).  The steps run on lists of Python
-floats, because at 2m <= 16 entries a numpy call costs more than the
-arithmetic it does.
+rejected attempt retries from f(r, y).  ``integrate`` steps on Python
+floats, which beat numpy calls at these sizes (2m <= 16).
 
 Forward integration is not well conditioned: the singular homogeneous
 modes r^-(alpha-2j+1) decay with increasing r, but the regular modes of the

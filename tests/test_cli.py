@@ -145,6 +145,7 @@ class TestClassify:
         assert report["verdict"] == "coincides"
         assert report["max_rel_dev"] <= 1e-6
         assert report["steps"] > 0
+        assert 0.0 < report["min_step"] < report["r_max"]
 
     def test_perturbed_departs(self, capsys):
         code, out, _ = run_cli(
@@ -190,8 +191,6 @@ class TestClassify:
         assert report["steps"] > 0
         assert report["rhs_evaluations"] == 1 + 6 * (report["steps"]
                                                      + report["rejected_steps"])
-        if not extra:
-            assert 0.0 < report["min_step"] < report["r_max"]
 
     def test_perturb_index_validated(self, capsys):
         with pytest.raises(SystemExit) as info:
