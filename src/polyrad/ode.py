@@ -205,10 +205,13 @@ def integrate(spec: IVPSpec) -> SolveResult:
     states are kept in ``array('d')`` buffers, 8 bytes a value, which become
     ``SolveResult.r`` and ``.y`` without a copy.
 
+    A trial step whose stages leave the float range, or whose error norm
+    is not finite, is rejected and retried at a fifth of its size, so a
+    long trial step past a blow-up does not decide where the run stops.
     Raises :class:`StepUnderflowError` when the controller collapses the
     step below the floor and :class:`BlowupError` when |u_0| exceeds the
-    overflow limit or a step is not finite (a stage that overflows counts
-    as not finite); both carry the partial trajectory in ``.result``.
+    overflow limit, f overflows at the start state or the error scale is
+    zero; both carry the partial trajectory in ``.result``.
     """
     rhs = _make_rhs(spec.m, spec.alpha)
     r_max, rel_tol, abs_tol = spec.r_max, spec.rel_tol, spec.abs_tol
@@ -271,15 +274,14 @@ def integrate(spec: IVPSpec) -> SolveResult:
                 err = (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) / (
                     abs_tol + rel_tol * max(abs(yi), abs(zi)))
                 total += err * err
-        except (OverflowError, ZeroDivisionError):
-            # where numpy gave inf or nan: a stage past the float range, or
+        except OverflowError:
+            total = math.inf     # a stage past the float range
+        except ZeroDivisionError:
             # a zero error scale (abs_tol = 0 at a zero state)
             raise _non_finite() from None
+        # the last stage is the RHS at y_new, so a non-finite y_new also
+        # makes the error norm non-finite, and the step is rejected
         err_norm = math.sqrt(total / n)
-        # the last stage is the RHS at y_new, so a non-finite y_new
-        # also makes the error norm non-finite
-        if not math.isfinite(err_norm):
-            raise _non_finite()
         if err_norm <= 1.0:
             r += h
             y, k1 = y_new, k7        # FSAL, only after acceptance
@@ -296,7 +298,7 @@ def integrate(spec: IVPSpec) -> SolveResult:
             factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         else:
             rejected += 1
-            factor = max(0.2, 0.9 * err_norm ** -0.2)
+            factor = max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2
         h *= factor
     return _finish()
 

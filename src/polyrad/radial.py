@@ -51,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -197,10 +197,6 @@ class AlphaPoly:
     def to_strings(self) -> list:
         """Degree-indexed rational strings, e.g. ['-3', '-2', '1']."""
         return [str(c) for c in self._coeffs]
-
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "AlphaPoly":
-        return cls(Fraction(s) for s in strings)
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -470,23 +466,8 @@ class RadialExpr:
             for t in self._terms
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "RadialExpr":
-        return cls(
-            RadialTerm(
-                AlphaPoly.from_strings(entry["coeff"]),
-                int(entry["r_power"]),
-                ExponentAffine(int(entry["sigma"]["a"]), int(entry["sigma"]["b"])),
-            )
-            for entry in obj
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RadialExpr":
-        return cls.from_json_obj(json.loads(text))
 
     def __str__(self) -> str:
         if not self._terms:

@@ -1,9 +1,11 @@
-"""Every module-level import of a polyrad module is referenced by that module.
+"""Every module-level import and private name of a polyrad module is loaded
+by that module.
 
-Deletions tend to leave imports behind; this walks each module's syntax tree
-with the standard library only.  ``__init__`` re-exports the public API, so
-its imports are the point of the module and are not checked.  The runtime
-needs numpy alone: importing the command line loads no scipy.
+Deletions tend to leave imports and ``_``-prefixed helpers behind; this
+walks each module's syntax tree with the standard library only.
+``__init__`` re-exports the public API, so its imports are the point of the
+module and are not checked.  The runtime needs numpy alone: importing the
+command line loads no scipy.
 """
 
 import ast
@@ -33,11 +35,29 @@ def _imported_names(tree: ast.Module) -> dict:
     return names
 
 
+def _private_names(tree: ast.Module) -> dict:
+    """Name -> line of each module-level ``_``-prefixed def, class or
+    assignment target (dunder names excluded)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.endswith("__"):
+                names[name] = node.lineno
+    return names
+
+
 def _referenced_names(tree: ast.Module) -> set:
     """Names loaded anywhere, including inside string annotations."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             # quoted annotations such as -> "RadialGrid"
@@ -56,6 +76,24 @@ def test_no_unused_module_imports(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _referenced_names(tree)
+    unused = {name: line for name, line in _private_names(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name}: unused private names {unused}"
+
+
+def test_walk_flags_an_unused_private_name():
+    tree = ast.parse("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+                     "def _f():\n    return _A\n"
+                     "class _K:\n    pass\n"
+                     "def g(x: '_K'):\n    _B = 0\n    return _f()\n")
+    used = _referenced_names(tree)
+    assert {n for n in _private_names(tree) if n not in used} == {"_B", "_C"}
 
 
 def test_walk_flags_an_unused_import():

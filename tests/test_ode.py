@@ -221,23 +221,30 @@ class TestIntegrate:
         assert info.value.result.stats.steps == 0
 
     @pytest.mark.parametrize("scalar", [float, np.float64])
-    def test_overflow_inside_a_stage_raises_blowup(self, scalar):
+    def test_overflow_inside_a_stage_retries_the_step(self, scalar):
         # at gap 0.01, 2* - 2 = 800 and |u_0|^800 leaves the float range
-        # past |u_0| ~ 2.4; u_1 < 0 ramps u_0 through 1 after nine smooth
-        # steps, and the stages of the next attempt overflow the power.
+        # past |u_0| ~ 2.4; u_1 < 0 ramps u_0 towards a blow-up near
+        # r = 6.45.  A long trial step across it overflows the power in a
+        # stage (r_max = 10) or makes the error norm infinite (r_max = 20);
+        # either attempt is rejected, so both runs stop where the step
+        # collapses and not where the first long trial happened to land.
         # A numpy scalar alpha would turn the overflow into a warning.
-        spec = IVPSpec(m=2, alpha=scalar(3.01), even_initial=(0.9, -0.1),
-                       r_max=scalar(20.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BlowupError, match="non-finite step from r=") as info:
-                integrate(spec)
-        assert isinstance(info.value.__context__, OverflowError)
-        partial = info.value.result
-        assert partial.stats.steps >= 1
-        assert partial.r.dtype == partial.y.dtype == np.float64
-        assert partial.y.shape == (partial.stats.steps + 1, 4)
-        assert np.all(np.isfinite(partial.y)) and partial.r[-1] < 20.0
+        stops = []
+        for r_max in (10.0, 20.0):
+            spec = IVPSpec(m=2, alpha=scalar(3.01), even_initial=(0.5, -0.1),
+                           r_max=scalar(r_max))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(StepUnderflowError) as info:
+                    integrate(spec)
+            partial = info.value.result
+            assert partial.stats.rejected >= 1
+            assert partial.r.dtype == partial.y.dtype == np.float64
+            assert partial.y.shape == (partial.stats.steps + 1, 4)
+            assert np.all(np.isfinite(partial.y))
+            stops.append(partial.r[-1])
+        assert 6.4 < stops[0] < 6.5
+        assert abs(stops[0] - stops[1]) <= 1e-12 * stops[0]
 
     def test_zero_error_scale_raises_blowup(self):
         # abs_tol = 0 at a zero state divides zero by zero in the error norm

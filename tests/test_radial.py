@@ -56,10 +56,6 @@ class TestAlphaPoly:
         assert isinstance(exact, Fraction)
         assert abs(float(exact) - p(5 / 3)) < 1e-12
 
-    def test_string_roundtrip(self):
-        p = AlphaPoly((Fraction(-3, 2), 0, 5))
-        assert AlphaPoly.from_strings(p.to_strings()) == p
-
     def test_integral_coefficients_stored_as_int(self):
         p = AlphaPoly((Fraction(4, 2), Fraction(1, 3)))
         assert p.coefficients == (2, Fraction(1, 3))
@@ -349,14 +345,8 @@ def test_laplacian_linearity(e1, e2, scale):
 @given(expr_st)
 def test_canonicalization_idempotent(e):
     assert RadialExpr(e.terms) == e
-
-
-@settings(max_examples=120, deadline=None)
-@given(expr_st)
-def test_json_roundtrip(e):
-    assert RadialExpr.from_json(e.to_json()) == e
     # canonical serialization is deterministic
-    assert e.to_json() == RadialExpr.from_json(e.to_json()).to_json()
+    assert e.to_json() == RadialExpr(e.terms).to_json()
 
 
 @settings(max_examples=120, deadline=None)
