@@ -29,9 +29,12 @@ grid; ``iterate_chain`` and ``fixed_point_residual`` need the grid given.
 
 Cost: each call builds its grid-only arrays once.  The chain is stepped
 once per call, in place, with the log-spacing and power weights hoisted;
-``fixed_point_residual`` keeps only the running member.  ``verify_inverse``
-builds the stencil weights once for every k, and ``origin_behavior`` makes
-one least-squares factorisation per chain.
+``fixed_point_residual`` keeps only the running member.  The checks read
+each member about once.  ``verify_inverse`` walks the grid in cache-sized
+blocks and forms each block's stencil weights once for every k;
+``decay_report`` fits a view of each member's tail in closed form; and
+``origin_behavior`` solves one set of 7-column normal equations for all
+members, refined twice through one residual buffer.
 """
 
 from __future__ import annotations
@@ -224,47 +227,62 @@ def iterate_chain(u: RadialProfile, m: int, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-def _stencil_weights(r: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Exact local weights of the three-point stencils at the interior nodes
-    r[1:-1] of a non-uniform grid: the coefficients of u[:-2], u[1:-1] and
-    u[2:] in u', then the divisors of the same values in u''/2."""
-    h1 = r[1:-1] - r[:-2]
-    h2 = r[2:] - r[1:-1]
-    div_lo = h1 * (h1 + h2)
-    div_mid = h1 * h2
-    div_hi = h2 * (h1 + h2)
-    return (-h2 / div_lo, (h2 - h1) / div_mid, h1 / div_hi, div_lo, div_mid, div_hi)
+#: Interior nodes per block of ``verify_inverse``: 128 KiB per float array,
+#: so a block's stencil weights and work arrays stay in cache.
+_BLOCK = 16384
 
 
-def _apply_stencil(u: np.ndarray, weights: Tuple[np.ndarray, ...], alpha: float,
-                   r_mid: np.ndarray) -> np.ndarray:
-    """-(u'' + (alpha/r) u') at r_mid = r[1:-1] from the weights of r, in
-    two work arrays besides the result; alpha/r is formed per call so that
-    the weights stay six arrays."""
-    c_lo, c_mid, c_hi, div_lo, div_mid, div_hi = weights
-    lo, mid, hi = u[:-2], u[1:-1], u[2:]
-    du = c_lo * lo
-    term = c_mid * mid
-    du += term
-    np.multiply(c_hi, hi, out=term)
-    du += term
-    np.divide(alpha, r_mid, out=term)
-    du *= term
-    out = lo / div_lo
-    np.divide(mid, div_mid, out=term)
-    out -= term
-    np.divide(hi, div_hi, out=term)
-    out += term
-    out *= 2.0
-    out += du
-    return np.negative(out, out=out)
+#: Rows of the work array that ``_laplacians`` needs.
+_STENCIL_ROWS = 10
+
+
+def _laplacians(r: np.ndarray, members, alpha: float,
+                work: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield u'' + (alpha/r) u' at the interior nodes r[1:-1] for each sample
+    array u on the nodes r in ``members``, by three-point stencils with exact
+    local weights for the non-uniform grid.  Everything is formed in the
+    first len(r) - 2 columns of the _STENCIL_ROWS rows of ``work``, the
+    weights once; each result is one row, which the next member
+    overwrites."""
+    h1, h2, div_lo, div_mid, div_hi, c_mid, alpha_r, du, term, out = \
+        work[:, :len(r) - 2]
+    np.subtract(r[1:-1], r[:-2], out=h1)
+    np.subtract(r[2:], r[1:-1], out=h2)
+    np.add(h1, h2, out=div_hi)
+    np.multiply(h1, div_hi, out=div_lo)
+    np.multiply(h1, h2, out=div_mid)
+    div_hi *= h2
+    # the coefficients of u[:-2], u[1:-1] and u[2:] in u'
+    np.subtract(h2, h1, out=c_mid)
+    c_mid /= div_mid
+    c_lo = np.negative(h2, out=h2)
+    c_lo /= div_lo
+    c_hi = np.divide(h1, div_hi, out=h1)
+    np.divide(alpha, r[1:-1], out=alpha_r)
+    for u in members:
+        lo, mid, hi = u[:-2], u[1:-1], u[2:]
+        np.multiply(c_lo, lo, out=du)
+        np.multiply(c_mid, mid, out=term)
+        du += term
+        np.multiply(c_hi, hi, out=term)
+        du += term
+        du *= alpha_r
+        np.divide(lo, div_lo, out=out)
+        np.divide(mid, div_mid, out=term)
+        out -= term
+        np.divide(hi, div_hi, out=term)
+        out += term
+        out *= 2.0
+        out += du
+        yield out
 
 
 def neg_laplacian_fd(r: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     """-(u'' + (alpha/r) u') of the samples u on the nodes r by three-point
     stencils with exact local weights for the non-uniform grid; the result
     lives on the interior nodes r[1:-1]."""
-    return _apply_stencil(u, _stencil_weights(r), alpha, r[1:-1])
+    work = np.empty((_STENCIL_ROWS, len(r) - 2))
+    return np.negative(next(_laplacians(r, (u,), alpha, work)))
 
 
 @dataclass(frozen=True)
@@ -274,7 +292,8 @@ class InverseReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        # np.max keeps a NaN wherever it sits; the built-in max does not
+        return float(np.max(list(self.residuals.values()), initial=0.0))
 
 
 #: ``verify_inverse`` measures only where the roundoff floor of the
@@ -282,25 +301,11 @@ class InverseReport:
 INVERSE_NOISE_FLOOR = 1e-5
 
 
-def _inverse_residual(fd: np.ndarray, target: np.ndarray, source: np.ndarray,
-                      r: np.ndarray, noise: np.ndarray
-                      ) -> Tuple[float, Tuple[float, float]]:
-    """Residual and window of the difference fd of ``source`` against
-    ``target`` on the nodes r, where noise = 6/h^2; overwrites fd."""
-    scale = float(np.max(np.abs(target)))
-    if scale == 0.0:
-        return float(np.max(np.abs(fd))), (float(r[0]), float(r[-1]))
-    eps = float(np.finfo(float).eps)
-    input_scale = float(np.max(np.abs(source)))
-    mask = eps * input_scale * noise / scale <= INVERSE_NOISE_FLOOR
-    if not np.any(mask):
-        raise DomainError(
-            f"no grid nodes resolve the finite difference at noise floor "
-            f"{INVERSE_NOISE_FLOOR:g}; refine or shrink the grid"
-        )
-    fd -= target
-    np.abs(fd, out=fd)
-    return float(np.max(fd[mask]) / scale), (float(r[mask].min()), float(r[mask].max()))
+def _sup_abs(w: np.ndarray) -> Tuple[float, float]:
+    """(sup |w[1:-1]|, sup |w|) without a full-size temporary; NaN when the
+    range holds a NaN."""
+    inner = np.maximum(w[1:-1].max(), -w[1:-1].min())
+    return inner, np.maximum(inner, np.maximum(abs(w[0]), abs(w[-1])))
 
 
 def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
@@ -314,32 +319,92 @@ def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
     Differencing amplifies float roundoff like eps / h^2, which on a
     geometric grid blows up toward the origin (h ~ delta * r).  The residual
     is therefore measured over the resolved sub-grid where that roundoff
-    floor stays below INVERSE_NOISE_FLOOR of the target scale; the report
-    carries the window.  The stencil weights are built once, and each k is
-    differenced and judged in turn, so one difference is held at a time.
+    floor, eps sup|w_k| (6/h^2) / sup|w_{k-1}| with h the central spacing,
+    stays below INVERSE_NOISE_FLOOR; the report carries the window.
+
+    After one pass for the sup norms, the grid is walked in blocks of
+    _BLOCK interior nodes.  Each block forms its stencil weights and noise
+    floor once, then differences every member and reduces the residual and
+    the window's ends, so each member is read about once and every work
+    array stays in cache.  A NaN in a difference inside the window makes
+    the residual NaN; a NaN in a member makes its sup norm NaN, so no node
+    resolves and :class:`DomainError` is raised.
     """
     if j != 1:
         raise ValueError(f"only j = 1 is checked, got j={j}: the single "
                          f"difference per k implies the j-fold ones")
-    r = chain.grid.nodes
-    if len(r) < 5:
+    nodes = chain.grid.nodes
+    interior = len(nodes) - 2
+    if interior < 3:
         raise DomainError(f"a finite difference needs at least 5 grid nodes, "
-                          f"got {len(r)}")
-    alpha = chain.alpha
-    weights = _stencil_weights(r)
-    r = r[1:-1]
-    # 6/h^2 formed in place: with the temporaries of 6.0 / h ** 2 the heap
-    # ends one grid array larger, 8 MB more peak RSS at 2^20 nodes
-    noise = np.gradient(r)
-    noise **= 2
-    np.divide(6.0, noise, out=noise)
+                          f"got {len(nodes)}")
+    eps = float(np.finfo(float).eps)
+    members = chain.w
+    sups = [_sup_abs(w) for w in members]
+    # per k: the target scale sup|w_{k-1}[1:-1]|, and the floor factor
+    # eps sup|w_k| in the order eps * sup|w_k| * noise / scale
+    scales = [inner for inner, _ in sups[:-1]]
+    factors = [eps * full for _, full in sups[1:]]
+    # running maxima by np.maximum, which keeps a NaN (max(0.0, nan) is 0.0)
+    worst = np.zeros(chain.m)
+    first = [None] * chain.m
+    last = [None] * chain.m
+    size = min(_BLOCK, interior)
+    work = np.empty((_STENCIL_ROWS, size))
+    noise, floor = np.empty((2, size))
+    resolved = np.empty(size, dtype=bool)
+    for lo in range(0, interior, _BLOCK):
+        hi = min(lo + _BLOCK, interior)
+        size = hi - lo
+        r = nodes[lo:hi + 2]
+        # 6/h^2 with h = np.gradient(nodes[1:-1]): central differences,
+        # one-sided at the two ends
+        h = np.subtract(r[2:], r[:-2], out=noise[:size])
+        h /= 2.0
+        if lo == 0:
+            h[0] = nodes[2] - nodes[1]
+        if hi == interior:
+            h[-1] = nodes[-2] - nodes[-3]
+        np.square(h, out=h)
+        six_h2 = np.divide(6.0, h, out=h)
+        # the floor grows with 6/h^2 (each rounded step is monotone), so its
+        # values at the block's least and largest 6/h^2 settle most blocks
+        least, most = six_h2.min(), six_h2.max()
+        laps = _laplacians(r, [w[lo:hi + 2] for w in members[1:]], chain.alpha, work)
+        for i, lap in enumerate(laps):
+            # |-lap - w_{k-1}| = |lap + w_{k-1}| bit for bit
+            lap += members[i][lo + 1:hi + 1]
+            np.abs(lap, out=lap)
+            scale, factor = scales[i], factors[i]
+            if scale == 0.0 or factor * most / scale <= INVERSE_NOISE_FLOOR:
+                start, stop, top = lo, hi - 1, lap.max()
+            elif not factor * least / scale <= INVERSE_NOISE_FLOOR:
+                continue
+            else:
+                f = np.multiply(six_h2, factor, out=floor[:size])
+                f /= scale
+                mask = np.less_equal(f, INVERSE_NOISE_FLOOR, out=resolved[:size])
+                start = lo + int(np.argmax(mask))
+                stop = hi - 1 - int(np.argmax(mask[::-1]))
+                top = np.max(lap, where=mask, initial=0.0)
+            if first[i] is None:
+                first[i] = start
+            last[i] = stop
+            worst[i] = np.maximum(worst[i], top)
     residuals = {}
     windows = {}
-    for k in range(1, chain.m + 1):
-        residuals[k], windows[k] = _inverse_residual(
-            _apply_stencil(chain.w[k], weights, alpha, r),
-            chain.w[k - 1][1:-1], chain.w[k], r, noise,
-        )
+    for i in range(chain.m):
+        if scales[i] == 0.0:
+            residuals[i + 1] = float(worst[i])
+            windows[i + 1] = (float(nodes[1]), float(nodes[-2]))
+            continue
+        if first[i] is None:
+            raise DomainError(
+                f"no grid nodes resolve the finite difference at noise floor "
+                f"{INVERSE_NOISE_FLOOR:g}; refine or shrink the grid"
+            )
+        residuals[i + 1] = float(worst[i] / scales[i])
+        windows[i + 1] = (float(nodes[first[i] + 1]), float(nodes[last[i] + 1]))
     return InverseReport(residuals=residuals, windows=windows)
 
 
@@ -369,25 +434,33 @@ DECAY_SLACK = 0.05
 def decay_report(chain: IterationChain) -> DecayReport:
     """Fit log|w_k| against log r over the last grid decade and compare with
     the guaranteed bound exponent -(alpha+2m+1-4k)/2.  Chains that vanish in
-    the tail are flagged skipped."""
+    the tail are flagged skipped.
+
+    The slope is the closed-form least-squares one, sum(x log w) / sum(x^2)
+    against the centred x = log r - mean(log r), on a view of each member's
+    tail."""
     grid = chain.grid
     if grid.r_max < 50.0:
         raise DomainError("decay fit needs the grid to reach r_max >= 50")
-    mask = grid.nodes >= grid.r_max / 10.0
-    if mask.sum() < 2:
+    # the nodes increase, so the last decade is a suffix of the grid
+    start = int(np.searchsorted(grid.nodes, grid.r_max / 10.0))
+    count = len(grid) - start
+    if count < 2:
         raise DomainError(
-            f"decay fit needs two grid nodes in the last decade, got {int(mask.sum())}"
+            f"decay fit needs two grid nodes in the last decade, got {count}"
         )
-    log_r = np.log(grid.nodes[mask])
+    x = np.log(grid.nodes[start:])
+    x -= x.mean()
+    sxx = float(x @ x)
     entries = []
     for k, w in enumerate(chain.w):
         bound = -(chain.alpha + 2.0 * chain.m + 1.0 - 4.0 * k) / 2.0
-        tail = w[mask]
+        tail = w[start:]
         if np.any(tail <= 0.0) or tail.max() < 1e-300:
             entries.append(DecayEntry(k=k, slope=None, bound_exponent=bound,
                                       bound_satisfied=None, skipped=True))
             continue
-        slope = float(np.polyfit(log_r, np.log(tail), 1)[0])
+        slope = float(x @ np.log(tail)) / sxx
         entries.append(DecayEntry(
             k=k, slope=slope, bound_exponent=bound,
             bound_satisfied=bool(slope <= bound + DECAY_SLACK),
@@ -424,6 +497,10 @@ class OriginReport:
 #: ``origin_behavior`` fits the nodes at r <= ORIGIN_FIT_RADIUS.
 ORIGIN_FIT_RADIUS = 0.05
 
+#: The origin fit's last refinement step may move each member's coefficients
+#: by at most this fraction of their largest.
+ORIGIN_REFINE_TOL = 1e-10
+
 
 def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
     """Least-squares degree-6 fit of every chain member on the nodes below
@@ -449,11 +526,31 @@ def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
     powers[1] = x
     for i in range(2, 7):
         np.multiply(powers[i - 1], x, out=powers[i])
-    samples = np.empty((chain.m + 1, count))
+    gram = powers @ powers.T
+    residual = np.empty((chain.m + 1, count))
     for k, w in enumerate(chain.w):
-        samples[k] = w[:count]
-    # singular values below eps * count of the largest count as zero
-    coeff = np.linalg.lstsq(powers.T, samples.T, rcond=np.finfo(float).eps * count)[0]
+        residual[k] = w[:count]
+    try:
+        coeff = np.linalg.solve(gram, powers @ residual.T)
+        for _ in range(2):
+            # residual = samples - coeff^T powers, one member per row
+            np.dot(coeff.T, powers, out=residual)
+            for k, w in enumerate(chain.w):
+                np.subtract(w[:count], residual[k], out=residual[k])
+            step = np.linalg.solve(gram, powers @ residual.T)
+            coeff += step
+    except np.linalg.LinAlgError as err:
+        raise DomainError(
+            f"origin fit: the Gram matrix of the {count} nodes below "
+            f"{r_fit:g} is singular"
+        ) from err
+    moved = np.max(np.abs(step), axis=0)
+    if not np.all(moved <= ORIGIN_REFINE_TOL * np.max(np.abs(coeff), axis=0)):
+        raise DomainError(
+            f"origin fit: refinement did not converge on the {count} nodes below "
+            f"{r_fit:g} (last step {float(np.max(moved)):.3g}); the Gram matrix "
+            f"is too ill-conditioned"
+        )
     return (
         coeff[0],
         coeff[1] / r_fit,

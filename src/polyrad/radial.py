@@ -60,8 +60,6 @@ def _exact(x) -> Scalar:
     """The exact value of x: an int when it is integral, else a Fraction."""
     if isinstance(x, int):
         return int(x)
-    if isinstance(x, str):
-        x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"exact coefficient expected, got {type(x).__name__}")

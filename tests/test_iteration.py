@@ -12,7 +12,10 @@ from polyrad.iteration import (
     FIXED_POINT_FLOOR,
     INVERSE_NOISE_FLOOR,
     ORIGIN_FIT_RADIUS,
+    IterationChain,
+    InverseReport,
     RadialGrid,
+    _BLOCK,
     _origin_fit,
     bliss_decay_exponent,
     decay_report,
@@ -134,6 +137,13 @@ class TestVerifyInverse:
         rep = verify_inverse(chain, 1)
         assert rep.max_residual == 0.0
 
+    def test_max_residual_keeps_a_nan(self):
+        # Python's max(1e-6, nan) is 1e-6: a NaN after a finite residual
+        # would vanish from the verdict
+        rep = InverseReport(residuals={1: 1e-6, 2: float("nan")}, windows={})
+        assert np.isnan(rep.max_residual)
+        assert InverseReport(residuals={}, windows={}).max_residual == 0.0
+
     def test_range_validation(self, bliss_chain_24):
         # the single difference per k implies the j-fold checks
         for j in (0, 2, M + 1):
@@ -205,6 +215,26 @@ class TestOrigin:
         with pytest.raises(DomainError):
             origin_behavior(chain)
 
+    @staticmethod
+    def _hand_built(fit_nodes):
+        nodes = np.concatenate([fit_nodes, [1.0, 2.0]])
+        w = (1.0 / (1.0 + nodes ** 2), 2.0 / (1.0 + nodes ** 2) ** 2)
+        return IterationChain(m=1, alpha=ALPHA, grid=RadialGrid(nodes), w=w,
+                              q=tuple(q_sequence(1, ALPHA)))
+
+    def test_singular_gram_raises(self):
+        # below r = 1e-200 every power x^2..x^6 underflows to zero
+        chain = self._hand_built(np.geomspace(1e-300, 1e-200, 20))
+        with pytest.raises(DomainError, match="singular"):
+            _origin_fit(chain)
+
+    def test_unconverged_refinement_raises(self):
+        # 14 nodes within 1.3e-8 of each other: the Gram matrix is not
+        # exactly singular, but far too ill-conditioned to refine
+        chain = self._hand_built(0.04 + np.arange(14) * 1e-9)
+        with pytest.raises(DomainError, match="did not converge"):
+            _origin_fit(chain)
+
 
 class TestFixedPoint:
     def test_solution_profile(self):
@@ -252,7 +282,8 @@ def _fd_reference(r, u, alpha):
 
 
 def _inverse_reference(chain):
-    """verify_inverse member by member through one neg_laplacian_fd each."""
+    """verify_inverse member by member through one neg_laplacian_fd each,
+    over the whole grid at once."""
     eps = float(np.finfo(float).eps)
     residuals, windows = {}, {}
     r = chain.grid.nodes[1:-1]
@@ -271,6 +302,26 @@ def _inverse_reference(chain):
 @pytest.fixture(scope="module")
 def chain_38():
     return iterate_chain(bliss_profile(3, 8.0, 1.3), 3, 8.0, GRID)
+
+
+@pytest.fixture(scope="module")
+def chain_38_fine():
+    grid = RadialGrid.geometric(1e-4, 1e3, 65536)
+    return iterate_chain(bliss_profile(3, 8.0, 1.3), 3, 8.0, grid)
+
+
+#: two full blocks and a partial one
+BLOCKED_N = 2 * _BLOCK + 777
+
+
+def _blocked_chain(r_min):
+    grid = RadialGrid.geometric(r_min, 1e3, BLOCKED_N)
+    return iterate_chain(bliss_profile(M, ALPHA, 1.0), M, ALPHA, grid)
+
+
+def _rebuilt(chain, members):
+    return IterationChain(m=chain.m, alpha=chain.alpha, grid=chain.grid,
+                          w=tuple(members), q=chain.q)
 
 
 class TestEquivalence:
@@ -299,6 +350,67 @@ class TestEquivalence:
         rep = verify_inverse(bliss_chain_24, j)
         assert (rep.residuals, rep.windows) == _inverse_reference(bliss_chain_24)
 
+    @pytest.mark.parametrize("r_min", [1e-4, 1e-9])
+    def test_inverse_matches_across_blocks(self, r_min):
+        # at r_min = 1e-9 the resolved windows start in the second block
+        chain = _blocked_chain(r_min)
+        rep = verify_inverse(chain, 1)
+        assert (rep.residuals, rep.windows) == _inverse_reference(chain)
+        if r_min < 1e-4:
+            assert min(lo for lo, _ in rep.windows.values()) > chain.grid.nodes[_BLOCK + 1]
+
+    def test_nan_inside_the_window_stays_nan(self):
+        # scaled toward the float maximum, the stencil's terms overflow and
+        # inf - inf puts NaNs into w_1's difference inside its window
+        chain = _blocked_chain(1e-4)
+        big = 1e300 / max(float(np.max(np.abs(w))) for w in chain.w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = _rebuilt(chain, (w * big for w in chain.w))
+            rep = verify_inverse(scaled, 1)
+            want_res, want_win = _inverse_reference(scaled)
+        assert np.isnan(rep.residuals[1]) and np.isnan(want_res[1])
+        assert rep.residuals[2] == want_res[2]
+        assert rep.windows == want_win
+        assert np.isnan(rep.max_residual)
+
+    def test_nan_in_a_member_is_not_resolved(self):
+        # a NaN placed in a member makes its sup norm NaN, and so every
+        # node's noise floor: the check raises instead of passing
+        chain = _blocked_chain(1e-4)
+        lo, hi = verify_inverse(chain, 1).windows[2]
+        inside = int(np.searchsorted(chain.grid.nodes, (lo + hi) / 2))
+        assert inside > _BLOCK
+        for k in range(M + 1):
+            members = [w.copy() for w in chain.w]
+            members[k][inside] = np.nan
+            with pytest.raises(DomainError, match="no grid nodes resolve"):
+                verify_inverse(_rebuilt(chain, members), 1)
+
+    def test_zero_chain_across_blocks(self):
+        chain = _blocked_chain(1e-4)
+        zero = _rebuilt(chain, (np.zeros_like(w) for w in chain.w))
+        rep = verify_inverse(zero, 1)
+        ends = (chain.grid.nodes[1], chain.grid.nodes[-2])
+        assert rep.residuals == {1: 0.0, 2: 0.0}
+        assert rep.windows == {1: ends, 2: ends}
+
+    def test_unresolved_member_across_blocks(self):
+        # w_2 1e20 times too large: its noise floor is above the threshold
+        # at every node of every block
+        chain = _blocked_chain(1e-4)
+        members = list(chain.w)
+        members[2] = members[2] * 1e20
+        with pytest.raises(DomainError, match="no grid nodes resolve"):
+            verify_inverse(_rebuilt(chain, members), 1)
+
+    @pytest.mark.parametrize("chain", ["chain_38", "bliss_chain_24"])
+    def test_decay_slopes_match_polyfit(self, chain, request):
+        chain = request.getfixturevalue(chain)
+        tail = chain.grid.nodes >= chain.grid.r_max / 10.0
+        for entry, w in zip(decay_report(chain).entries, chain.w):
+            want = np.polyfit(np.log(chain.grid.nodes[tail]), np.log(w[tail]), 1)[0]
+            assert abs(entry.slope - want) <= 1e-12, entry.k
+
     def test_origin_matches_per_member_fits(self, chain_38):
         # one factorisation for all members moves the fit at roundoff only
         r_fit = ORIGIN_FIT_RADIUS
@@ -314,14 +426,15 @@ class TestEquivalence:
                 assert abs(g - w) <= 1e-7 * abs(entry.value), entry.k
 
 
-    @pytest.mark.parametrize("chain", ["chain_38", "bliss_chain_24"])
+    @pytest.mark.parametrize("chain", ["chain_38", "bliss_chain_24", "chain_38_fine"])
     def test_origin_fit_matches_svd_solve(self, chain, request):
         # c = V S^-1 U^T b with one refinement step on the residual; the two
         # solvers differ at roundoff, which d3 = 6 c_3 / r_fit^3 amplifies
         chain = request.getfixturevalue(chain)
         r_fit = ORIGIN_FIT_RADIUS
-        mask = GRID.nodes <= r_fit
-        design = np.vander(GRID.nodes[mask] / r_fit, 7, increasing=True)
+        nodes = chain.grid.nodes
+        mask = nodes <= r_fit
+        design = np.vander(nodes[mask] / r_fit, 7, increasing=True)
         samples = np.column_stack([w[mask] for w in chain.w])
         u, s, vt = np.linalg.svd(design, full_matrices=False)
 
@@ -364,8 +477,14 @@ class TestMemory:
     def test_chain_checks_within_eleven_arrays(self, setup):
         grid, u, chain = setup
         assert _peak_arrays(iterate_chain, u, MEM_M, MEM_ALPHA, grid) <= 11.0
-        assert _peak_arrays(verify_inverse, chain, 1) <= 11.0
-        assert _peak_arrays(origin_behavior, chain) <= 11.0
+
+    def test_post_chain_checks_work_in_blocks(self, setup):
+        # blocked differences, tail views and one residual buffer: the
+        # checks hold a few arrays besides the chain they judge
+        _, _, chain = setup
+        assert _peak_arrays(verify_inverse, chain, 1) <= 5.0
+        assert _peak_arrays(origin_behavior, chain) <= 6.0
+        assert _peak_arrays(decay_report, chain) <= 1.0
 
     def test_fixed_point_keeps_only_the_running_member(self, setup):
         grid, u, _ = setup

@@ -67,6 +67,10 @@ class TestAlphaPoly:
         assert hash(p.coefficients) == hash(all_fraction)
         assert p == AlphaPoly(all_fraction) and hash(p) == hash(AlphaPoly(all_fraction))
         assert AlphaPoly((Fraction(6, 3),)) == 2 == Fraction(2)
+        # a string is an inexact type like a float, not a parsed fraction
+        for inexact in (0.5, "1/3"):
+            with pytest.raises(TypeError, match="exact coefficient expected"):
+                AlphaPoly((1, inexact))
 
     def test_exact_call_returns_fraction_for_int_data(self):
         p = AlphaPoly((1, 2))
