@@ -212,10 +212,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     data[args.perturb_index] *= args.perturb_scale
     spec = ode.IVPSpec(m=m, alpha=alpha, even_initial=data,
                        r0=ode.handoff_radius(eps), r_max=r_max)
+    stop_reason = None
     try:
         result = ode.integrate(spec)
     except (ode.BlowupError, ode.StepUnderflowError) as err:
         result = err.result
+        stop_reason = f"{type(err).__name__}: {err}"
     departure = ode.departure_from_family(m, alpha, result)
     verdict = "departs" if departure >= ode.DEPARTURE_TOL else "coincides"
     _emit_json(
@@ -224,7 +226,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
          "perturb_scale": args.perturb_scale, "reached_r": float(result.r[-1]),
          "departure": departure, "steps": result.stats.steps,
          "rejected_steps": result.stats.rejected,
-         "rhs_evaluations": result.stats.rhs_evaluations, "verdict": verdict},
+         "rhs_evaluations": result.stats.rhs_evaluations,
+         "stop_reason": stop_reason, "verdict": verdict},
         args.output,
     )
     return 0 if verdict == "departs" else 1

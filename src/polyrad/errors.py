@@ -55,5 +55,6 @@ class StepUnderflowError(OdeError):
 
 
 class BlowupError(OdeError):
-    """The solution magnitude exceeded the overflow threshold
+    """A level u_j of the solution exceeded its blow-up bound, which follows
+    the dilation scale of the data, or a step left the float range
     (non-global solution)."""

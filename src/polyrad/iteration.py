@@ -327,8 +327,8 @@ def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
     floor once, then differences every member and reduces the residual and
     the window's ends, so each member is read about once and every work
     array stays in cache.  A NaN in a difference inside the window makes
-    the residual NaN; a NaN in a member makes its sup norm NaN, so no node
-    resolves and :class:`DomainError` is raised.
+    the residual NaN; a member that holds a NaN or an infinity raises
+    :class:`DomainError` naming it and its first non-finite node.
     """
     if j != 1:
         raise ValueError(f"only j = 1 is checked, got j={j}: the single "
@@ -341,6 +341,12 @@ def verify_inverse(chain: IterationChain, j: int) -> InverseReport:
     eps = float(np.finfo(float).eps)
     members = chain.w
     sups = [_sup_abs(w) for w in members]
+    for k, (_, full) in enumerate(sups):
+        if not np.isfinite(full):
+            i = int(np.argmin(np.isfinite(members[k])))
+            raise DomainError(f"chain member w_{k} holds {float(members[k][i])!r} "
+                              f"at node {i} (r={nodes[i]:.6g}); the finite-difference "
+                              f"check needs finite members")
     # per k: the target scale sup|w_{k-1}[1:-1]|, and the floor factor
     # eps sup|w_k| in the order eps * sup|w_k| * noise / scale
     scales = [inner for inner, _ in sups[:-1]]

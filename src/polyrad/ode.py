@@ -27,7 +27,14 @@ linearization grow like r^(2j) while w_eps decays like r^-(alpha-2m+1), so
 a roundoff error at ``rel_tol`` grows relative to the solution by about
 r^(alpha-2m+1+2(m-1)).  At alpha - 2m + 1 between 2 and 2.75 and
 r_max = 20, exact family data for m = 5 is classified "departs" and
-m = 6..8 raise BlowupError or StepUnderflowError.
+m = 6..8 raise BlowupError.
+
+A maximal solution ends where its state becomes unbounded, so the run
+stops once some level |u_j| exceeds OVERFLOW_LIMIT lam^(gap/2 + 2j), with
+gap = alpha - 2m + 1 and lam = max_j |u_j(r0)|^(1/(gap/2 + 2j)) the
+dilation scale of the start state.  Level j of w_eps scales like
+eps^-(gap/2 + 2j), so the bounds, and the radius where a run stops, follow
+the dilation.
 
 Nonsingular solutions with vanishing odd-order data coincide with the
 dilation family w_eps; ``classification_check`` quantifies that statement by
@@ -50,7 +57,8 @@ from .errors import BlowupError, DomainError, StepUnderflowError
 from .functionals import bliss_amplitude, bliss_profile
 
 
-#: ``integrate`` raises BlowupError once |u_0| exceeds this.
+#: ``integrate`` raises BlowupError once some level |u_j| exceeds this
+#: times lam^(gap/2 + 2j), lam the dilation scale of the start state.
 OVERFLOW_LIMIT = 1e12
 #: ``integrate`` raises StepUnderflowError once the step falls below this
 #: times r; relative to r, so the floor scales with the dilation.
@@ -194,6 +202,23 @@ def _make_rhs(m: int, alpha: float):
     return rhs
 
 
+def _power(x: float, e: float) -> float:
+    """x ** e for x >= 0, inf past the float range."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
+def _level_bounds(gap: float, y: list) -> Tuple[float, tuple]:
+    """The dilation scale lam = max_j |u_j|^(1/(gap/2 + 2j)) of the state y
+    and each level's (2j, OVERFLOW_LIMIT * lam^(gap/2 + 2j)); zero data
+    give zero bounds."""
+    lam = max(_power(abs(y[i]), 1.0 / (gap / 2.0 + i)) for i in range(0, len(y), 2))
+    return lam, tuple((i, OVERFLOW_LIMIT * _power(lam, gap / 2.0 + i))
+                      for i in range(0, len(y), 2))
+
+
 def integrate(spec: IVPSpec) -> SolveResult:
     """Adaptive integration of the coupled system from r0 to r_max.
 
@@ -209,15 +234,19 @@ def integrate(spec: IVPSpec) -> SolveResult:
     is not finite, is rejected and retried at a fifth of its size, so a
     long trial step past a blow-up does not decide where the run stops.
     Raises :class:`StepUnderflowError` when the controller collapses the
-    step below the floor and :class:`BlowupError` when |u_0| exceeds the
-    overflow limit, f overflows at the start state or the error scale is
-    zero; both carry the partial trajectory in ``.result``.
+    step below the floor and :class:`BlowupError` when, after an accepted
+    step, some level |u_j| exceeds its bound OVERFLOW_LIMIT lam^(gap/2 + 2j)
+    (see ``_level_bounds``), when f overflows at the start state or when
+    the error scale is zero; both carry the partial trajectory in
+    ``.result``.
     """
     rhs = _make_rhs(spec.m, spec.alpha)
     r_max, rel_tol, abs_tol = spec.r_max, spec.rel_tol, spec.abs_tol
     r = spec.r0
     y = series_start(spec).tolist()
     n = len(y)
+    gap = sobolev_gap(spec.m, spec.alpha)
+    lam, bounds = _level_bounds(gap, y)
     nodes, states = array("d", (r,)), array("d", y)
     evals = 1
     steps = rejected = 0
@@ -289,12 +318,15 @@ def integrate(spec: IVPSpec) -> SolveResult:
             min_step = min(min_step, h)
             nodes.append(r)
             states.extend(y)
-            if abs(y[0]) > OVERFLOW_LIMIT:
-                raise BlowupError(
-                    f"|u_0| = {abs(y[0]):.3e} exceeded {OVERFLOW_LIMIT:g} "
-                    f"at r={r:.6g} (non-global solution)",
-                    _finish(),
-                )
+            for i, bound in bounds:
+                if abs(y[i]) > bound:
+                    raise BlowupError(
+                        f"u_{i // 2} = {y[i]:.3e} exceeded OVERFLOW_LIMIT "
+                        f"({OVERFLOW_LIMIT:g}) x dilation scale {lam:.6g}"
+                        f"^{gap / 2.0 + i:g} = {bound:.3e} at r={r:.6g} "
+                        f"(non-global solution)",
+                        _finish(),
+                    )
             factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         else:
             rejected += 1

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -191,6 +192,24 @@ class TestClassify:
         assert report["steps"] > 0
         assert report["rhs_evaluations"] == 1 + 6 * (report["steps"]
                                                      + report["rejected_steps"])
+
+    def test_stop_reason(self, capsys):
+        # null when the run reaches r_max, else the error class and message
+        _, out, _ = run_cli(
+            ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "1",
+             "--perturb-scale", "1.0"], capsys
+        )
+        report = json.loads(out)
+        assert report["reached_r"] == report["r_max"]
+        assert report["stop_reason"] is None
+        _, out, _ = run_cli(
+            ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "1",
+             "--perturb-scale", "1.05"], capsys
+        )
+        report = json.loads(out)
+        assert report["reached_r"] < report["r_max"]
+        assert re.fullmatch(r"BlowupError: u_[01] = .* at r=\S+ \(non-global solution\)",
+                            report["stop_reason"])
 
     def test_perturb_index_validated(self, capsys):
         with pytest.raises(SystemExit) as info:

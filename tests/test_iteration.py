@@ -1,5 +1,6 @@
 """Regularity chain: construction, inverse structure, decay, origin, fixed point."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -374,8 +375,8 @@ class TestEquivalence:
         assert np.isnan(rep.max_residual)
 
     def test_nan_in_a_member_is_not_resolved(self):
-        # a NaN placed in a member makes its sup norm NaN, and so every
-        # node's noise floor: the check raises instead of passing
+        # a NaN placed in a member is named with its node, not blamed on
+        # the grid's resolution
         chain = _blocked_chain(1e-4)
         lo, hi = verify_inverse(chain, 1).windows[2]
         inside = int(np.searchsorted(chain.grid.nodes, (lo + hi) / 2))
@@ -383,7 +384,9 @@ class TestEquivalence:
         for k in range(M + 1):
             members = [w.copy() for w in chain.w]
             members[k][inside] = np.nan
-            with pytest.raises(DomainError, match="no grid nodes resolve"):
+            r = chain.grid.nodes[inside]
+            with pytest.raises(DomainError, match=re.escape(
+                    f"chain member w_{k} holds nan at node {inside} (r={r:.6g})")):
                 verify_inverse(_rebuilt(chain, members), 1)
 
     def test_zero_chain_across_blocks(self):

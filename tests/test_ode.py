@@ -168,6 +168,13 @@ class TestIntegrate:
         assert np.all(res.y == 0.0)
         assert res.r[-1] == 5.0
 
+    def test_bound_past_the_float_range_is_infinite(self):
+        # lam = (1e200)^(1/2.25) ~ 7.7e88, so the u_2 bound lam^4.25
+        # overflows; it is inf, and the run reaches r_max
+        spec = IVPSpec(m=3, alpha=5.5, even_initial=(0.0, 1e200, 0.0),
+                       r0=1e-150, r_max=1e-140)
+        assert integrate(spec).r[-1] == 1e-140
+
     def test_reaches_endpoint_exactly(self):
         res = integrate(IVPSpec(m=1, alpha=3.0, even_initial=(SQRT8,), r_max=7.5))
         assert res.r[-1] == 7.5
@@ -226,16 +233,16 @@ class TestIntegrate:
         # past |u_0| ~ 2.4; u_1 < 0 ramps u_0 towards a blow-up near
         # r = 6.45.  A long trial step across it overflows the power in a
         # stage (r_max = 10) or makes the error norm infinite (r_max = 20);
-        # either attempt is rejected, so both runs stop where the step
-        # collapses and not where the first long trial happened to land.
-        # A numpy scalar alpha would turn the overflow into a warning.
-        stops = []
+        # either attempt is rejected, so both runs stop where a level
+        # leaves its bound and not where the first long trial happened to
+        # land.  A numpy scalar alpha would turn the overflow into a warning.
+        stops, last_steps = [], []
         for r_max in (10.0, 20.0):
             spec = IVPSpec(m=2, alpha=scalar(3.01), even_initial=(0.5, -0.1),
                            r_max=scalar(r_max))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(StepUnderflowError) as info:
+                with pytest.raises(BlowupError, match=r"^u_[01] = ") as info:
                     integrate(spec)
             partial = info.value.result
             assert partial.stats.rejected >= 1
@@ -243,8 +250,41 @@ class TestIntegrate:
             assert partial.y.shape == (partial.stats.steps + 1, 4)
             assert np.all(np.isfinite(partial.y))
             stops.append(partial.r[-1])
+            last_steps.append(partial.r[-1] - partial.r[-2])
         assert 6.4 < stops[0] < 6.5
-        assert abs(stops[0] - stops[1]) <= 1e-12 * stops[0]
+        assert abs(stops[0] - stops[1]) <= max(last_steps)
+
+    @pytest.mark.parametrize("m,alpha,data,r_max", [
+        (2, 4.0, (3.0, -1.0), 20.0),
+        (2, 3.01, (0.5, -0.1), 20.0),
+    ])
+    def test_blowup_radius_follows_the_dilation(self, m, alpha, data, r_max):
+        # data dilated by 2 (level j scaled by 2^-(gap/2 + 2j)) stop at
+        # twice the radius, within one accepted step
+        gap = alpha - 2 * m + 1
+        stops, last_steps = [], []
+        for eps in (1.0, 2.0):
+            spec = IVPSpec(m=m, alpha=alpha,
+                           even_initial=[v * eps ** (-gap / 2.0 - 2 * j)
+                                         for j, v in enumerate(data)],
+                           r0=handoff_radius(eps), r_max=r_max * eps)
+            with pytest.raises(BlowupError) as info:
+                integrate(spec)
+            r = info.value.result.r
+            stops.append(r[-1])
+            last_steps.append(r[-1] - r[-2])
+        assert abs(stops[1] - 2.0 * stops[0]) <= max(last_steps[1], 2.0 * last_steps[0])
+
+    def test_blowup_stops_early_at_high_order(self):
+        # exact m = 8 data fail at gap 2.59 (the forward integration is ill
+        # conditioned); the level bound stops the run before the step
+        # collapses on the singularity, which took 8464 steps
+        m, alpha = 8, 17.59
+        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
+                       r0=handoff_radius(1.0))
+        with pytest.raises(BlowupError, match=r"^u_\d = .* at r=") as info:
+            integrate(spec)
+        assert info.value.result.stats.steps < 4000
 
     def test_zero_error_scale_raises_blowup(self):
         # abs_tol = 0 at a zero state divides zero by zero in the error norm
@@ -302,6 +342,19 @@ class TestClassification:
         assert rep.max_rel_dev <= tol
         assert rep.verdict == "coincides"
         assert rep.stats.steps > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("gap", [1.0, 2.5, 4.0])
+    def test_exact_data_coincide_at_every_dilation(self, m, gap):
+        # an absolute bound on |u_0| stopped the eps = 1e-6, gap 4 runs at
+        # r = 1.05e-10 with a blow-up; the level bounds follow the dilation
+        alpha = 2 * m - 1 + gap
+        devs = []
+        for eps in (1e-6, 1e-3, 1.0):
+            rep = classification_check(m, alpha, eps, 20.0 * eps)
+            assert rep.verdict == "coincides", (eps, rep.max_rel_dev)
+            devs.append(rep.max_rel_dev)
+        assert max(devs) <= 2.0 * min(devs)
 
     def test_small_dilation_reaches_r_max(self):
         # the exact dilation of the eps = 1, r_max = 20 case; a step floor
@@ -366,14 +419,14 @@ class TestClassification:
 
 class TestMemory:
     def test_failing_trajectory_within_three_copies(self):
-        # a high-order case that stops at the step floor: the traced peak
-        # stays within three times the partial trajectory it returns
+        # a high-order case that blows up: the traced peak stays within
+        # three times the partial trajectory it returns
         m, alpha = 8, 17.59
         spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
                        r0=handoff_radius(1.0))
         tracemalloc.start()
         try:
-            with pytest.raises(StepUnderflowError) as info:
+            with pytest.raises(BlowupError) as info:
                 integrate(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
