@@ -203,7 +203,10 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     m, alpha, eps, r_max = args.m, args.alpha, args.eps, args.r_max
     if args.perturb_index is None:
-        report = ode.classification_check(m, alpha, eps, r_max)
+        try:
+            report = ode.classification_check(m, alpha, eps, r_max)
+        except (ode.BlowupError, ode.StepUnderflowError) as err:
+            report = ode.stopped_classification(m, alpha, eps, r_max, err)
         _emit_json({"subcommand": "classify", **report.to_json_obj()}, args.output)
         return 0 if report.verdict == "coincides" else 1
     data = ode.family_state(m, alpha, eps, 0.0)[0, 0::2]

@@ -19,7 +19,9 @@ Norsett and Wanner (Solving ODEs I, II.4-5) under a standard error-per-step
 controller.  The pair is FSAL: its last stage is f at the new state, and it
 becomes the next step's first stage only after the step is accepted; a
 rejected attempt retries from f(r, y).  ``integrate`` steps on Python
-floats, which beat numpy calls at these sizes (2m <= 16).
+floats, which beat numpy calls at these sizes (2m <= 16), through one
+generated step kernel per order m: straight-line code over local names, with
+no list, zip or call per stage, compiled on first use and cached by m.
 
 Forward integration is not well conditioned: the singular homogeneous
 modes r^-(alpha-2j+1) decay with increasing r, but the regular modes of the
@@ -45,15 +47,16 @@ measures how far a perturbed data set drifts from every member of the family.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .constants import critical_exponent, require_sobolev, sobolev_gap
-from .errors import BlowupError, DomainError, StepUnderflowError
+from .errors import BlowupError, DomainError, OdeError, StepUnderflowError
 from .functionals import bliss_amplitude, bliss_profile
 
 
@@ -183,23 +186,94 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _make_rhs(m: int, alpha: float):
-    """The system's right-hand side on a list state: rhs(r, y) returns f(r, y)
-    as a new list.  Raises OverflowError when |u_0|^(2*-2) leaves the float
-    range."""
-    g, _ = nonlinearity(m, alpha)
+# The step as data for the kernel generator: each stage's node (None for
+# r + h) and its (weight, stage) terms, then the 5th-order solution and the
+# error estimate.  Weights are named, never formatted, so one kernel per m
+# serves every alpha and tolerance.
+_STAGE_ROWS = (
+    ("_C2", (("_A21", 1),)),
+    ("_C3", (("_A31", 1), ("_A32", 2))),
+    ("_C4", (("_A41", 1), ("_A42", 2), ("_A43", 3))),
+    ("_C5", (("_A51", 1), ("_A52", 2), ("_A53", 3), ("_A54", 4))),
+    (None, (("_A61", 1), ("_A62", 2), ("_A63", 3), ("_A64", 4), ("_A65", 5))),
+)
+_SOLUTION_ROW = (("_B1", 1), ("_B3", 3), ("_B4", 4), ("_B5", 5), ("_B6", 6))
+_ERROR_ROW = (("_E1", 1), ("_E3", 3), ("_E4", 4), ("_E5", 5), ("_E6", 6), ("_E7", 7))
 
-    def rhs(r: float, y: list) -> list:
-        # u_j' = v_j and v_j' = -(alpha/r) v_j - u_{j+1}, closed by u_m = g(u_0):
-        # y shifted left by one holds v_j at 2j and u_{j+1} at 2j + 1
-        k = -(alpha / r)
-        dy = y[1:]
-        dy.append(g(y[0]))
-        for i in range(1, len(dy), 2):
-            dy[i] = k * y[i] - dy[i]
-        return dy
 
-    return rhs
+def _rhs_lines(n: int, point: list, slope: list) -> list:
+    """Assignments of f at the state ``point`` to the odd entries of
+    ``slope`` (names), with k = -(alpha/r) bound.  u_j' = v_j needs no code,
+    as slope[2j] is point[2j + 1]; v_j' = k v_j - u_{j+1} is closed by
+    u_m = |u_0|^p u_0."""
+    lines = []
+    for i in range(1, n, 2):
+        source = point[i + 1] if i + 1 < n else f"abs({point[0]}) ** p * {point[0]}"
+        lines.append(f"{slope[i]} = k * {point[i]} - {source}")
+    return lines
+
+
+def _kernel_source(m: int) -> str:
+    """Python source of ``make(alpha, p, abs_tol, rel_tol)``, which returns
+    the pair (rhs, step) for the order m, written out straight-line.
+
+    ``rhs(r, y)`` is f(r, y) as a tuple.  ``step(r, h, y, k1)`` is one
+    Dormand-Prince attempt from the state y with k1 = f(r, y); it returns
+    (y_new, k7, err_sum), k7 = f(r + h, y_new) and err_sum the sum of the
+    squared scaled error components.  Stage s keeps the odd entries of its
+    point in z{s}_i and of its slope in k{s}_i; its slope's even entries are
+    the point's odd ones.  Each sum runs left to right in the order of the
+    tableau, so the arithmetic is that of the loop over stages."""
+    n = 2 * m
+    state = [f"y{i}" for i in range(n)]
+
+    def slope(prefix: str, point: list) -> list:
+        return [point[i + 1] if i % 2 == 0 else f"{prefix}{i}" for i in range(n)]
+
+    rhs = [f"{', '.join(state)} = y", "k = -(alpha / r)"]
+    rhs += _rhs_lines(n, state, slope("f", state))
+    rhs.append(f"return {', '.join(slope('f', state))}")
+
+    points = {s: [f"z{s}_{i}" for i in range(n)] for s in range(2, 8)}
+    slopes = {s: slope(f"k{s}_", points[s]) for s in range(2, 8)}
+    slopes[1] = [f"k1_{i}" for i in range(n)]
+    step = [f"{', '.join(state)} = y", f"{', '.join(slopes[1])} = k1"]
+
+    def combine(s: int, row) -> None:
+        step.extend(f"a{t} = h * {w}" for w, t in row)
+        for i in range(n):
+            terms = "".join(f" + a{t} * {slopes[t][i]}" for _, t in row)
+            step.append(f"{points[s][i]} = {state[i]}{terms}")
+
+    for s, (node, row) in enumerate(_STAGE_ROWS, start=2):
+        combine(s, row)
+        step.append(f"k = -(alpha / (r + {node} * h))" if node else "k = -(alpha / (r + h))")
+        step += _rhs_lines(n, points[s], slopes[s])
+    combine(7, _SOLUTION_ROW)           # y_new, at r + h as stage 6
+    step += _rhs_lines(n, points[7], slopes[7])
+    step += [f"a{t} = h * {w}" for w, t in _ERROR_ROW]
+    for i in range(n):
+        # max(|y_i|, |y_new_i|) as max() picks it: the second only if larger
+        terms = " + ".join(f"a{t} * {slopes[t][i]}" for _, t in _ERROR_ROW)
+        step += [f"a = abs({state[i]})", f"b = abs({points[7][i]})",
+                 f"q = ({terms}) / (abs_tol + rel_tol * (b if b > a else a))",
+                 "total += q * q" if i else "total = q * q"]
+    step.append(f"return ({', '.join(points[7])}), ({', '.join(slopes[7])}), total")
+    indent = "\n        "
+    return (f"def make(alpha, p, abs_tol, rel_tol):\n"
+            f"    def rhs(r, y):{indent}{indent.join(rhs)}\n"
+            f"    def step(r, h, y, k1):{indent}{indent.join(step)}\n"
+            f"    return rhs, step\n")
+
+
+@functools.lru_cache(maxsize=16)    # bounded: a kernel's code grows with m
+def _kernel(m: int):
+    """The compiled ``make`` of ``_kernel_source(m)``, built on first use;
+    its globals are this module's, where the tableau names live."""
+    namespace: dict = {}
+    exec(compile(_kernel_source(m), f"<dormand-prince m={m}>", "exec"),
+         globals(), namespace)
+    return namespace["make"]
 
 
 def _power(x: float, e: float) -> float:
@@ -222,26 +296,35 @@ def _level_bounds(gap: float, y: list) -> Tuple[float, tuple]:
 def integrate(spec: IVPSpec) -> SolveResult:
     """Adaptive integration of the coupled system from r0 to r_max.
 
-    The state and the stages are lists of Python floats: at 2m <= 16 entries
-    a float loop is several times cheaper than a numpy call per stage, whose
+    The state and the stages are Python floats: at 2m <= 16 entries float
+    arithmetic is several times cheaper than a numpy call per stage, whose
     cost is nearly all call overhead.  (A much larger system, such as the
-    full variational one, may favour arrays again.)  Each stage point is one
-    sum with h folded into that step's coefficients.  The accepted nodes and
-    states are kept in ``array('d')`` buffers, 8 bytes a value, which become
-    ``SolveResult.r`` and ``.y`` without a copy.
+    full variational one, may favour arrays again.)  Each attempt is one
+    call of the step kernel ``_kernel(m)`` (see ``_kernel_source``): the
+    stages written out over local names, each stage point one sum with h
+    folded into that step's coefficients.  The kernel is compiled once per
+    m, on first use, and serves every alpha and tolerance, which it takes
+    as closure values; its source holds the tableau by name, never a
+    formatted float.  Every sum keeps the left-to-right order of a loop
+    over the stages, so the trajectory is the same bit for bit as that of
+    the loop (``tests/test_ode.py`` checks it against one).  The accepted
+    nodes and states are kept in ``array('d')`` buffers, 8 bytes a value,
+    which become ``SolveResult.r`` and ``.y`` without a copy.
 
     A trial step whose stages leave the float range, or whose error norm
     is not finite, is rejected and retried at a fifth of its size, so a
     long trial step past a blow-up does not decide where the run stops.
     Raises :class:`StepUnderflowError` when the controller collapses the
-    step below the floor and :class:`BlowupError` when, after an accepted
-    step, some level |u_j| exceeds its bound OVERFLOW_LIMIT lam^(gap/2 + 2j)
-    (see ``_level_bounds``), when f overflows at the start state or when
-    the error scale is zero; both carry the partial trajectory in
-    ``.result``.
+    step below the floor (a stiff problem, or f overflowing every trial
+    step) and :class:`BlowupError` when, after an accepted step, some
+    level |u_j| exceeds its bound OVERFLOW_LIMIT lam^(gap/2 + 2j) (see
+    ``_level_bounds``), when f overflows at the start state or when the
+    error scale is zero; both carry the partial trajectory in ``.result``.
     """
-    rhs = _make_rhs(spec.m, spec.alpha)
     r_max, rel_tol, abs_tol = spec.r_max, spec.rel_tol, spec.abs_tol
+    # g(w) = |w|^p w with the exponent of ``nonlinearity``
+    p = critical_exponent(spec.m, spec.alpha) - 2.0
+    rhs, step = _kernel(spec.m)(spec.alpha, p, abs_tol, rel_tol)
     r = spec.r0
     y = series_start(spec).tolist()
     n = len(y)
@@ -279,30 +362,7 @@ def integrate(spec: IVPSpec) -> SolveResult:
             )
         evals += 6               # counted also when a stage ends the attempt
         try:
-            a1 = h * _A21
-            k2 = rhs(r + _C2 * h, [yi + a1 * p1 for yi, p1 in zip(y, k1)])
-            a1, a2 = h * _A31, h * _A32
-            k3 = rhs(r + _C3 * h, [yi + a1 * p1 + a2 * p2
-                                   for yi, p1, p2 in zip(y, k1, k2)])
-            a1, a2, a3 = h * _A41, h * _A42, h * _A43
-            k4 = rhs(r + _C4 * h, [yi + a1 * p1 + a2 * p2 + a3 * p3
-                                   for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
-            a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
-            k5 = rhs(r + _C5 * h, [yi + a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4
-                                   for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-            a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-            k6 = rhs(r + h, [yi + a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4 + a5 * p5
-                             for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-            a1, a3, a4, a5, a6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
-            y_new = [yi + a1 * p1 + a3 * p3 + a4 * p4 + a5 * p5 + a6 * p6
-                     for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(r + h, y_new)
-            e1, e3, e4, e5, e6, e7 = h * _E1, h * _E3, h * _E4, h * _E5, h * _E6, h * _E7
-            total = 0.0
-            for yi, zi, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                err = (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) / (
-                    abs_tol + rel_tol * max(abs(yi), abs(zi)))
-                total += err * err
+            y_new, k7, total = step(r, h, y, k1)
         except OverflowError:
             total = math.inf     # a stage past the float range
         except ZeroDivisionError:
@@ -312,7 +372,9 @@ def integrate(spec: IVPSpec) -> SolveResult:
         # makes the error norm non-finite, and the step is rejected
         err_norm = math.sqrt(total / n)
         if err_norm <= 1.0:
-            r += h
+            # the step clipped to r_max lands on it: r + (r_max - r) can
+            # fall an ulp short, and the next step would be below the floor
+            r = r_max if h == r_max - r else r + h
             y, k1 = y_new, k7        # FSAL, only after acceptance
             steps += 1
             min_step = min(min_step, h)
@@ -393,9 +455,11 @@ class ClassificationReport:
     max_rel_dev: float
     stats: SolveStats
     verdict: str
+    reached_r: float
+    stop_reason: Optional[str] = None    # the error of a run stopped early
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "m": self.m,
             "alpha": self.alpha,
             "eps": self.eps,
@@ -407,25 +471,46 @@ class ClassificationReport:
             "min_step": self.stats.min_step,
             "verdict": self.verdict,
         }
+        if self.stop_reason is not None:
+            obj.update(reached_r=self.reached_r, stop_reason=self.stop_reason)
+        return obj
 
 
 def classification_check(m: int, alpha: float, eps: float, r_max: float
                          ) -> ClassificationReport:
     """Integrate from w_eps initial data at the tolerances of :class:`IVPSpec`
     and measure the sup-norm-relative deviation of every component (u_j and
-    u_j') from the exact state."""
+    u_j') from the exact state.  A run that stops before r_max raises its
+    :class:`OdeError`; ``stopped_classification`` reports it."""
     spec = IVPSpec(
         m=m, alpha=alpha, even_initial=family_state(m, alpha, eps, 0.0)[0, 0::2],
         r0=handoff_radius(eps), r_max=r_max,
     )
-    result = integrate(spec)
+    return _classification_report(m, alpha, eps, r_max, integrate(spec))
+
+
+def stopped_classification(m: int, alpha: float, eps: float, r_max: float,
+                           err: OdeError) -> ClassificationReport:
+    """The report of a ``classification_check`` run that raised ``err``: the
+    deviation and counters of the partial trajectory it carries, the radius
+    reached and the error as ``stop_reason``.  w_eps is global, so the
+    verdict is "departs"."""
+    return _classification_report(m, alpha, eps, r_max, err.result,
+                                  f"{type(err).__name__}: {err}")
+
+
+def _classification_report(m: int, alpha: float, eps: float, r_max: float,
+                           result: SolveResult, stop_reason: Optional[str] = None
+                           ) -> ClassificationReport:
     exact = family_state(m, alpha, eps, result.r)
     max_dev = float(np.max(np.max(np.abs(result.y - exact), axis=0)
                            / np.max(np.abs(exact), axis=0)))
+    coincides = stop_reason is None and max_dev <= CLASSIFY_TOL
     return ClassificationReport(
         m=m, alpha=float(alpha), eps=float(eps), r_max=float(r_max),
         max_rel_dev=max_dev, stats=result.stats,
-        verdict="coincides" if max_dev <= CLASSIFY_TOL else "departs",
+        verdict="coincides" if coincides else "departs",
+        reached_r=float(result.r[-1]), stop_reason=stop_reason,
     )
 
 

@@ -9,6 +9,7 @@ the same threshold constants.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -247,6 +248,13 @@ def _chain_grid(nodes: int) -> it.RadialGrid:
     return it.RadialGrid.geometric(1e-4, 1e3, nodes)
 
 
+def _build_chain() -> it.IterationChain:
+    """The chain of w_1 at (CHAIN_M, CHAIN_ALPHA) on the CHAIN_GRID_NODES
+    grid, which criteria 10 and 11 both check."""
+    u = fun.bliss_profile(CHAIN_M, CHAIN_ALPHA, 1.0)
+    return it.iterate_chain(u, CHAIN_M, CHAIN_ALPHA, _chain_grid(CHAIN_GRID_NODES))
+
+
 def check_fixed_point() -> CheckResult:
     nodes = FULL_GRID_NODES
 
@@ -262,13 +270,13 @@ def check_fixed_point() -> CheckResult:
     return _timed(9, "regularity fixed point and its failure off the solution", body)
 
 
-def check_chain_structure() -> CheckResult:
-    nodes = CHAIN_GRID_NODES
+def check_chain_structure(build_chain: Callable[[], it.IterationChain] = _build_chain
+                          ) -> CheckResult:
+    """Criterion 10 on the chain ``build_chain()``; ``run_all`` passes one
+    that builds it once for both chain checks."""
 
     def body(details: dict) -> bool:
-        grid = _chain_grid(nodes)
-        u = fun.bliss_profile(CHAIN_M, CHAIN_ALPHA, 1.0)
-        chain = it.iterate_chain(u, CHAIN_M, CHAIN_ALPHA, grid)
+        chain = build_chain()
         inverse = it.verify_inverse(chain, 1)
         details["fd_residual"] = inverse.residuals
         ok = inverse.max_residual <= INVERSE_TOL
@@ -281,20 +289,18 @@ def check_chain_structure() -> CheckResult:
                 expected = -it.bliss_decay_exponent(k, CHAIN_ALPHA)
                 ok = ok and abs(entry.slope - expected) <= DECAY_SLOPE_TOL
         details["slopes"] = slopes
-        details["grid_nodes"] = nodes
+        details["grid_nodes"] = CHAIN_GRID_NODES
         return ok
 
     return _timed(10, "chain inverse structure and decay exponents", body)
 
 
-def check_origin_behavior() -> CheckResult:
-    nodes = CHAIN_GRID_NODES
+def check_origin_behavior(build_chain: Callable[[], it.IterationChain] = _build_chain
+                          ) -> CheckResult:
+    """Criterion 11 on the chain ``build_chain()``."""
 
     def body(details: dict) -> bool:
-        grid = _chain_grid(nodes)
-        u = fun.bliss_profile(CHAIN_M, CHAIN_ALPHA, 1.0)
-        chain = it.iterate_chain(u, CHAIN_M, CHAIN_ALPHA, grid)
-        report = it.origin_behavior(chain)
+        report = it.origin_behavior(build_chain())
         ok = True
         rows = {}
         for entry in report.entries:
@@ -307,7 +313,7 @@ def check_origin_behavior() -> CheckResult:
                 row["d2_rel_err"] = d2_rel
                 ok = ok and d2_rel <= ORIGIN_D2_TOL
             rows[entry.k] = row
-        details.update(grid_nodes=nodes, per_k=rows)
+        details.update(grid_nodes=CHAIN_GRID_NODES, per_k=rows)
         return ok
 
     return _timed(11, "origin derivatives of the chain", body)
@@ -351,7 +357,10 @@ def check_golden_table(path: Optional[str] = None) -> CheckResult:
 
 
 def run_all(seed: int = DEFAULT_SEED, golden: Optional[str] = None) -> List[CheckResult]:
-    """Run the full acceptance suite plus the golden-artifact comparison."""
+    """Run the full acceptance suite plus the golden-artifact comparison.
+    Criteria 10 and 11 share one chain, built by whichever runs first and
+    dropped with the call."""
+    chain = functools.cache(_build_chain)
     return [
         check_polyharmonic_identity(),
         check_coefficient_recursion(),
@@ -362,7 +371,7 @@ def run_all(seed: int = DEFAULT_SEED, golden: Optional[str] = None) -> List[Chec
         check_minimality_probes(),
         check_classification(),
         check_fixed_point(),
-        check_chain_structure(),
-        check_origin_behavior(),
+        check_chain_structure(chain),
+        check_origin_behavior(chain),
         check_golden_table(golden),
     ]

@@ -211,6 +211,24 @@ class TestClassify:
         assert re.fullmatch(r"BlowupError: u_[01] = .* at r=\S+ \(non-global solution\)",
                             report["stop_reason"])
 
+    def test_early_stop_keeps_the_report(self, capsys):
+        # exact m = 6 data blow up before r_max (the forward integration is
+        # ill conditioned): the report still gives the counters, the
+        # deviation up to the stop, how far the run got and why it stopped
+        code, out, _ = run_cli(["classify", "--m", "6", "--alpha", "13.5"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "departs"
+        assert 0.0 < report["reached_r"] < report["r_max"]
+        assert report["steps"] > 0 and report["max_rel_dev"] > 0.0
+        assert report["rhs_evaluations"] == 1 + 6 * (report["steps"]
+                                                     + report["rejected_steps"])
+        assert re.fullmatch(r"BlowupError: u_5 = .* at r=\S+ \(non-global solution\)",
+                            report["stop_reason"])
+        # a run that reaches r_max reports neither field
+        _, out, _ = run_cli(["classify", "--m", "2", "--alpha", "4"], capsys)
+        assert not {"reached_r", "stop_reason"} & set(json.loads(out))
+
     def test_perturb_index_validated(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["classify", "--m", "2", "--alpha", "4",

@@ -20,6 +20,8 @@ from polyrad.errors import (
 from polyrad.functionals import bliss_profile
 from polyrad.ode import (
     IVPSpec,
+    _kernel,
+    _kernel_source,
     classification_check,
     departure_from_family,
     family_state,
@@ -32,6 +34,10 @@ from polyrad.ode import (
 )
 
 SQRT8 = math.sqrt(8.0)
+#: The gap alpha - 2m + 1 of the order sweeps: m <= 5 reach r_max = 20,
+#: m = 6..8 blow up (the benchmark's ``scalar-highm`` draws it from [2, 2.75]).
+SWEEP_GAP = 2.4
+LOOSE = {"rel_tol": 1e-4, "abs_tol": 1e-6}
 
 
 def family_data(m, alpha, eps):
@@ -66,11 +72,12 @@ def _combine(h, base, weights, stages):
     return out
 
 
-def reference_dormand_prince(spec):
+def reference_dormand_prince(spec, max_steps=None):
     """Dormand-Prince 5(4) with the controller of ``integrate``, written
     plainly on Python floats with sums in the same order: every attempt,
     accepted or not, starts from f(r, y) evaluated afresh.  Returns the
-    accepted nodes, states and the rejection count."""
+    accepted nodes, states and the rejection count, after at most
+    ``max_steps`` accepted steps."""
     m, alpha = spec.m, spec.alpha
     g, _ = nonlinearity(m, alpha)
 
@@ -84,7 +91,7 @@ def reference_dormand_prince(spec):
     r, y = spec.r0, series_start(spec).tolist()
     nodes, states, rejected = [r], [y], 0
     h = min(0.05 * spec.r0, spec.r_max - spec.r0)
-    while r < spec.r_max:
+    while r < spec.r_max and len(nodes) - 1 != max_steps:
         h = min(h, spec.r_max - r)
         k = [f(r, y)]
         for s in range(1, 7):
@@ -204,6 +211,94 @@ class TestIntegrate:
         assert rejected == res.stats.rejected >= 1
         assert res.r.tobytes() == r_ref.tobytes()
         assert res.y.tobytes() == y_ref.tobytes()
+
+    @pytest.mark.parametrize("tolerances", [{}, LOOSE], ids=["default", "loose"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_every_order_matches_the_reference(self, m, tolerances):
+        # the step kernel is generated per m: every order, run to r_max or
+        # to the blow-up stop (m >= 6, and m >= 4 at loose tolerances, where
+        # the partial trajectory rides on the error), equals the loop
+        alpha = 2 * m - 1 + SWEEP_GAP
+        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
+                       r0=handoff_radius(1.0), **tolerances)
+        try:
+            res = integrate(spec)
+        except BlowupError as err:
+            res = err.result
+        r_ref, y_ref, rejected = reference_dormand_prince(spec, res.stats.steps)
+        assert res.stats.rejected == rejected
+        assert res.r.tobytes() == r_ref.tobytes()
+        assert res.y.tobytes() == y_ref.tobytes()
+
+    @pytest.mark.parametrize("m,r_stop,message", [
+        (6, 17.610360359304536, "u_5 = 5.195e+23 exceeded OVERFLOW_LIMIT (1e+12) x "
+         "dilation scale 11.1128^11.2 = 5.167e+23 at r=17.6104 (non-global solution)"),
+        (7, 11.59119476936589, "u_6 = 3.573e+26 exceeded OVERFLOW_LIMIT (1e+12) x "
+         "dilation scale 12.6407^13.2 = 3.494e+26 at r=11.5912 (non-global solution)"),
+        (8, 8.653170692302545, "u_7 = 3.223e+29 exceeded OVERFLOW_LIMIT (1e+12) x "
+         "dilation scale 14.1624^15.2 = 3.143e+29 at r=8.65317 (non-global solution)"),
+    ], ids=["m6", "m7", "m8"])
+    def test_high_order_stop_is_pinned(self, m, r_stop, message):
+        # exact data at the sweep gap stop where, and with the message that,
+        # the loop over stages stopped them
+        alpha = 2 * m - 1 + SWEEP_GAP
+        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
+                       r0=handoff_radius(1.0))
+        with pytest.raises(BlowupError) as info:
+            integrate(spec)
+        assert str(info.value) == message
+        assert info.value.result.r[-1] == r_stop
+
+    def test_one_kernel_serves_every_alpha_and_tolerance(self):
+        m = 3
+        integrate(IVPSpec(m=m, alpha=7.5, even_initial=family_data(m, 7.5, 1.0),
+                          r_max=2.0))
+        before = _kernel.cache_info()
+        spec = IVPSpec(m=m, alpha=6.123456789, even_initial=family_data(m, 6.123456789, 1.0),
+                       r_max=2.0, rel_tol=3.7e-7, abs_tol=4.1e-9)
+        integrate(spec)
+        after = _kernel.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits + 1, before.misses, before.currsize)
+        # the spec reaches the kernel as closure values: its source holds
+        # names only, and its code no float constant
+        source = _kernel_source(m)
+        for value in (spec.alpha, spec.rel_tol, spec.abs_tol):
+            assert repr(value) not in source
+        codes = [compile(source, "<kernel>", "exec")]
+        while codes:
+            code = codes.pop()
+            assert not any(isinstance(c, float) for c in code.co_consts)
+            codes += [c for c in code.co_consts if hasattr(c, "co_consts")]
+
+    @pytest.mark.parametrize("case", ["stiff", "instant-blowup"])
+    def test_step_floor_is_reached(self, case):
+        # stiff: -(alpha/r) v_0 keeps an explicit step stable only below
+        # about 3.3 r / alpha, which at alpha = 1e13 is under the floor
+        # STEP_FLOOR r = 1e-12 r.  instant-blowup: at gap 0.05 the closing
+        # power is |u_0|^240, so doubling u_0(0) of w_1 makes f about 1e75;
+        # every stage overflows, and the retries at a fifth of the step pass
+        # the floor before one is accepted
+        if case == "stiff":
+            spec = IVPSpec(m=1, alpha=1e13, even_initial=(1.0,))
+        else:
+            data = family_data(3, 5.05, 1.0)
+            data[0] *= 2.0
+            spec = IVPSpec(m=3, alpha=5.05, even_initial=data)
+        with pytest.raises(StepUnderflowError,
+                           match=r"^step \S+ underflowed at r=0\.0001 ") as info:
+            integrate(spec)
+        assert info.value.result.stats.steps <= 1
+
+    def test_last_step_lands_on_r_max(self):
+        # zero data make the error norm 0, so each step is 5 times the last
+        # and the clipped last step spans more than half of r_max; there
+        # r + (r_max - r) falls an ulp short, and the ulp-sized step left
+        # after it was below the floor
+        r_max = 10.448124811631791
+        r = integrate(IVPSpec(m=1, alpha=3.0, even_initial=(0.0,), r_max=r_max)).r
+        assert r[-2] + (r_max - r[-2]) != r_max
+        assert r[-1] == r_max
 
     def test_blowup_detected(self):
         # strongly inconsistent data: u_0'' = -u_1 > 0 ramps u_0, the
