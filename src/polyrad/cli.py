@@ -18,8 +18,8 @@ library, which raises ``DomainError``; ``main`` turns that into exit 2.
 JSON reports carry a top-level ``schema_version``; numeric fields are
 rounded to 12 significant digits so reports are stable across runs.  CSV
 output uses comma delimiters and ``.`` decimals regardless of locale.  Pass
-thresholds are the named constants of :mod:`polyrad.suite` and
-:mod:`polyrad.ode`.
+thresholds, the chain grid and the dilation sweep are the named constants of
+:mod:`polyrad.suite` and :mod:`polyrad.ode`.
 """
 
 from __future__ import annotations
@@ -152,9 +152,8 @@ def _cmd_rayleigh(args: argparse.Namespace) -> int:
         amp = args.perturb_amplitude
         w = fun.bliss_profile(m, alpha, 1.0)
         for index in range(len(fun.PERTURBATION_DIRECTIONS)):
-            q = fun.rayleigh_quotient(
-                w + amp * fun.perturbation_direction(index, m, alpha), m, alpha
-            )
+            q = fun.rayleigh_quotient(fun.probe_profile(w, index, amp, m, alpha),
+                                      m, alpha)
             rel = (q - s_closed) / s_closed
             ok = ok and -rel <= suite.PROBE_TOL  # (S - q) / S
             rows.append([f"probe{index:02d}@{amp:g}", q, s_closed, rel])
@@ -205,7 +204,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.perturb_index is None:
         try:
             report = ode.classification_check(m, alpha, eps, r_max)
-        except (ode.BlowupError, ode.StepUnderflowError) as err:
+        except ode.OdeError as err:
             report = ode.stopped_classification(m, alpha, eps, r_max, err)
         _emit_json({"subcommand": "classify", **report.to_json_obj()}, args.output)
         return 0 if report.verdict == "coincides" else 1
@@ -218,9 +217,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     stop_reason = None
     try:
         result = ode.integrate(spec)
-    except (ode.BlowupError, ode.StepUnderflowError) as err:
+    except ode.OdeError as err:
         result = err.result
-        stop_reason = f"{type(err).__name__}: {err}"
+        stop_reason = ode.describe_stop(err)
     departure = ode.departure_from_family(m, alpha, result)
     verdict = "departs" if departure >= ode.DEPARTURE_TOL else "coincides"
     _emit_json(
@@ -305,7 +304,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rayleigh", help="Rayleigh quotient sweep (CSV)")
     common(p)
-    p.add_argument("--eps-list", type=_float_list, default="0.5,1,2",
+    p.add_argument("--eps-list", type=_float_list, default=list(suite.EPS_SET),
                    help="comma-separated dilation parameters")
     p.add_argument("--perturb", action="store_true",
                    help="append the ten fixed perturbation probes")
@@ -314,9 +313,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", help="regularity chain with verification summary")
     common(p)
     p.add_argument("--eps", type=_finite, default=1.0)
-    p.add_argument("--grid-points", type=int, default=4096)
-    p.add_argument("--r-min", type=_finite, default=1e-4)
-    p.add_argument("--r-max", type=_finite, default=1e3)
+    p.add_argument("--grid-points", type=int, default=suite.CHAIN_GRID_NODES)
+    p.add_argument("--r-min", type=_finite, default=suite.CHAIN_R_MIN)
+    p.add_argument("--r-max", type=_finite, default=suite.CHAIN_R_MAX)
     p.add_argument("--output-dir", default=".", help="directory for per-step CSV files")
 
     p = sub.add_parser("classify", help="singular IVP against the dilation family")

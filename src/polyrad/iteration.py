@@ -511,8 +511,10 @@ ORIGIN_REFINE_TOL = 1e-10
 def _origin_fit(chain: IterationChain) -> Tuple[np.ndarray, ...]:
     """Least-squares degree-6 fit of every chain member on the nodes below
     r_fit = ORIGIN_FIT_RADIUS, in the scaled variable x = r/r_fit, with one
-    design matrix and one SVD-based solve (``numpy.linalg.lstsq``) for all
-    members; returns the arrays (f(0), f'(0), f''(0), f'''(0)) indexed by k.
+    design matrix for all members: a solve of the 7-column normal equations
+    and two refinement steps on the residual.  Returns the arrays (f(0),
+    f'(0), f''(0), f'''(0)) indexed by k.  Raises DomainError when the Gram
+    matrix is singular or the refinement does not converge.
 
     Degree 6 matters: the window is one-sided, so an unmodeled even r^6
     term would leak into the odd coefficients.

@@ -301,7 +301,7 @@ class RadialExpr:
     equal as functions of (alpha, r) iff their canonical forms coincide.
     """
 
-    __slots__ = ("_terms", "_bound")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[RadialTerm] = ()):
         merged: dict = {}
@@ -324,8 +324,6 @@ class RadialExpr:
         ]
         out.sort(key=lambda t: (t.sigma, t.r_power))
         self._terms = tuple(out)
-        # float evaluation memo: (alpha, ((c(alpha), rho, -sigma(alpha)/2), ...))
-        self._bound = (None, ())
 
     # -- constructors -------------------------------------------------------
 
@@ -413,17 +411,10 @@ class RadialExpr:
         If both arguments are exact (int / Fraction) and every exponent
         sigma(alpha) is an even integer, the result is an exact Fraction;
         otherwise ordinary floating arithmetic is used (r may be a numpy
-        array in that case).  The float path binds each term's c(alpha) and
-        -sigma(alpha)/2 once per alpha and keeps them until the next call
-        with a different alpha, so an integrand evaluated node by node at
-        fixed alpha pays for Horner's rule once per term, not once per node.
+        array in that case), with each term's c(alpha) by Horner's rule at
+        float(alpha) and its exponent -sigma(alpha)/2.
         """
-        # a float alpha skips the Fraction isinstance test, a slow ABC check
-        exact = (
-            not isinstance(alpha_value, float)
-            and isinstance(alpha_value, (int, Fraction))
-            and isinstance(r, (int, Fraction))
-        )
+        exact = isinstance(alpha_value, (int, Fraction)) and isinstance(r, (int, Fraction))
         if exact:
             sigmas = [t.sigma.value_at(Fraction(alpha_value)) for t in self._terms]
             exact = all(s.denominator == 1 and s.numerator % 2 == 0 for s in sigmas)
@@ -436,17 +427,12 @@ class RadialExpr:
                     -(s // 2)
                 )
             return total
-        bound_alpha, bound = self._bound
-        if bound_alpha != alpha_value:
-            a = float(alpha_value)
-            bound = tuple(
-                (t.coeff(a), t.r_power, -0.5 * t.sigma.value_at(a)) for t in self._terms
-            )
-            self._bound = (alpha_value, bound)
+        a = float(alpha_value)
         base = 1.0 + r * r
         total = 0.0
-        for c, rho, e in bound:
-            total = total + c * r ** rho * base ** e
+        for t in self._terms:
+            c, e = t.coeff(a), -0.5 * t.sigma.value_at(a)
+            total = total + c * r ** t.r_power * base ** e
         return total
 
     # -- io -------------------------------------------------------------

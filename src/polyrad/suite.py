@@ -9,7 +9,6 @@ the same threshold constants.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -43,6 +42,7 @@ CLASSIFICATION_CASES = (
     (3, 8.0, 1.0, 20.0, 1e-5),
 )
 CHAIN_M, CHAIN_ALPHA = 2, 4.0
+CHAIN_R_MIN, CHAIN_R_MAX = 1e-4, 1e3
 FULL_GRID_NODES = 8192
 CHAIN_GRID_NODES = 4096
 
@@ -210,9 +210,9 @@ def check_minimality_probes() -> CheckResult:
         w = fun.bliss_profile(m, alpha, 1.0)
         worst_gap = -math.inf
         for index in range(len(fun.PERTURBATION_DIRECTIONS)):
-            phi = fun.perturbation_direction(index, m, alpha)
             for amp in PROBE_AMPLITUDES:
-                q = fun.rayleigh_quotient(w + amp * phi, m, alpha)
+                q = fun.rayleigh_quotient(fun.probe_profile(w, index, amp, m, alpha),
+                                          m, alpha)
                 worst_gap = max(worst_gap, s - q)
         details.update(S=s, worst_S_minus_quotient=worst_gap)
         return worst_gap <= PROBE_TOL
@@ -245,7 +245,7 @@ def check_classification() -> CheckResult:
 
 
 def _chain_grid(nodes: int) -> it.RadialGrid:
-    return it.RadialGrid.geometric(1e-4, 1e3, nodes)
+    return it.RadialGrid.geometric(CHAIN_R_MIN, CHAIN_R_MAX, nodes)
 
 
 def _build_chain() -> it.IterationChain:
@@ -270,13 +270,9 @@ def check_fixed_point() -> CheckResult:
     return _timed(9, "regularity fixed point and its failure off the solution", body)
 
 
-def check_chain_structure(build_chain: Callable[[], it.IterationChain] = _build_chain
-                          ) -> CheckResult:
-    """Criterion 10 on the chain ``build_chain()``; ``run_all`` passes one
-    that builds it once for both chain checks."""
-
+def check_chain_structure() -> CheckResult:
     def body(details: dict) -> bool:
-        chain = build_chain()
+        chain = _build_chain()
         inverse = it.verify_inverse(chain, 1)
         details["fd_residual"] = inverse.residuals
         ok = inverse.max_residual <= INVERSE_TOL
@@ -295,12 +291,9 @@ def check_chain_structure(build_chain: Callable[[], it.IterationChain] = _build_
     return _timed(10, "chain inverse structure and decay exponents", body)
 
 
-def check_origin_behavior(build_chain: Callable[[], it.IterationChain] = _build_chain
-                          ) -> CheckResult:
-    """Criterion 11 on the chain ``build_chain()``."""
-
+def check_origin_behavior() -> CheckResult:
     def body(details: dict) -> bool:
-        report = it.origin_behavior(build_chain())
+        report = it.origin_behavior(_build_chain())
         ok = True
         rows = {}
         for entry in report.entries:
@@ -357,10 +350,7 @@ def check_golden_table(path: Optional[str] = None) -> CheckResult:
 
 
 def run_all(seed: int = DEFAULT_SEED, golden: Optional[str] = None) -> List[CheckResult]:
-    """Run the full acceptance suite plus the golden-artifact comparison.
-    Criteria 10 and 11 share one chain, built by whichever runs first and
-    dropped with the call."""
-    chain = functools.cache(_build_chain)
+    """Run the full acceptance suite plus the golden-artifact comparison."""
     return [
         check_polyharmonic_identity(),
         check_coefficient_recursion(),
@@ -371,7 +361,7 @@ def run_all(seed: int = DEFAULT_SEED, golden: Optional[str] = None) -> List[Chec
         check_minimality_probes(),
         check_classification(),
         check_fixed_point(),
-        check_chain_structure(chain),
-        check_origin_behavior(chain),
+        check_chain_structure(),
+        check_origin_behavior(),
         check_golden_table(golden),
     ]

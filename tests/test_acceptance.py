@@ -97,18 +97,3 @@ def test_full_suite_runtime_budget():
         print(result.line())
     assert all(r.passed for r in results)
     assert elapsed < 300.0
-
-
-def test_chain_checks_share_one_chain_per_run(monkeypatch):
-    # criteria 10 and 11 check the same chain: each run_all call builds it
-    # once, and their details equal those of the checks run alone
-    alone = [suite.check_chain_structure().details,
-             suite.check_origin_behavior().details]
-    builds = []
-    iterate_chain = suite.it.iterate_chain
-    monkeypatch.setattr(suite.it, "iterate_chain",
-                        lambda *args: builds.append(args) or iterate_chain(*args))
-    for calls in (1, 2):
-        shared = [r.details for r in suite.run_all() if r.criterion in (10, 11)]
-        assert len(builds) == calls
-        assert shared == alone

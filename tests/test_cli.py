@@ -303,6 +303,8 @@ def test_verify_polyharmonic_byte_stable(capsys):
      "--perturb-scale", "1e300"],
     ["iterate", "--m", "2", "--alpha", "4", "--eps", "1e300"],
     ["iterate", "--m", "1", "--alpha", "100"],
+    ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "1", "--perturb",
+     "--perturb-amplitude", "0"],
 ])
 def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a wrongly accepted iterate writes CSVs here
@@ -348,3 +350,16 @@ def test_cli_reads_suite_threshold(capsys, tmp_path, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_cli_reads_suite_chain_grid(capsys, tmp_path, monkeypatch):
+    # iterate's default grid is the one of criteria 10 and 11
+    monkeypatch.setattr(suite, "CHAIN_GRID_NODES", 1024)
+    _, out, _ = run_cli(
+        ["iterate", "--m", "2", "--alpha", "4", "--output-dir", str(tmp_path)], capsys
+    )
+    assert json.loads(out)["grid_points"] == 1024
+    rows = (tmp_path / "chain_k0.csv").read_text().splitlines()
+    assert len(rows) == 1 + 1024
+    assert rows[1].startswith(f"{suite.CHAIN_R_MIN:.12g},")
+    assert rows[-1].startswith(f"{suite.CHAIN_R_MAX:.12g},")

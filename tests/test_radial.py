@@ -256,9 +256,9 @@ def horner_reference(expr, alpha, r):
     return total
 
 
-class TestBoundEvaluate:
-    """The float path binds c(alpha) and sigma(alpha) once per alpha; every
-    value keeps the bits of the per-call computation."""
+class TestEvaluateBitEqualToHornerReference:
+    """The float path gives the bits of ``horner_reference``, whatever the
+    alphas of earlier calls."""
 
     EXPR = nabla_m(base_profile_expr(4), 5) + single(AlphaPoly((Fraction(1, 3), -2, 1)), 3,
                                                       sigma(1, -1))
@@ -279,7 +279,7 @@ class TestBoundEvaluate:
             got = e.evaluate(alpha, r)
             assert got.tobytes() == horner_reference(e, alpha, r).tobytes()
 
-    def test_int_and_numpy_alpha_share_the_float_binding(self):
+    def test_int_and_numpy_alpha_give_the_float_value(self):
         import numpy as np
 
         e = self.EXPR
