@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import p_constant
-from .errors import DomainError, SobolevConditionError
+from .errors import DomainError
 
 #: Relative accuracy assumed for a single gamma evaluation when propagating
 #: error estimates.  The platform implementation is comfortably better than
@@ -62,7 +62,10 @@ def require_sobolev(m: int, alpha: float) -> None:
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     if not sobolev_gap(m, alpha) > 0:
-        raise SobolevConditionError(m, alpha)
+        raise DomainError(
+            f"Sobolev condition violated: alpha - 2m + 1 = {sobolev_gap(m, alpha):g} <= 0 "
+            f"(m={m}, alpha={alpha:g})"
+        )
 
 
 def critical_exponent(m: int, alpha: float) -> float:
@@ -89,11 +92,10 @@ class BestConstantResult:
     S_inv_sqrt: float
     route: str  # "closed_form" | "quadrature"
     err_estimate: float
-    sobolev_gap: float  # alpha - 2m + 1, recorded positive
 
     def __post_init__(self):
-        if not (self.S > 0 and self.sobolev_gap > 0):
-            raise DomainError("result requires S > 0 and a positive Sobolev gap")
+        if not self.S > 0:
+            raise DomainError("result requires S > 0")
 
     def to_json_obj(self) -> dict:
         return {
@@ -142,7 +144,6 @@ def best_constant(m: int, alpha: float, route: str = "closed_form") -> BestConst
         S_inv_sqrt=s ** -0.5,
         route=route,
         err_estimate=err,
-        sobolev_gap=sobolev_gap(m, alpha),
     )
 
 

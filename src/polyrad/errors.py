@@ -10,35 +10,11 @@ class DomainError(PolyradError, ValueError):
     (nonpositive gamma argument, violated embedding condition, ...)."""
 
 
-class SobolevConditionError(DomainError):
-    """The embedding condition alpha - 2m + 1 > 0 fails."""
-
-    def __init__(self, m: int, alpha: float):
-        self.m = m
-        self.alpha = alpha
-        super().__init__(
-            f"Sobolev condition violated: alpha - 2m + 1 = {alpha - 2 * m + 1:g} <= 0 "
-            f"(m={m}, alpha={alpha:g})"
-        )
-
-
 class NonConvergenceError(PolyradError):
-    """Quadrature failed to converge: a divergent tail, an integrand that is
-    not finite or not negligible at the window's ends, or no agreement of
-    successive sums by the smallest step."""
-
-
-class TailDivergenceError(PolyradError):
-    """Declared tail decay is too slow for the outer iteration integral."""
-
-
-class UnsupportedProfileError(PolyradError, TypeError):
-    """An operation that needs the derivative chain of a RadialProfile got
-    something else (e.g. a plain callable)."""
-
-
-class DivisionGuardError(PolyradError, ZeroDivisionError):
-    """A normalizing quantity fell below the absolute tolerance."""
+    """An improper integral does not converge: a divergent tail (of a
+    quadrature or of the iteration chain's outer integral), an integrand
+    that is not finite or not negligible at the window's ends, or no
+    agreement of successive sums by the smallest step."""
 
 
 class OdeError(PolyradError):

@@ -37,12 +37,7 @@ import numpy as np
 
 from .coefficients import base_profile_expr
 from .constants import critical_exponent, p_value, require_sobolev, sobolev_gap
-from .errors import (
-    DivisionGuardError,
-    DomainError,
-    NonConvergenceError,
-    UnsupportedProfileError,
-)
+from .errors import DomainError, NonConvergenceError
 from .radial import ExponentAffine, RadialExpr, nabla_m
 
 
@@ -402,7 +397,7 @@ def rayleigh_quotient(f: RadialProfile, m: int, alpha: float) -> float:
     num = _weighted_power_integral(f.nabla(m), 2.0, alpha).value
     den_q = _weighted_power_integral(f, two_star, alpha).value
     if den_q ** (1.0 / two_star) < QUAD_ABS_TOL:
-        raise DivisionGuardError(
+        raise DomainError(
             f"profile norm {den_q ** (1.0 / two_star):.3e} below QUAD_ABS_TOL; "
             "Rayleigh quotient undefined"
         )
@@ -411,7 +406,7 @@ def rayleigh_quotient(f: RadialProfile, m: int, alpha: float) -> float:
 
 def _check_profile_alpha(f: RadialProfile, alpha: float) -> None:
     if not isinstance(f, RadialProfile):
-        raise UnsupportedProfileError(
+        raise TypeError(
             f"gradient operations need a RadialProfile, got {type(f).__name__}"
         )
     if abs(f.alpha - alpha) > 1e-12 * max(1.0, abs(alpha)):

@@ -45,7 +45,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .constants import critical_exponent, require_sobolev
-from .errors import DomainError, TailDivergenceError
+from .errors import DomainError, NonConvergenceError
 from .functionals import RadialProfile
 
 
@@ -182,7 +182,7 @@ def _chain_values(u: RadialProfile, u_vals: np.ndarray, m: int, alpha: float,
     mu = u.decay_exponent * (two_star - 1.0)
     for _ in range(m):
         if not mu > 2.0:
-            raise TailDivergenceError(
+            raise NonConvergenceError(
                 f"decay r^-{mu:g} is too slow: outer integral needs mu > 2"
             )
         # inner: cumulative trapezoid in log r, from the origin closure
@@ -212,7 +212,7 @@ def iterate_chain(u: RadialProfile, m: int, alpha: float,
     """Build w_0..w_m from the profile u on the grid.
 
     The tail decay exponent derived from u's exact terms closes the
-    truncated integrals analytically.  Raises :class:`TailDivergenceError`
+    truncated integrals analytically.  Raises :class:`NonConvergenceError`
     when that decay is too slow for the outer integral to converge, and
     :class:`DomainError` when w_0 underflows to zero on a nonzero profile or
     the power weights leave the float range at this alpha on this grid.

@@ -119,51 +119,36 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Nonlinearity and series start
+# Series start
 # ---------------------------------------------------------------------------
 
 
-def nonlinearity(m: int, alpha: float):
-    """g(w) = |w|^(2*-2) w and its derivative g'(w) = (2*-1)|w|^(2*-2)."""
-    p = critical_exponent(m, alpha) - 2.0  # 4m/(alpha-2m+1) > 0
-
-    def g(w: float) -> float:
-        return abs(w) ** p * w
-
-    def gprime(w: float) -> float:
-        return (p + 1.0) * abs(w) ** p
-
-    return g, gprime
+def _closing_power(m: int, alpha: float) -> float:
+    """p = 2* - 2 > 0 of the closing term u_m = g(u_0) = |u_0|^p u_0."""
+    return critical_exponent(m, alpha) - 2.0
 
 
-def series_coefficients(spec: IVPSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Even Taylor coefficients (value, r^2, r^4) of each u_j at the origin.
-    Raises DomainError when the data overflow them."""
-    m, alpha = spec.m, spec.alpha
-    g, gprime = nonlinearity(m, alpha)
-    u0 = np.asarray(spec.even_initial, dtype=float)
+def series_start(spec: IVPSpec) -> list:
+    """Fourth-order Taylor state (u_0, u_0', ..., u_{m-1}, u_{m-1}') at the
+    handoff radius r0, on floats; the local error is O(r0^6) because the odd
+    orders vanish.  Level j's r^2 coefficient is a2_j = -u_{j+1}(0) / (2(alpha + 1))
+    and its r^4 coefficient -a2_{j+1} / (4(alpha + 3)), where u_m = g(u_0)
+    has the r^2 coefficient a2_m = (p + 1)|u_0|^p a2_0.  Raises DomainError
+    when the data make a coefficient overflow."""
+    alpha, u0, r = spec.alpha, spec.even_initial, spec.r0
+    p = _closing_power(spec.m, alpha)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            closing = g(u0[0])                                # u_m(0)
-            chain_vals = np.append(u0, closing)
-            a2 = -chain_vals[1:] / (2.0 * (1.0 + alpha))      # a2[j], j = 0..m-1
-            a2_closing = gprime(u0[0]) * a2[0]                # r^2 coeff of g(u_0)
-            a2_ext = np.append(a2, a2_closing)
-            a4 = -a2_ext[1:] / (4.0 * (3.0 + alpha))          # a4[j], j = 0..m-1
-    except FloatingPointError:
-        raise DomainError(f"initial data {u0.tolist()} overflow the series "
-                          f"start at the origin") from None
-    return u0, a2, a4
-
-
-def series_start(spec: IVPSpec) -> np.ndarray:
-    """Fourth-order Taylor state (u_j, u_j') at the handoff radius r0; the
-    local error is O(r0^6) because the odd orders vanish."""
-    u0, a2, a4 = series_coefficients(spec)
-    r = spec.r0
-    y = np.empty(2 * spec.m)
-    y[0::2] = u0 + a2 * r * r + a4 * r ** 4
-    y[1::2] = 2.0 * a2 * r + 4.0 * a4 * r ** 3
+        power = abs(u0[0]) ** p
+    except OverflowError:
+        power = math.inf
+    a2 = [-v / (2.0 * (1.0 + alpha)) for v in u0[1:] + (power * u0[0],)]
+    a4 = [-v / (4.0 * (3.0 + alpha)) for v in a2[1:] + [(p + 1.0) * power * a2[0]]]
+    if not all(map(math.isfinite, a2 + a4)):
+        raise DomainError(f"initial data {list(u0)} overflow the series "
+                          f"start at the origin")
+    y = []
+    for u, b, c in zip(u0, a2, a4):
+        y += [u + b * r * r + c * r ** 4, 2.0 * b * r + 4.0 * c * r ** 3]
     return y
 
 
@@ -323,11 +308,10 @@ def integrate(spec: IVPSpec) -> SolveResult:
     error scale is zero; both carry the partial trajectory in ``.result``.
     """
     r_max, rel_tol, abs_tol = spec.r_max, spec.rel_tol, spec.abs_tol
-    # g(w) = |w|^p w with the exponent of ``nonlinearity``
-    p = critical_exponent(spec.m, spec.alpha) - 2.0
+    p = _closing_power(spec.m, spec.alpha)
     rhs, step = _kernel(spec.m)(spec.alpha, p, abs_tol, rel_tol)
     r = spec.r0
-    y = series_start(spec).tolist()
+    y = series_start(spec)
     n = len(y)
     gap = sobolev_gap(spec.m, spec.alpha)
     lam, bounds = _level_bounds(gap, y)
@@ -520,15 +504,18 @@ def _classification_report(m: int, alpha: float, eps: float, r_max: float,
 
 
 def departure_from_family(m: int, alpha: float, result: SolveResult) -> float:
-    """min over eps of sup_r |u_0(r) - w_eps(r)| / w_eps(r) on the trajectory
-    nodes: small only when the solution coincides with a family member.  The
-    eps grid spans a factor of 16, geometrically centred on the member that
-    matches u_0(r0), or on eps = 1 when u_0(r0) <= 0 and none matches."""
+    """min over eps of sup_r |u_0(r) - w_eps(r)| / sup_r w_eps(r) on the
+    trajectory nodes: small only when the solution coincides with a family
+    member.  Relative to the sup, as in ``classification_check``: w_eps falls
+    like r^-gap, so a pointwise ratio grows with the integration's absolute
+    error in the tail.  The eps grid spans a factor of 16, geometrically
+    centred on the member that matches u_0(r0), or on eps = 1 when
+    u_0(r0) <= 0 and none matches."""
     u0 = result.component(0)
     centre = match_epsilon(m, alpha, float(u0[0])) if u0[0] > 0 else 1.0
     best = math.inf
     for eps in centre * np.geomspace(0.25, 4.0, 61):
         w = bliss_profile(m, alpha, eps)(result.r)
-        best = min(best, float(np.max(np.abs(u0 - w) / w)))
+        best = min(best, float(np.max(np.abs(u0 - w)) / np.max(w)))
     return best
 

@@ -263,16 +263,6 @@ class ExponentAffine:
 SIGMA_ZERO = ExponentAffine(0, 0)
 
 
-def _as_sigma(sigma) -> ExponentAffine:
-    if isinstance(sigma, ExponentAffine):
-        return sigma
-    if isinstance(sigma, tuple) and len(sigma) == 2:
-        return ExponentAffine(*sigma)
-    if isinstance(sigma, int):
-        return ExponentAffine(0, sigma)
-    raise TypeError(f"cannot interpret {sigma!r} as an affine exponent")
-
-
 @dataclass(frozen=True)
 class RadialTerm:
     """One summand coeff(alpha) * r^r_power * (1+r^2)^(-sigma/2)."""
@@ -336,10 +326,13 @@ class RadialExpr:
         return cls.single(c, 0, SIGMA_ZERO)
 
     @classmethod
-    def single(cls, coeff, r_power: int = 0, sigma=SIGMA_ZERO) -> "RadialExpr":
+    def single(cls, coeff, r_power: int = 0,
+               sigma: ExponentAffine = SIGMA_ZERO) -> "RadialExpr":
+        if not isinstance(sigma, ExponentAffine):
+            raise TypeError(f"sigma must be an ExponentAffine, got {sigma!r}")
         if not isinstance(coeff, AlphaPoly):
             coeff = AlphaPoly.constant(coeff)
-        return cls((RadialTerm(coeff, r_power, _as_sigma(sigma)),))
+        return cls((RadialTerm(coeff, r_power, sigma),))
 
     # -- structure ----------------------------------------------------------
 
@@ -467,14 +460,13 @@ class RadialExpr:
 # ---------------------------------------------------------------------------
 
 
-def abc_coefficients(rho: int, sigma) -> tuple:
+def abc_coefficients(rho: int, sigma: ExponentAffine) -> tuple:
     """The three expansion polynomials of one Laplacian application.
 
     Returns (A(rho, alpha, sigma), B(rho, alpha, sigma), C(rho, alpha)) as
     exact polynomials in alpha, with sigma substituted symbolically when it
     carries an alpha multiplier.
     """
-    sigma = _as_sigma(sigma)
     sp = sigma.as_poly()
     base = AlphaPoly((rho * (rho - 1), rho))  # rho * (rho + alpha - 1)
     a = base + sp * (sp - ALPHA + (1 - 2 * rho))

@@ -113,24 +113,25 @@ def check_polyharmonic_identity(max_m: int = SYMBOLIC_MAX_M) -> CheckResult:
     return _timed(1, f"exact polyharmonic identity, m = 1..{max_m}", body)
 
 
-def check_coefficient_recursion() -> CheckResult:
+def _check_reports(criterion: int, name: str,
+                   report: Callable[[int], dict]) -> CheckResult:
+    """Criteria 2 and 3: ``report(m)`` passes for m = 1..SYMBOLIC_MAX_M."""
     def body(details: dict) -> bool:
-        reports = [coeff.recursion_report(m) for m in range(1, SYMBOLIC_MAX_M + 1)]
+        reports = [report(m) for m in range(1, SYMBOLIC_MAX_M + 1)]
         details["failures"] = [f for r in reports for f in r["failures"]]
         return all(r["passed"] for r in reports)
 
-    return _timed(2, f"coefficient recursion and case reductions, m <= {SYMBOLIC_MAX_M}",
-                  body)
+    return _timed(criterion, f"{name}, m <= {SYMBOLIC_MAX_M}", body)
+
+
+def check_coefficient_recursion() -> CheckResult:
+    return _check_reports(2, "coefficient recursion and case reductions",
+                          coeff.recursion_report)
 
 
 def check_vanishing_top_row() -> CheckResult:
-    def body(details: dict) -> bool:
-        reports = [coeff.top_row_report(m) for m in range(1, SYMBOLIC_MAX_M + 1)]
-        details["failures"] = [f for r in reports for f in r["failures"]]
-        return all(r["passed"] for r in reports)
-
-    return _timed(3, f"vanishing top row and product constant, m <= {SYMBOLIC_MAX_M}",
-                  body)
+    return _check_reports(3, "vanishing top row and product constant",
+                          coeff.top_row_report)
 
 
 # --------------------------------------------------------------------------

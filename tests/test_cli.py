@@ -170,7 +170,7 @@ class TestClassify:
         assert report["departure"] < 0.01
 
     def test_overflowing_perturbation_departs(self, capsys):
-        # the nonlinearity overflows at the start radius: the integration
+        # the nonlinear term overflows at the start radius: the integration
         # stops with a blow-up (no numpy warning) and the data depart
         code, out, _ = run_cli(
             ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "0",

@@ -15,7 +15,7 @@ from polyrad.constants import (
     gamma,
     p_value,
 )
-from polyrad.errors import DomainError, SobolevConditionError
+from polyrad.errors import DomainError
 from polyrad.functionals import improper_integral
 
 mp.mp.dps = 40
@@ -86,7 +86,7 @@ class TestCriticalExponent:
         assert 2.0 < v6 < v3
 
     def test_gate(self):
-        with pytest.raises(SobolevConditionError):
+        with pytest.raises(DomainError, match="Sobolev condition violated"):
             critical_exponent(2, 2.0)
 
 
@@ -129,9 +129,9 @@ class TestBestConstant:
         assert abs(quad.S - closed.S) <= 1e-9 * closed.S
 
     def test_sobolev_gate_and_route_validation(self):
-        with pytest.raises(SobolevConditionError):
+        with pytest.raises(DomainError, match="Sobolev condition violated"):
             best_constant(2, 2.0)
-        with pytest.raises(SobolevConditionError):
+        with pytest.raises(DomainError, match="Sobolev condition violated"):
             best_constant(1, 1.0)
         with pytest.raises(ValueError):
             best_constant(1, 3.0, route="tea-leaves")

@@ -1,8 +1,9 @@
 """Every module-level import and private name of a polyrad module is loaded
-by that module.
+by that module, and every exception class of ``errors.py`` is raised or
+caught by name somewhere in the package.
 
-Deletions tend to leave imports and ``_``-prefixed helpers behind; this
-walks each module's syntax tree with the standard library only.
+Deletions tend to leave imports, ``_``-prefixed helpers and error classes
+behind; this walks each module's syntax tree with the standard library only.
 ``__init__`` re-exports the public API, so its imports are the point of the
 module and are not checked.  The runtime needs numpy alone: importing the
 command line loads no scipy.
@@ -101,6 +102,50 @@ def test_walk_flags_an_unused_import():
                      "def f(x: Tuple) -> 'int':\n    return x\n")
     used = _referenced_names(tree)
     assert {n for n in _imported_names(tree) if n not in used} == {"os", "Optional"}
+
+
+def _class_names(tree: ast.Module) -> set:
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _raised_or_caught(tree: ast.Module) -> set:
+    """Names raised (``raise X`` or ``raise X(...)``) or caught by name
+    (``except X``, ``except (X, mod.Y)``) anywhere in the tree."""
+    names = set()
+
+    def add(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Tuple):
+            for element in node.elts:
+                add(element)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            add(node.exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            add(node.type)
+    return names
+
+
+def test_every_error_class_is_raised_or_caught():
+    # a class that nothing raises or catches by name is surface with no use
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in MODULES}
+    used = set().union(*map(_raised_or_caught, trees.values()))
+    dead = _class_names(trees["errors"]) - used
+    assert not dead, f"errors.py: classes never raised or caught by name {sorted(dead)}"
+
+
+def test_walk_flags_a_dead_error_class():
+    errors = ast.parse("class A(Exception):\n    pass\nclass B(A):\n    pass\n"
+                       "class C(A):\n    pass\nclass D(A):\n    pass\n")
+    user = ast.parse("try:\n    raise B('x')\nexcept (mod.C, ValueError):\n    pass\n")
+    assert _class_names(errors) - _raised_or_caught(user) == {"A", "D"}
 
 
 def test_cli_import_loads_no_scipy():

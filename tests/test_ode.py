@@ -14,11 +14,11 @@ from polyrad.errors import (
     BlowupError,
     DomainError,
     OdeError,
-    SobolevConditionError,
     StepUnderflowError,
 )
 from polyrad.functionals import bliss_profile
 from polyrad.ode import (
+    DEPARTURE_TOL,
     IVPSpec,
     _kernel,
     _kernel_source,
@@ -28,9 +28,8 @@ from polyrad.ode import (
     handoff_radius,
     integrate,
     match_epsilon,
-    nonlinearity,
-    series_coefficients,
     series_start,
+    stopped_classification,
 )
 
 SQRT8 = math.sqrt(8.0)
@@ -79,7 +78,10 @@ def reference_dormand_prince(spec, max_steps=None):
     accepted nodes, states and the rejection count, after at most
     ``max_steps`` accepted steps."""
     m, alpha = spec.m, spec.alpha
-    g, _ = nonlinearity(m, alpha)
+    p = 2.0 * (alpha + 1.0) / (alpha - 2 * m + 1) - 2.0     # 2* - 2
+
+    def g(w):
+        return abs(w) ** p * w
 
     def f(r, y):
         dy = []
@@ -88,7 +90,7 @@ def reference_dormand_prince(spec, max_steps=None):
             dy += [y[2 * j + 1], -(alpha / r) * y[2 * j + 1] - source]
         return dy
 
-    r, y = spec.r0, series_start(spec).tolist()
+    r, y = spec.r0, series_start(spec)
     nodes, states, rejected = [r], [y], 0
     h = min(0.05 * spec.r0, spec.r_max - spec.r0)
     while r < spec.r_max and len(nodes) - 1 != max_steps:
@@ -117,7 +119,7 @@ def reference_dormand_prince(spec, max_steps=None):
 
 class TestSpecValidation:
     def test_sobolev_gate(self):
-        with pytest.raises(SobolevConditionError):
+        with pytest.raises(DomainError, match="Sobolev condition violated"):
             IVPSpec(m=2, alpha=2.0, even_initial=(1.0, 1.0))
 
     def test_data_length(self):
@@ -127,14 +129,6 @@ class TestSpecValidation:
     def test_radius_ordering(self):
         with pytest.raises(ValueError):
             IVPSpec(m=1, alpha=3.0, even_initial=(1.0,), r0=30.0, r_max=20.0)
-
-
-class TestNonlinearity:
-    def test_sign_and_zero(self):
-        g, gp = nonlinearity(1, 3.0)  # 2* = 4, g(w) = |w|^2 w
-        assert g(0.0) == 0.0
-        assert g(2.0) == 8.0 and g(-2.0) == -8.0
-        assert gp(2.0) == 12.0
 
 
 class TestSeriesStart:
@@ -153,20 +147,26 @@ class TestSeriesStart:
 
     def test_zero_data_zero_state(self):
         spec = IVPSpec(m=2, alpha=4.0, even_initial=(0.0, 0.0))
-        assert np.all(series_start(spec) == 0.0)
+        assert series_start(spec) == [0.0] * 4
 
     def test_second_derivative_relation(self):
-        # u_0''(0) = -u_1(0) / (alpha + 1) = -u_1(0)/5 for alpha = 4
+        # u_0''(0) = -u_1(0) / (alpha + 1) = -u_1(0)/5 for alpha = 4, read
+        # from the slope u_0'(r0) = 2 a2 r0 + 4 a4 r0^3
         data = family_data(2, 4.0, 1.0)
-        spec = IVPSpec(m=2, alpha=4.0, even_initial=data)
-        u0, a2, _ = series_coefficients(spec)
-        assert abs(2.0 * a2[0] + u0[1] / 5.0) <= 1e-14 * abs(u0[1])
+        spec = IVPSpec(m=2, alpha=4.0, even_initial=data, r0=1e-6)
+        slope = series_start(spec)[1]
+        assert abs(slope / spec.r0 + data[1] / 5.0) <= 1e-10 * abs(data[1])
 
-    def test_closing_level_uses_nonlinearity(self):
-        spec = IVPSpec(m=1, alpha=3.0, even_initial=(2.0,))
-        _, a2, _ = series_coefficients(spec)
-        # -Delta u_0 = u_0^3: a2 = -8/(2*4)
-        assert abs(a2[0] + 1.0) <= 1e-15
+    @pytest.mark.parametrize("u0", [2.0, -2.0])
+    def test_closing_level_is_g_of_u0(self, u0):
+        # -Delta u_0 = g(u_0) = |u_0|^2 u_0 at m = 1, alpha = 3 (2* = 4):
+        # a2 = -g(u_0) / (2 * 4) = -u_0 / 2 at |u_0| = 2 and, through
+        # g'(u_0) = 3 u_0^2 = 12, a4 = -12 a2 / (4 * 6) = u_0 / 4; the value
+        # u_0 + a2 r^2 + a4 r^4 and the slope 2 a2 r + 4 a4 r^3 are exact here
+        r = 0.5
+        value, slope = series_start(IVPSpec(m=1, alpha=3.0, even_initial=(u0,), r0=r))
+        assert value == u0 - u0 / 2.0 * r * r + u0 / 4.0 * r ** 4
+        assert slope == -u0 * r + u0 * r ** 3
 
 
 class TestIntegrate:
@@ -302,7 +302,7 @@ class TestIntegrate:
 
     def test_blowup_detected(self):
         # strongly inconsistent data: u_0'' = -u_1 > 0 ramps u_0, the
-        # nonlinearity feeds back and the magnitude passes the overflow limit
+        # nonlinear term feeds back and the magnitude passes the overflow limit
         spec = IVPSpec(m=2, alpha=4.0, even_initial=(5.0, -500.0), r_max=50.0)
         with pytest.raises((BlowupError, StepUnderflowError)) as info:
             integrate(spec)
@@ -311,7 +311,7 @@ class TestIntegrate:
         assert len(partial.r) == len(partial.y)
 
     def test_non_finite_step_raises_blowup(self):
-        # u_0(0) scaled by 1e10 overflows the nonlinearity at the start
+        # u_0(0) scaled by 1e10 overflows the nonlinear term at the start
         # radius: a blow-up before the first step, raised without a warning
         data = family_data(2, 4.0, 1.0)
         data[0] *= 1e10
@@ -502,6 +502,38 @@ class TestClassification:
         except OdeError as err:
             result = err.result
         assert departure_from_family(m, alpha, result) >= 0.01
+
+    @pytest.mark.parametrize("m,alpha", [
+        (1, 3.0), (1, 12.0), (1, 30.0), (2, 4.0), (2, 8.0), (2, 12.0), (2, 16.0),
+        (3, 8.0), (3, 12.0),
+    ])
+    def test_departure_agrees_with_the_family_check(self, m, alpha):
+        # exact data coincide wherever the family check does: the departure
+        # is relative to sup w_eps, like that check's deviation, since
+        # relative to w_eps(r), which falls like r^-gap, the tail's absolute
+        # error dominates.  At (2, 16) both forms depart.  At m = 1 a scaled
+        # u_0 is the datum of another family member, so it coincides.
+        try:
+            family = classification_check(m, alpha, 1.0, 20.0)
+        except OdeError as err:
+            family = stopped_classification(m, alpha, 1.0, 20.0, err)
+        for index in range(m):
+            for scale in (1.0, 1.05, 0.95, 1.0001):
+                data = family_data(m, alpha, 1.0)
+                data[index] *= scale
+                spec = IVPSpec(m=m, alpha=alpha, even_initial=data,
+                               r0=handoff_radius(1.0), r_max=20.0)
+                try:
+                    result = integrate(spec)
+                except OdeError as err:
+                    result = err.result
+                departure = departure_from_family(m, alpha, result)
+                if scale == 1.0 and family.verdict == "coincides":
+                    assert departure <= 1e-6, (index, departure)
+                elif scale == 1.0 or m > 1:
+                    assert departure >= DEPARTURE_TOL, (index, scale, departure)
+                else:
+                    assert departure <= 1e-6, (scale, departure)
 
     @pytest.mark.parametrize("eps", [1.0, 10.0])
     def test_unperturbed_departure_is_tiny(self, eps):

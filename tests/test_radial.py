@@ -26,7 +26,7 @@ def sigma(a, b):
     return ExponentAffine(a, b)
 
 
-def single(coeff, r_power=0, sig=(0, 0)):
+def single(coeff, r_power=0, sig=ExponentAffine(0, 0)):
     return RadialExpr.single(coeff, r_power, sig)
 
 
@@ -398,6 +398,12 @@ def test_sigma_multiplier_validation():
         ExponentAffine(2, 0)
     with pytest.raises(TypeError):
         ExponentAffine(1, 0.5)
+
+
+@pytest.mark.parametrize("bad", [(0, 1), 1, None])
+def test_single_takes_only_an_exponent_affine(bad):
+    with pytest.raises(TypeError, match="sigma must be an ExponentAffine"):
+        RadialExpr.single(1, 0, bad)
 
 
 def test_term_ordering_deterministic():
