@@ -26,12 +26,19 @@ caught by comparing them.
 The top row collapses: G(0, m) equals the degree-2m product
 P(alpha, m) = prod_{h=-m}^{m-1} (alpha + 1 + 2h) and G(i, m) = 0 for i >= 1,
 which is what makes the profile an exact eigenfunction-like solution.
+
+Cost: ``CoeffTable.build``, ``recursion_report`` and ``top_row_report`` build
+K_j (0 <= j <= m) and the rows of E(i, j) and K_j E(i, j) once per call, each
+row entry its neighbour times a linear factor, so the products cost O(m^3)
+where rebuilding them for every (i, j) cost O(m^4).  Nothing outlives a call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 from typing import Dict, Optional, Tuple
 
 from .errors import DomainError
@@ -67,14 +74,18 @@ def d_factor(i: int, j: int, m: int) -> int:
     return out
 
 
+def _e_multiples(p: AlphaPoly, j: int) -> list:
+    """[p E(0, j), ..., p E(j, j)], each the next one times a linear factor
+    (E(i, j) = (alpha + 1 + 2i) E(i+1, j))."""
+    factors = (AlphaPoly.linear(1, 1 + 2 * i) for i in range(j - 1, -1, -1))
+    return list(accumulate(factors, mul, initial=p))[::-1]
+
+
 def e_factor(i: int, j: int) -> AlphaPoly:
     """E(i, j): prod_{h=i}^{j-1} (alpha + 1 + 2h), 1 at i = j, zero outside."""
     if i < 0 or i >= j + 1:
         return AlphaPoly.zero()
-    out = AlphaPoly.one()
-    for h in range(i, j):
-        out = out * AlphaPoly.linear(1, 1 + 2 * h)
-    return out
+    return _e_multiples(AlphaPoly.one(), j)[i]
 
 
 def k_factor(j: int, m: int) -> AlphaPoly:
@@ -96,6 +107,12 @@ def g_coefficient(i: int, j: int, m: int) -> AlphaPoly:
     if b == 0 or d == 0:
         return AlphaPoly.zero()
     return (2 ** i * b * d) * (k_factor(j, m) * e_factor(i, j))
+
+
+def _g_row(j: int, m: int, kj: AlphaPoly) -> list:
+    """[G(0, j), ..., G(j, j)] from K_j."""
+    return [(2 ** i * binomial(j, i) * d_factor(i, j, m)) * ke
+            for i, ke in enumerate(_e_multiples(kj, j))]
 
 
 def p_constant(m: int) -> AlphaPoly:
@@ -120,6 +137,11 @@ def h_coefficient(i: int, j: int, m: int) -> AlphaPoly:
       + 2^i     binom(j, i)   D(i, j)   E(i, j)   B(2i,   alpha, sigma)
       + 2^(i+1) binom(j, i+1) D(i+1, j) E(i+1, j) C(2i+2, alpha).
     """
+    return _h_coefficient(i, j, m, _e_multiples(AlphaPoly.one(), j))
+
+
+def _h_coefficient(i: int, j: int, m: int, e_row: list) -> AlphaPoly:
+    """H(i, j) with e_row = [E(0, j), ..., E(j, j)]."""
     if not 1 <= j < m:
         raise ValueError(f"need 1 <= j < m, got j={j}, m={m}")
     if not 0 <= i <= j + 1:
@@ -132,9 +154,8 @@ def h_coefficient(i: int, j: int, m: int) -> AlphaPoly:
         if weight == 0:  # also every ii < 0, where 2 ** ii is not an int
             continue
         weight *= 2 ** ii
-        a, b, c = abc_coefficients(2 * ii, sigma)
-        piece = (a, b, c)[offset + 1]  # offset -1 -> A, 0 -> B, +1 -> C
-        out = out + weight * (e_factor(ii, j) * piece)
+        piece = abc_coefficients(2 * ii, sigma)[offset + 1]  # A, B or C
+        out = out + weight * (e_row[ii] * piece)
     return out
 
 
@@ -171,13 +192,18 @@ def lmq_product_form(j: int, m: int) -> AlphaPoly:
 
 def h_case_reduced(i: int, j: int, m: int) -> AlphaPoly:
     """The case-reduced closed form of H(i, j)."""
+    return _h_case_reduced(i, j, m, _e_multiples(AlphaPoly.one(), j + 1))
+
+
+def _h_case_reduced(i: int, j: int, m: int, e_next: list) -> AlphaPoly:
+    """h_case_reduced with e_next = [E(0, j+1), ..., E(j+1, j+1)]."""
     if not 1 <= j < m:
         raise ValueError(f"need 1 <= j < m, got j={j}, m={m}")
     if i == 0:
-        return -(e_factor(0, j + 1) * AlphaPoly.linear(1, 1 - 2 * m + 2 * j))
+        return -(e_next[0] * AlphaPoly.linear(1, 1 - 2 * m + 2 * j))
     if 1 <= i <= j - 1:
         w = 2 ** i * binomial(j + 1, i) * d_factor(i, j + 1, m)
-        return -w * (AlphaPoly.linear(1, -2 * m + 2 * j + 1) * e_factor(i, j + 1))
+        return -w * (AlphaPoly.linear(1, -2 * m + 2 * j + 1) * e_next[i])
     if i == j:
         return (2 ** j * d_factor(j - 1, j, m)) * lmq_bracket(j, m)
     if i == j + 1:
@@ -203,8 +229,9 @@ class CoeffTable:
     def build(cls, m: int) -> "CoeffTable":
         if m < 1:
             raise DomainError(f"m must be >= 1, got {m}")
-        g = {(i, j): g_coefficient(i, j, m)
-             for j in range(1, m + 1) for i in range(j + 1)}
+        k = [k_factor(j, m) for j in range(m + 1)]
+        g = {(i, j): gij
+             for j in range(1, m + 1) for i, gij in enumerate(_g_row(j, m, k[j]))}
         return cls(m=m, g=g)
 
     def with_g_entry(self, i: int, j: int, poly: AlphaPoly) -> "CoeffTable":
@@ -268,10 +295,9 @@ def verify_expansion(m: int, table: Optional[CoeffTable] = None) -> ExpansionRep
     for j in range(1, m + 1):
         lhs = apply_polyharmonic(lhs, 1, signed=True)
         lhs.require_nonnegative_powers()
-        diff = lhs - table.expansion_expr(j)
-        checks.append(
-            ExpansionCheck(j=j, ok=diff.is_zero, diff=None if diff.is_zero else diff.to_json())
-        )
+        want = table.expansion_expr(j)
+        ok = lhs == want  # canonical forms: equal iff the difference is zero
+        checks.append(ExpansionCheck(j=j, ok=ok, diff=None if ok else (lhs - want).to_json()))
     return ExpansionReport(m=m, checks=tuple(checks))
 
 
@@ -285,17 +311,20 @@ def recursion_report(m: int) -> dict:
       form.
     """
     failures = []
+    k = [k_factor(j, m) for j in range(m + 1)]
+    e = [_e_multiples(AlphaPoly.one(), j) for j in range(m + 1)]
     for j in range(1, m):
-        kj = k_factor(j, m)
-        if k_factor(j + 1, m) != kj * AlphaPoly.linear(1, -2 * m + 1 + 2 * j):
+        kj = k[j]
+        if k[j + 1] != kj * AlphaPoly.linear(1, -2 * m + 1 + 2 * j):
             failures.append(f"K-recursion at j={j}")
         if lmq_bracket(j, m) != lmq_product_form(j, m):
             failures.append(f"L/M/Q bracket at j={j}")
+        g_next = _g_row(j + 1, m, k[j + 1])
         for i in range(0, j + 2):
-            h = h_coefficient(i, j, m)
-            if g_coefficient(i, j + 1, m) != -(kj * h):
+            h = _h_coefficient(i, j, m, e[j])
+            if g_next[i] != -(kj * h):
                 failures.append(f"G(i,j+1) = -K_j H(i,j) at i={i}, j={j}")
-            if h != h_case_reduced(i, j, m):
+            if h != _h_case_reduced(i, j, m, e[j + 1]):
                 failures.append(f"case-reduced H at i={i}, j={j}")
     return {"m": m, "passed": not failures, "failures": failures}
 
@@ -303,9 +332,10 @@ def recursion_report(m: int) -> dict:
 def top_row_report(m: int) -> dict:
     """G(0, m) = P(alpha, m) and G(i, m) = 0 for 1 <= i <= m, exactly."""
     failures = []
-    if g_coefficient(0, m, m) != p_constant(m):
+    top = _g_row(m, m, k_factor(m, m))
+    if top[0] != p_constant(m):
         failures.append("G(0,m) != P")
     for i in range(1, m + 1):
-        if not g_coefficient(i, m, m).is_zero:
+        if not top[i].is_zero:
             failures.append(f"G({i},{m}) != 0")
     return {"m": m, "passed": not failures, "failures": failures}

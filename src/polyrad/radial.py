@@ -74,6 +74,9 @@ class AlphaPoly:
     stored as an ``int`` and any other as a ``Fraction``; the two compare,
     hash and print alike, so ``3`` and ``Fraction(3)`` give the same
     polynomial.  Exact evaluation returns a ``Fraction`` either way.
+
+    The public constructor and scalar operands normalise every coefficient;
+    arithmetic results come from ``_derived``, which checks no all-int result.
     """
 
     __slots__ = ("_coeffs",)
@@ -84,6 +87,18 @@ class AlphaPoly:
             cs.pop()
         self._coeffs = tuple(cs)
 
+    @classmethod
+    def _derived(cls, cs: list) -> "AlphaPoly":
+        """From exact results cs: an int sum means all are ints; a Fraction
+        takes the public constructor, which stores 2 * 1/2 as the int 1."""
+        if type(sum(cs)) is not int:
+            return cls(cs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out = object.__new__(cls)
+        out._coeffs = tuple(cs)
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -93,10 +108,6 @@ class AlphaPoly:
     @classmethod
     def one(cls) -> "AlphaPoly":
         return cls((1,))
-
-    @classmethod
-    def alpha(cls) -> "AlphaPoly":
-        return cls((0, 1))
 
     @classmethod
     def constant(cls, c) -> "AlphaPoly":
@@ -148,12 +159,12 @@ class AlphaPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return AlphaPoly(out)
+        return AlphaPoly._derived(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlphaPoly":
-        return AlphaPoly(tuple(-c for c in self._coeffs))
+        return AlphaPoly._derived([-c for c in self._coeffs])
 
     def __sub__(self, other) -> "AlphaPoly":
         return self + (-other if isinstance(other, AlphaPoly) else AlphaPoly.constant(-_exact(other)))
@@ -163,16 +174,20 @@ class AlphaPoly:
 
     def __mul__(self, other) -> "AlphaPoly":
         if isinstance(other, (int, Fraction)):
-            return AlphaPoly(tuple(c * other for c in self._coeffs))
+            other = _exact(other)
+            return AlphaPoly._derived([c * other for c in self._coeffs])
         if not isinstance(other, AlphaPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return AlphaPoly.zero()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return AlphaPoly(out)
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):  # the shorter factor in the outer loop
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+        return AlphaPoly._derived(out)
 
     __rmul__ = __mul__
 
@@ -221,27 +236,26 @@ class AlphaPoly:
         return f"AlphaPoly({self})"
 
 
-ALPHA = AlphaPoly.alpha()
-
-
 @dataclass(frozen=True, order=True)
 class ExponentAffine:
     """Exponent sigma = alpha_multiplier * alpha + constant_shift.
 
     Restricting the multiplier to {0, 1} covers every exponent the weighted
-    polyharmonic calculus produces and rejects unsupported inputs early.
+    polyharmonic calculus produces and rejects unsupported inputs early.  Both
+    fields are plain ints (no bool or float): they enter coefficients as is.
     """
 
     alpha_multiplier: int
     constant_shift: int
 
     def __post_init__(self):
+        if type(self.alpha_multiplier) is not int or type(self.constant_shift) is not int:
+            raise TypeError(f"alpha multiplier and constant shift must be ints, got "
+                            f"{self.alpha_multiplier!r}, {self.constant_shift!r}")
         if self.alpha_multiplier not in (0, 1):
             raise ValueError(
                 f"alpha multiplier must be 0 or 1, got {self.alpha_multiplier}"
             )
-        if not isinstance(self.constant_shift, int):
-            raise TypeError("constant shift must be an integer")
 
     def shifted(self, delta: int) -> "ExponentAffine":
         return ExponentAffine(self.alpha_multiplier, self.constant_shift + delta)
@@ -304,7 +318,7 @@ class RadialExpr:
             for k in range(i + 1):
                 weight = math.comb(i, k) * (-1) ** (i - k)
                 coeff = t.coeff if weight == 1 else t.coeff * weight
-                key = (e, t.sigma.shifted(-2 * k))
+                key = (e, t.sigma.shifted(-2 * k) if k else t.sigma)
                 acc = merged.get(key)
                 merged[key] = coeff if acc is None else acc + coeff
         out = [
@@ -464,15 +478,17 @@ def abc_coefficients(rho: int, sigma: ExponentAffine) -> tuple:
     """The three expansion polynomials of one Laplacian application.
 
     Returns (A(rho, alpha, sigma), B(rho, alpha, sigma), C(rho, alpha)) as
-    exact polynomials in alpha, with sigma substituted symbolically when it
-    carries an alpha multiplier.
+    exact polynomials in alpha.  With sigma = s*alpha + t the coefficients,
+    low degree first, are C = [rho(rho-1), rho],
+    A = C + [t(t-2rho+1), s(t-2rho+1) + t(s-1), s(s-1)] and
+    B = 2C - [t(2rho+1), s(2rho+1) + t, s].
     """
-    sp = sigma.as_poly()
-    base = AlphaPoly((rho * (rho - 1), rho))  # rho * (rho + alpha - 1)
-    a = base + sp * (sp - ALPHA + (1 - 2 * rho))
-    b = 2 * base - sp * (ALPHA + (2 * rho + 1))
-    c = base
-    return a, b, c
+    s, t = sigma.alpha_multiplier, sigma.constant_shift
+    c = [rho * (rho - 1), rho]
+    v = t - 2 * rho + 1
+    a = [c[0] + t * v, c[1] + s * v + t * (s - 1), s * (s - 1)]
+    b = [2 * c[0] - t * (2 * rho + 1), 2 * c[1] - s * (2 * rho + 1) - t, -s]
+    return AlphaPoly._derived(a), AlphaPoly._derived(b), AlphaPoly._derived(c)
 
 
 def apply_laplacian(expr: RadialExpr) -> RadialExpr:

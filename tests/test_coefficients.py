@@ -178,13 +178,38 @@ class TestVerifyExpansion:
         assert [c.j for c in report.checks] == list(range(1, m + 1))
 
     def test_high_order_exact(self):
-        # guards the cost in m: a lowering exponential in m takes about 9 s
-        # here, the closed form about 0.2 s
-        m = 16
-        report = verify_expansion(m)
-        assert report.passed and len(report.checks) == m
-        assert recursion_report(m)["passed"]
-        assert top_row_report(m)["passed"]
+        # every order past the pinned m <= 8, up to 16: under 0.3 s in all
+        for m in range(9, 17):
+            report = verify_expansion(m)
+            assert report.passed and len(report.checks) == m, m
+            assert recursion_report(m)["passed"], m
+            assert top_row_report(m)["passed"], m
+
+    @pytest.mark.parametrize("build, per_m2", [(recursion_report, 10),
+                                               (CoeffTable.build, 2)])
+    def test_product_count_grows_like_m_squared(self, monkeypatch, build, per_m2):
+        # Each product is by a factor of bounded degree or, in the check
+        # G(i, j+1) = -K_j H(i, j), one of O(m^2) products of degree O(m), so
+        # the work is O(m^3) when the count grows like m^2.  Code that
+        # rebuilds K_j and E(i, j) for every (i, j) fails both bounds: it
+        # makes 1390 -> 7802 products for the recursion report and
+        # 340 -> 2344 for the table at m = 8 -> 16.
+        calls = []
+        mul = AlphaPoly.__mul__
+
+        def counted(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(AlphaPoly, "__mul__", counted)
+        monkeypatch.setattr(AlphaPoly, "__rmul__", counted)
+        counts = {}
+        for m in (8, 16):
+            calls.clear()
+            build(m)
+            counts[m] = len(calls)
+            assert counts[m] <= per_m2 * m * m, counts
+        assert counts[16] <= 4.5 * counts[8], counts
 
     def test_derived_coefficients_are_ints(self):
         table = CoeffTable.build(6)

@@ -77,6 +77,32 @@ class TestAlphaPoly:
         assert type(p(3)) is Fraction and p(3) == 7
         assert type(single(p).evaluate(3, 2)) is Fraction
 
+    @pytest.mark.parametrize("result, want", [
+        (AlphaPoly([Fraction(1, 2)]) * 2, (1,)),
+        (2 * AlphaPoly([Fraction(1, 2), 3]), (1, 6)),
+        (AlphaPoly([3, 6]) * Fraction(1, 3), (1, 2)),
+        (AlphaPoly([Fraction(1, 2)]) * Fraction(4, 2), (1,)),
+        (AlphaPoly([Fraction(2, 3), 1]) * AlphaPoly([Fraction(3, 2), Fraction(1, 3)]),
+         (1, Fraction(3, 2) + Fraction(2, 9), Fraction(1, 3))),
+        (AlphaPoly([Fraction(1, 2), Fraction(1, 3)]) + AlphaPoly([Fraction(1, 2), 1]),
+         (1, Fraction(4, 3))),
+        (AlphaPoly([Fraction(1, 2)]) - AlphaPoly([Fraction(-1, 2), 0]), (1,)),
+        (AlphaPoly([Fraction(1, 3)]) - AlphaPoly([Fraction(1, 3)]), ()),
+        (-AlphaPoly([Fraction(1, 2), 4]), (Fraction(-1, 2), -4)),
+        (-(AlphaPoly([Fraction(3, 2)]) * Fraction(2, 3)), (-1,)),
+    ])
+    def test_arithmetic_stores_integral_results_as_int(self, result, want):
+        assert result.coefficients == want
+        assert [type(c) for c in result.coefficients] == [
+            int if Fraction(c).denominator == 1 else Fraction for c in want]
+
+    @pytest.mark.parametrize("op", [
+        lambda p: p * 0.5, lambda p: 0.5 * p, lambda p: p + 1.0, lambda p: 1.0 - p,
+    ])
+    def test_float_operand_raises(self, op):
+        with pytest.raises(TypeError):
+            op(AlphaPoly([Fraction(1, 2), 1]))
+
 
 # ---------------------------------------------------------------------------
 # Sympy differentiation oracle (symbolic in alpha, rho, sigma)
@@ -143,6 +169,24 @@ class TestLaplacian:
         # rho=2, sigma=0 at alpha=4
         a2, b2, c2 = abc_coefficients(2, sigma(0, 0))
         assert (a2(4), b2(4), c2(4)) == (10, 20, 10)
+
+    def test_closed_form_abc_matches_expression_form(self):
+        alpha = AlphaPoly.linear(1, 0)
+
+        def expression_form(rho, sig):
+            sp = sig.as_poly()
+            base = AlphaPoly((rho * (rho - 1), rho))  # rho * (rho + alpha - 1)
+            a = base + sp * (sp - alpha + (1 - 2 * rho))
+            b = 2 * base - sp * (alpha + (2 * rho + 1))
+            return a, b, base
+
+        for rho in range(-4, 30):
+            for mult in (0, 1):
+                for shift in range(-30, 30):
+                    got = abc_coefficients(rho, sigma(mult, shift))
+                    want = expression_form(rho, sigma(mult, shift))
+                    assert got == want, (rho, mult, shift)
+                    assert all(type(c) is int for p in got for c in p.coefficients)
 
     def test_base_profile_single_step(self):
         # -Delta (1+r^2)^(-(a-1)/2) = (a-1)(a+1) (1+r^2)^(-(a+3)/2)
@@ -398,6 +442,13 @@ def test_sigma_multiplier_validation():
         ExponentAffine(2, 0)
     with pytest.raises(TypeError):
         ExponentAffine(1, 0.5)
+
+
+@pytest.mark.parametrize("mult, shift", [(1.0, 3), (True, 3), (0.0, 3), (1, True),
+                                         (1, 3.0), (1, Fraction(3))])
+def test_sigma_takes_only_plain_ints(mult, shift):
+    with pytest.raises(TypeError, match="must be ints"):
+        ExponentAffine(mult, shift)
 
 
 @pytest.mark.parametrize("bad", [(0, 1), 1, None])
