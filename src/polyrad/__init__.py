@@ -22,9 +22,8 @@ weighted radial Laplacian Delta_alpha u = u'' + (alpha/r) u':
 from .coefficients import (
     CoeffTable,
     d_factor,
-    e_factor,
-    g_coefficient,
-    h_coefficient,
+    g_row,
+    h_row,
     k_factor,
     p_constant,
     verify_expansion,

@@ -18,19 +18,22 @@ sigma = alpha - 2m + 1 + 4j, and satisfies the exact recursion
 
     G(i, j+1) = -K_j * H(i, j).
 
-H is implemented here directly from its three-line definition; the reduced
-closed forms of the four index cases (i = 0, 1 <= i <= j-1, i = j, i = j+1)
-are provided separately so that a transcription error in either form is
-caught by comparing them.
+Each quantity is one function that returns the row the reports walk:
+``e_row`` (E(i, j) times a given polynomial), ``g_row`` (G(i, j) for
+0 <= i <= j), ``h_row`` (H(i, j) from its three-line definition for
+0 <= i <= j+1) and ``h_reduced_row`` (the reduced closed forms of the four
+index cases i = 0, 1 <= i <= j-1, i = j, i = j+1).  The reduced forms are a
+separate row so that a transcription error in either form is caught by
+comparing the two.
 
 The top row collapses: G(0, m) equals the degree-2m product
 P(alpha, m) = prod_{h=-m}^{m-1} (alpha + 1 + 2h) and G(i, m) = 0 for i >= 1,
 which is what makes the profile an exact eigenfunction-like solution.
 
-Cost: ``CoeffTable.build``, ``recursion_report`` and ``top_row_report`` build
-K_j (0 <= j <= m) and the rows of E(i, j) and K_j E(i, j) once per call, each
-row entry its neighbour times a linear factor, so the products cost O(m^3)
-where rebuilding them for every (i, j) cost O(m^4).  Nothing outlives a call.
+Cost: each row builds its E(i, j) or K_j E(i, j) entries once, each entry
+its neighbour times a linear factor, so ``CoeffTable.build``,
+``recursion_report`` and ``top_row_report`` cost O(m^3) products where
+rebuilding them for every (i, j) cost O(m^4).  Nothing outlives a call.
 """
 
 from __future__ import annotations
@@ -52,13 +55,6 @@ from .radial import (
 )
 
 
-def binomial(j: int, i: int) -> int:
-    """Binomial coefficient with the zero convention outside 0 <= i <= j."""
-    if i < 0 or i > j:
-        return 0
-    return math.comb(j, i)
-
-
 def d_factor(i: int, j: int, m: int) -> int:
     """D(i, j): 1 at i = 0, prod_{h=j-i+1}^{j} (m-h) for 1 <= i <= j,
     zero outside."""
@@ -74,18 +70,11 @@ def d_factor(i: int, j: int, m: int) -> int:
     return out
 
 
-def _e_multiples(p: AlphaPoly, j: int) -> list:
+def e_row(j: int, p: AlphaPoly) -> list:
     """[p E(0, j), ..., p E(j, j)], each the next one times a linear factor
     (E(i, j) = (alpha + 1 + 2i) E(i+1, j))."""
     factors = (AlphaPoly.linear(1, 1 + 2 * i) for i in range(j - 1, -1, -1))
     return list(accumulate(factors, mul, initial=p))[::-1]
-
-
-def e_factor(i: int, j: int) -> AlphaPoly:
-    """E(i, j): prod_{h=i}^{j-1} (alpha + 1 + 2h), 1 at i = j, zero outside."""
-    if i < 0 or i >= j + 1:
-        return AlphaPoly.zero()
-    return _e_multiples(AlphaPoly.one(), j)[i]
 
 
 def k_factor(j: int, m: int) -> AlphaPoly:
@@ -98,21 +87,12 @@ def k_factor(j: int, m: int) -> AlphaPoly:
     return out
 
 
-def g_coefficient(i: int, j: int, m: int) -> AlphaPoly:
-    """G(i, j) = 2^i binom(j, i) K_j D(i, j) E(i, j)."""
+def g_row(j: int, m: int) -> list:
+    """[G(0, j), ..., G(j, j)] with G(i, j) = 2^i binom(j, i) K_j D(i, j) E(i, j)."""
     if not 1 <= j <= m:
         raise ValueError(f"need 1 <= j <= m, got j={j}, m={m}")
-    b = binomial(j, i)
-    d = d_factor(i, j, m)
-    if b == 0 or d == 0:
-        return AlphaPoly.zero()
-    return (2 ** i * b * d) * (k_factor(j, m) * e_factor(i, j))
-
-
-def _g_row(j: int, m: int, kj: AlphaPoly) -> list:
-    """[G(0, j), ..., G(j, j)] from K_j."""
-    return [(2 ** i * binomial(j, i) * d_factor(i, j, m)) * ke
-            for i, ke in enumerate(_e_multiples(kj, j))]
+    return [(2 ** i * math.comb(j, i) * d_factor(i, j, m)) * ke
+            for i, ke in enumerate(e_row(j, k_factor(j, m)))]
 
 
 def p_constant(m: int) -> AlphaPoly:
@@ -130,33 +110,27 @@ def induction_sigma(j: int, m: int) -> ExponentAffine:
     return ExponentAffine(1, 1 - 2 * m + 4 * j)
 
 
-def h_coefficient(i: int, j: int, m: int) -> AlphaPoly:
-    """H(i, j) from its three-line definition at sigma = alpha - 2m + 1 + 4j:
+def h_row(j: int, m: int) -> list:
+    """[H(0, j), ..., H(j+1, j)] from the three-line definition at
+    sigma = alpha - 2m + 1 + 4j:
 
-        2^(i-1) binom(j, i-1) D(i-1, j) E(i-1, j) A(2i-2, alpha, sigma)
-      + 2^i     binom(j, i)   D(i, j)   E(i, j)   B(2i,   alpha, sigma)
-      + 2^(i+1) binom(j, i+1) D(i+1, j) E(i+1, j) C(2i+2, alpha).
+        H(i, j) = 2^(i-1) binom(j, i-1) D(i-1, j) E(i-1, j) A(2i-2, alpha, sigma)
+                + 2^i     binom(j, i)   D(i, j)   E(i, j)   B(2i,   alpha, sigma)
+                + 2^(i+1) binom(j, i+1) D(i+1, j) E(i+1, j) C(2i+2, alpha),
+
+    where line i' of the row, for 0 <= i' <= j, feeds A to H(i'+1, j), B to
+    H(i', j) and C to H(i'-1, j).
     """
-    return _h_coefficient(i, j, m, _e_multiples(AlphaPoly.one(), j))
-
-
-def _h_coefficient(i: int, j: int, m: int, e_row: list) -> AlphaPoly:
-    """H(i, j) with e_row = [E(0, j), ..., E(j, j)]."""
     if not 1 <= j < m:
         raise ValueError(f"need 1 <= j < m, got j={j}, m={m}")
-    if not 0 <= i <= j + 1:
-        raise ValueError(f"need 0 <= i <= j+1, got i={i}, j={j}")
     sigma = induction_sigma(j, m)
-    out = AlphaPoly.zero()
-    for offset in (-1, 0, 1):
-        ii = i + offset
-        weight = binomial(j, ii) * d_factor(ii, j, m)
-        if weight == 0:  # also every ii < 0, where 2 ** ii is not an int
-            continue
-        weight *= 2 ** ii
-        piece = abc_coefficients(2 * ii, sigma)[offset + 1]  # A, B or C
-        out = out + weight * (e_row[ii] * piece)
-    return out
+    row = [AlphaPoly.zero()] * (j + 2)
+    for ii, e in enumerate(e_row(j, AlphaPoly.one())):
+        line = (2 ** ii * math.comb(j, ii) * d_factor(ii, j, m)) * e
+        for i, piece in zip((ii + 1, ii, ii - 1), abc_coefficients(2 * ii, sigma)):
+            if i >= 0:
+                row[i] = row[i] + line * piece
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +138,13 @@ def _h_coefficient(i: int, j: int, m: int, e_row: list) -> AlphaPoly:
 # ---------------------------------------------------------------------------
 
 
-def lmq_values(j: int, m: int) -> Tuple[int, int, int]:
-    """The bracket coefficients of the middle cases:
+def lmq_bracket(j: int, m: int) -> AlphaPoly:
+    """(alpha+1)^2 L_j + (alpha+1) M_j + Q_j with
     L_j = -(j+1)(m-j-1),  M_j = 2(j+1)(m-j-1)(m-2j),
     Q_j = 4j(j+1)(m-j-1)(m-j)."""
     l = -(j + 1) * (m - j - 1)
     mm = 2 * (j + 1) * (m - j - 1) * (m - 2 * j)
     q = 4 * j * (j + 1) * (m - j - 1) * (m - j)
-    return l, mm, q
-
-
-def lmq_bracket(j: int, m: int) -> AlphaPoly:
-    """(alpha+1)^2 L_j + (alpha+1) M_j + Q_j."""
-    l, mm, q = lmq_values(j, m)
     ap1 = AlphaPoly.linear(1, 1)
     return l * (ap1 * ap1) + mm * ap1 + AlphaPoly.constant(q)
 
@@ -190,26 +158,20 @@ def lmq_product_form(j: int, m: int) -> AlphaPoly:
     )
 
 
-def h_case_reduced(i: int, j: int, m: int) -> AlphaPoly:
-    """The case-reduced closed form of H(i, j)."""
-    return _h_case_reduced(i, j, m, _e_multiples(AlphaPoly.one(), j + 1))
-
-
-def _h_case_reduced(i: int, j: int, m: int, e_next: list) -> AlphaPoly:
-    """h_case_reduced with e_next = [E(0, j+1), ..., E(j+1, j+1)]."""
+def h_reduced_row(j: int, m: int) -> list:
+    """[H(0, j), ..., H(j+1, j)] from the closed forms of the cases i = 0,
+    1 <= i <= j-1, i = j (the L/M/Q bracket) and i = j+1."""
     if not 1 <= j < m:
         raise ValueError(f"need 1 <= j < m, got j={j}, m={m}")
-    if i == 0:
-        return -(e_next[0] * AlphaPoly.linear(1, 1 - 2 * m + 2 * j))
-    if 1 <= i <= j - 1:
-        w = 2 ** i * binomial(j + 1, i) * d_factor(i, j + 1, m)
-        return -w * (AlphaPoly.linear(1, -2 * m + 2 * j + 1) * e_next[i])
-    if i == j:
-        return (2 ** j * d_factor(j - 1, j, m)) * lmq_bracket(j, m)
-    if i == j + 1:
-        w = 2 ** (j + 1) * d_factor(j, j, m) * (m - j - 1)
-        return -w * AlphaPoly.linear(1, -2 * m + 2 * j + 1)
-    raise ValueError(f"need 0 <= i <= j+1, got i={i}, j={j}")
+    e_next = e_row(j + 1, AlphaPoly.one())
+    s = AlphaPoly.linear(1, -2 * m + 2 * j + 1)
+    return [
+        -(e_next[0] * s),
+        *(-(2 ** i * math.comb(j + 1, i) * d_factor(i, j + 1, m)) * (s * e_next[i])
+          for i in range(1, j)),
+        (2 ** j * d_factor(j - 1, j, m)) * lmq_bracket(j, m),
+        -(2 ** (j + 1) * d_factor(j, j, m) * (m - j - 1)) * s,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +191,7 @@ class CoeffTable:
     def build(cls, m: int) -> "CoeffTable":
         if m < 1:
             raise DomainError(f"m must be >= 1, got {m}")
-        k = [k_factor(j, m) for j in range(m + 1)]
-        g = {(i, j): gij
-             for j in range(1, m + 1) for i, gij in enumerate(_g_row(j, m, k[j]))}
+        g = {(i, j): gij for j in range(1, m + 1) for i, gij in enumerate(g_row(j, m))}
         return cls(m=m, g=g)
 
     def with_g_entry(self, i: int, j: int, poly: AlphaPoly) -> "CoeffTable":
@@ -312,30 +272,24 @@ def recursion_report(m: int) -> dict:
     """
     failures = []
     k = [k_factor(j, m) for j in range(m + 1)]
-    e = [_e_multiples(AlphaPoly.one(), j) for j in range(m + 1)]
     for j in range(1, m):
         kj = k[j]
         if k[j + 1] != kj * AlphaPoly.linear(1, -2 * m + 1 + 2 * j):
             failures.append(f"K-recursion at j={j}")
         if lmq_bracket(j, m) != lmq_product_form(j, m):
             failures.append(f"L/M/Q bracket at j={j}")
-        g_next = _g_row(j + 1, m, k[j + 1])
-        for i in range(0, j + 2):
-            h = _h_coefficient(i, j, m, e[j])
-            if g_next[i] != -(kj * h):
+        rows = zip(g_row(j + 1, m), h_row(j, m), h_reduced_row(j, m), strict=True)
+        for i, (g, h, h_reduced) in enumerate(rows):
+            if g != -(kj * h):
                 failures.append(f"G(i,j+1) = -K_j H(i,j) at i={i}, j={j}")
-            if h != _h_case_reduced(i, j, m, e[j + 1]):
+            if h != h_reduced:
                 failures.append(f"case-reduced H at i={i}, j={j}")
     return {"m": m, "passed": not failures, "failures": failures}
 
 
 def top_row_report(m: int) -> dict:
     """G(0, m) = P(alpha, m) and G(i, m) = 0 for 1 <= i <= m, exactly."""
-    failures = []
-    top = _g_row(m, m, k_factor(m, m))
-    if top[0] != p_constant(m):
-        failures.append("G(0,m) != P")
-    for i in range(1, m + 1):
-        if not top[i].is_zero:
-            failures.append(f"G({i},{m}) != 0")
+    top = g_row(m, m)
+    failures = ["G(0,m) != P"] if top[0] != p_constant(m) else []
+    failures += [f"G({i},{m}) != 0" for i in range(1, m + 1) if not top[i].is_zero]
     return {"m": m, "passed": not failures, "failures": failures}

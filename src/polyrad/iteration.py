@@ -150,14 +150,15 @@ def _chain_values(u: RadialProfile, u_vals: np.ndarray, m: int, alpha: float,
     from u's exact terms.  The grid weights d(log r)/2, r^(alpha+1) and
     r^(1-alpha) are built once, and each step runs in two work arrays,
     allocating only the member it yields.  Raises :class:`DomainError` when
-    either power weight is not a finite nonzero float at an end node.
+    w_0 is zero at every node although u has a nonzero term, or when either
+    power weight is not a finite nonzero float at an end node.
     """
     require_sobolev(m, alpha)
     two_star = critical_exponent(m, alpha)
     w = np.abs(u_vals)
     w **= two_star - 2.0
     w *= u_vals
-    if not np.any(w) and np.any(u_vals):
+    if not np.any(w) and np.isfinite(u.decay_exponent):  # a nonzero profile
         scales = ", ".join(f"{p.scale:g}" for p in u.pieces)
         raise DomainError(
             f"w_0 = |u|^(2*-2) u underflows to zero at every grid node "
@@ -214,10 +215,11 @@ def iterate_chain(u: RadialProfile, m: int, alpha: float,
     The tail decay exponent derived from u's exact terms closes the
     truncated integrals analytically.  Raises :class:`NonConvergenceError`
     when that decay is too slow for the outer integral to converge, and
-    :class:`DomainError` when w_0 underflows to zero on a nonzero profile or
+    :class:`DomainError` when w_0 is zero at every node on a nonzero profile or
     the power weights leave the float range at this alpha on this grid.
     """
-    members = _chain_values(u, np.asarray(u(grid.nodes), dtype=float), m, alpha, grid)
+    with np.errstate(over="ignore"):  # u reads 0 where 1 + (r/eps)^2 overflows
+        members = _chain_values(u, np.asarray(u(grid.nodes), dtype=float), m, alpha, grid)
     return IterationChain(m=m, alpha=float(alpha), grid=grid, w=tuple(members),
                           q=tuple(q_sequence(m, alpha)))
 
@@ -597,7 +599,8 @@ def fixed_point_residual(u: RadialProfile, m: int, alpha: float,
     """sup over grid nodes of |w_m - u| / max(|u|, FIXED_POINT_FLOOR); small
     exactly for solution profiles.  The chain is stepped without keeping
     the members before w_m."""
-    u_vals = np.asarray(u(grid.nodes), dtype=float)
+    with np.errstate(over="ignore"):  # u reads 0 where 1 + (r/eps)^2 overflows
+        u_vals = np.asarray(u(grid.nodes), dtype=float)
     for w_m in _chain_values(u, u_vals, m, alpha, grid):
         pass
     denom = np.maximum(np.abs(u_vals), FIXED_POINT_FLOOR)

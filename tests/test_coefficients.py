@@ -2,25 +2,26 @@
 
 import pytest
 
+from polyrad import coefficients
 from polyrad.coefficients import (
     CoeffTable,
     base_profile_expr,
-    binomial,
     d_factor,
-    e_factor,
-    g_coefficient,
-    h_case_reduced,
-    h_coefficient,
+    e_row,
+    g_row,
+    h_reduced_row,
+    h_row,
     k_factor,
     lmq_bracket,
     lmq_product_form,
-    lmq_values,
     p_constant,
     recursion_report,
     top_row_report,
     verify_expansion,
 )
 from polyrad.radial import AlphaPoly, apply_polyharmonic
+
+ONE = AlphaPoly.one()
 
 
 class TestFactors:
@@ -32,12 +33,12 @@ class TestFactors:
         assert d_factor(2, 3, 5) == (5 - 2) * (5 - 3)
 
     def test_e_examples(self):
-        assert e_factor(2, 2) == AlphaPoly.one()
-        assert e_factor(0, 1) == AlphaPoly.linear(1, 1)
-        assert e_factor(5, 3).is_zero
-        assert e_factor(-1, 3).is_zero
+        assert e_row(2, ONE)[2] == ONE
+        assert e_row(1, ONE)[0] == AlphaPoly.linear(1, 1)
         # product structure: E(0,2) = (a+1)(a+3)
-        assert e_factor(0, 2) == AlphaPoly.linear(1, 1) * AlphaPoly.linear(1, 3)
+        assert e_row(2, ONE)[0] == AlphaPoly.linear(1, 1) * AlphaPoly.linear(1, 3)
+        p = AlphaPoly.linear(2, -5)
+        assert e_row(3, p) == [p * e for e in e_row(3, ONE)]
 
     def test_k_examples(self):
         assert k_factor(0, 5) == AlphaPoly.one()
@@ -47,18 +48,13 @@ class TestFactors:
 
     def test_k_times_e_gives_product_constant(self):
         for m in range(1, 9):
-            assert k_factor(m, m) * e_factor(0, m) == p_constant(m)
+            assert k_factor(m, m) * e_row(m, ONE)[0] == p_constant(m)
 
     def test_k_recursion(self):
         for m in range(2, 9):
             for j in range(m):
                 grown = k_factor(j, m) * AlphaPoly.linear(1, -2 * m + 1 + 2 * j)
                 assert k_factor(j + 1, m) == grown
-
-    def test_binomial_zero_conventions(self):
-        assert binomial(3, -1) == 0
-        assert binomial(3, 4) == 0
-        assert binomial(4, 2) == 6
 
 
 class TestPConstant:
@@ -75,25 +71,26 @@ class TestPConstant:
 class TestG:
     def test_top_row(self):
         for m in range(1, 9):
-            assert g_coefficient(0, m, m) == p_constant(m)
-            for i in range(1, m + 1):
-                assert g_coefficient(i, m, m).is_zero
+            top = g_row(m, m)
+            assert top[0] == p_constant(m)
+            assert all(g.is_zero for g in top[1:])
         assert all(top_row_report(m)["passed"] for m in range(1, 9))
 
     def test_first_step_row(self):
         # G(1,1) = 2 (alpha - 2m + 1)(m - 1)
         for m in (1, 2, 5):
             want = (2 * (m - 1)) * AlphaPoly.linear(1, 1 - 2 * m)
-            assert g_coefficient(1, 1, m) == want
+            assert g_row(1, m)[1] == want
 
     def test_symbolic_cross_oracle_at_alpha4(self):
         # coefficients of -Delta u for m=2 match the operator algebra
-        assert g_coefficient(0, 1, 2)(4) == 5
-        assert g_coefficient(1, 1, 2)(4) == 2
+        assert [g(4) for g in g_row(1, 2)] == [5, 2]
 
-    def test_out_of_range_zero(self):
-        assert g_coefficient(-1, 2, 3).is_zero
-        assert g_coefficient(4, 2, 3).is_zero
+    def test_row_range(self):
+        assert [len(g_row(j, 3)) for j in (1, 2, 3)] == [2, 3, 4]
+        for j in (0, 4):
+            with pytest.raises(ValueError):
+                g_row(j, 3)
 
 
 class TestRecursion:
@@ -101,30 +98,24 @@ class TestRecursion:
     def test_g_equals_minus_k_h(self, m):
         for j in range(1, m):
             kj = k_factor(j, m)
-            for i in range(0, j + 2):
-                assert g_coefficient(i, j + 1, m) == -(kj * h_coefficient(i, j, m)), (
-                    f"i={i}, j={j}, m={m}"
-                )
+            assert g_row(j + 1, m) == [-(kj * h) for h in h_row(j, m)], f"j={j}, m={m}"
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_case_reduced_forms(self, m):
         for j in range(1, m):
-            for i in range(0, j + 2):
-                assert h_coefficient(i, j, m) == h_case_reduced(i, j, m), (
-                    f"i={i}, j={j}, m={m}"
-                )
+            assert h_row(j, m) == h_reduced_row(j, m), f"j={j}, m={m}"
 
     def test_case2_explicit_form(self):
         # H(0,j) = -E(0,j+1) (alpha + 1 - 2m + 2j)
         m, j = 4, 2
-        want = -(e_factor(0, j + 1) * AlphaPoly.linear(1, 1 - 2 * m + 2 * j))
-        assert h_coefficient(0, j, m) == want
+        want = -(e_row(j + 1, ONE)[0] * AlphaPoly.linear(1, 1 - 2 * m + 2 * j))
+        assert h_row(j, m)[0] == want
 
     def test_lmq_bracket_identity(self):
         for m in range(2, 9):
             for j in range(1, m):
-                l, mm, q = lmq_values(j, m)
-                assert l == -(j + 1) * (m - j - 1)
+                # at alpha = -1 the bracket reduces to Q_j
+                assert lmq_bracket(j, m)(-1) == 4 * j * (j + 1) * (m - j - 1) * (m - j)
                 assert lmq_bracket(j, m) == lmq_product_form(j, m)
 
     def test_recursion_report_all_m(self):
@@ -133,10 +124,53 @@ class TestRecursion:
             assert rep["passed"], rep["failures"]
 
     def test_h_range_validation(self):
-        with pytest.raises(ValueError):
-            h_coefficient(0, 2, 2)  # j must be < m
-        with pytest.raises(ValueError):
-            h_coefficient(4, 2, 4)  # i <= j+1
+        for row in (h_row, h_reduced_row):
+            with pytest.raises(ValueError):
+                row(2, 2)  # j must be < m
+            assert len(row(2, 4)) == 4  # i = 0..j+1
+
+
+def _b_plus_one(abc):
+    def mutated(rho, sigma):
+        a, b, c = abc(rho, sigma)
+        return a, b + ONE, c
+    return mutated
+
+
+def _k_one_factor_long_at_2(k):
+    # K_2 picks up the factor of K_3: an off-by-one in the product range
+    return lambda j, m: k(j, m) * AlphaPoly.linear(1, -2 * m + 1 + 2 * j) if j == 2 else k(j, m)
+
+
+def _one_reduced_entry_changed_at_2(row):
+    def mutated(j, m):
+        out = row(j, m)
+        if j == 2:
+            out[1] = out[1] + ONE
+        return out
+    return mutated
+
+
+MUTATIONS = [
+    ("abc_coefficients", _b_plus_one, recursion_report, ["G(i,j+1) = -K_j H(i,j)"]),
+    ("k_factor", _k_one_factor_long_at_2, recursion_report, ["K-recursion"]),
+    ("lmq_bracket", lambda f: lambda j, m: f(j, m) + ONE, recursion_report,
+     ["L/M/Q bracket", "case-reduced H"]),
+    ("h_reduced_row", _one_reduced_entry_changed_at_2, recursion_report, ["case-reduced H"]),
+    ("p_constant", lambda f: lambda m: 2 * f(m), top_row_report, ["G(0,m) != P"]),
+]
+
+
+@pytest.mark.parametrize("name, mutate, report, expected", MUTATIONS,
+                         ids=[case[0] for case in MUTATIONS])
+def test_mutated_ingredient_fails_its_report(monkeypatch, name, mutate, report, expected):
+    # criteria 2 and 3 compare independently built rows, so each mutation
+    # fails by name; a report that compared a row with itself would not
+    monkeypatch.setattr(coefficients, name, mutate(getattr(coefficients, name)))
+    rep = report(4)
+    assert not rep["passed"]
+    for want in expected:
+        assert any(f.startswith(want) for f in rep["failures"]), (want, rep["failures"])
 
 
 class TestCoeffTable:
@@ -145,13 +179,9 @@ class TestCoeffTable:
         for j in range(m + 1):
             assert d_factor(-1, j, m) == 0
             assert d_factor(0, j, m) == 1
-            assert e_factor(j, j) == AlphaPoly.one()
-            assert e_factor(j + 1, j).is_zero
-            assert e_factor(-1, j).is_zero
-        assert k_factor(0, m) == AlphaPoly.one()
-        for j in range(1, m + 1):
-            assert g_coefficient(-1, j, m).is_zero
-            assert g_coefficient(j + 1, j, m).is_zero and g_coefficient(j + 2, j, m).is_zero
+            row = e_row(j, ONE)
+            assert len(row) == j + 1 and row[j] == ONE
+        assert k_factor(0, m) == ONE
         table = CoeffTable.build(m)
         assert set(table.g) == {(i, j) for j in range(1, m + 1) for i in range(j + 1)}
 
@@ -165,7 +195,7 @@ class TestCoeffTable:
         obj = CoeffTable.build(2).to_json_obj()
         assert obj["m"] == 2
         entries = {(e["i"], e["j"]): e["coeff"] for e in obj["g_entries"]}
-        assert entries[0, 1] == g_coefficient(0, 1, 2).to_strings()
+        assert entries[0, 1] == g_row(1, 2)[0].to_strings()
         # degree-indexed rational strings
         assert all(isinstance(c, str) for coeffs in entries.values() for c in coeffs)
 
@@ -213,7 +243,7 @@ class TestVerifyExpansion:
 
     def test_derived_coefficients_are_ints(self):
         table = CoeffTable.build(6)
-        polys = [*table.g.values(), p_constant(6), h_coefficient(0, 1, 6)]
+        polys = [*table.g.values(), p_constant(6), *h_row(1, 6), *h_reduced_row(1, 6)]
         assert all(type(c) is int for poly in polys for c in poly.coefficients)
 
     def test_m1_single_check(self):

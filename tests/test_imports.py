@@ -6,13 +6,15 @@ Deletions tend to leave imports, ``_``-prefixed helpers and error classes
 behind; this walks each module's syntax tree with the standard library only.
 ``__init__`` re-exports the public API, so its imports are the point of the
 module and are not checked.  The runtime needs numpy alone: importing the
-command line loads no scipy.
+command line loads no scipy.  The library sketch in README.md runs.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -157,3 +159,13 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_readme_library_sketch_runs():
+    # the sketch imports public names; a cut of the API must not break it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(blocks[0], str(readme), "exec"), {})
