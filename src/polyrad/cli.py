@@ -208,12 +208,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             report = ode.stopped_classification(m, alpha, eps, r_max, err)
         _emit_json({"subcommand": "classify", **report.to_json_obj()}, args.output)
         return 0 if report.verdict == "coincides" else 1
-    data = ode.family_state(m, alpha, eps, 0.0)[0, 0::2]
+    data = ode.family_state(m, alpha, 1.0, 0.0)[0, 0::2]
     if not 0 <= args.perturb_index < m:
         raise DomainError(f"--perturb-index must lie in [0, m), got {args.perturb_index}")
     data[args.perturb_index] *= args.perturb_scale
     spec = ode.IVPSpec(m=m, alpha=alpha, even_initial=data,
-                       r0=ode.handoff_radius(eps), r_max=r_max)
+                       r_max=ode.unit_radius(eps, r_max))
     stop_reason = None
     try:
         result = ode.integrate(spec)
@@ -225,7 +225,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _emit_json(
         {"subcommand": "classify", "m": m, "alpha": alpha, "eps": eps,
          "r_max": r_max, "perturb_index": args.perturb_index,
-         "perturb_scale": args.perturb_scale, "reached_r": float(result.r[-1]),
+         "perturb_scale": args.perturb_scale, "reached_r": float(result.r[-1]) * eps,
          "departure": departure, "steps": result.stats.steps,
          "rejected_steps": result.stats.rejected,
          "rhs_evaluations": result.stats.rhs_evaluations,

@@ -590,18 +590,19 @@ def origin_behavior(chain: IterationChain) -> OriginReport:
 # ---------------------------------------------------------------------------
 
 
-#: ``fixed_point_residual`` divides by max(|u|, FIXED_POINT_FLOOR).
+#: ``fixed_point_residual`` divides by max(|u|, FIXED_POINT_FLOOR sup|u|).
 FIXED_POINT_FLOOR = 1e-12
 
 
 def fixed_point_residual(u: RadialProfile, m: int, alpha: float,
                          grid: RadialGrid) -> float:
-    """sup over grid nodes of |w_m - u| / max(|u|, FIXED_POINT_FLOOR); small
-    exactly for solution profiles.  The chain is stepped without keeping
-    the members before w_m."""
+    """sup over grid nodes of |w_m - u| / max(|u|, FIXED_POINT_FLOOR sup|u|),
+    relative so that a tiny profile is judged too; small exactly for solution
+    profiles.  The chain is stepped without keeping the members before w_m."""
     with np.errstate(over="ignore"):  # u reads 0 where 1 + (r/eps)^2 overflows
         u_vals = np.asarray(u(grid.nodes), dtype=float)
     for w_m in _chain_values(u, u_vals, m, alpha, grid):
         pass
-    denom = np.maximum(np.abs(u_vals), FIXED_POINT_FLOOR)
+    sup = max(u_vals.max(), -u_vals.min()) or 1.0    # the zero profile reads 0
+    denom = np.maximum(np.abs(u_vals), FIXED_POINT_FLOOR * sup)
     return float(np.max(np.abs(w_m - u_vals) / denom))

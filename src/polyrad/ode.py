@@ -40,9 +40,12 @@ the dilation.
 
 Nonsingular solutions with vanishing odd-order data coincide with the
 dilation family w_eps; ``classification_check`` quantifies that statement by
-integrating from w_eps data and measuring the deviation from the exact state
-``family_state`` derives from ``bliss_profile``, and ``departure_from_family``
-measures how far a perturbed data set drifts from every member of the family.
+integrating from w_1 data to ``unit_radius(eps, r_max)`` = r_max/eps (the
+equation is dilation invariant, u_j(r) = eps^-(gap/2 + 2j) U_j(r/eps), so
+every eps is the same float problem) and measuring the deviation from the
+exact state ``family_state`` derives from ``bliss_profile``;
+``departure_from_family`` measures how far a perturbed data set drifts from
+every member of the family.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -91,9 +94,9 @@ class IVPSpec:
             raise ValueError(
                 f"need m={self.m} even-order values, got {len(self.even_initial)}"
             )
-        if not 0 < self.r0 < self.r_max:
+        if not 0 < self.r0 < self.r_max < math.inf:
             raise DomainError(f"need 0 < series handoff radius ({self.r0:g}) "
-                              f"< r_max ({self.r_max:g})")
+                              f"< r_max ({self.r_max:g}) < inf")
         object.__setattr__(self, "even_initial", tuple(float(v) for v in self.even_initial))
 
 
@@ -282,20 +285,14 @@ def _level_bounds(gap: float, y: list) -> Tuple[float, tuple]:
 def integrate(spec: IVPSpec) -> SolveResult:
     """Adaptive integration of the coupled system from r0 to r_max.
 
-    The state and the stages are Python floats: at 2m <= 16 entries float
-    arithmetic is several times cheaper than a numpy call per stage, whose
-    cost is nearly all call overhead.  (A much larger system, such as the
-    full variational one, may favour arrays again.)  Each attempt is one
-    call of the step kernel ``_kernel(m)`` (see ``_kernel_source``): the
-    stages written out over local names, each stage point one sum with h
-    folded into that step's coefficients.  The kernel is compiled once per
-    m, on first use, and serves every alpha and tolerance, which it takes
-    as closure values; its source holds the tableau by name, never a
-    formatted float.  Every sum keeps the left-to-right order of a loop
-    over the stages, so the trajectory is the same bit for bit as that of
-    the loop (``tests/test_ode.py`` checks it against one).  The accepted
-    nodes and states are kept in ``array('d')`` buffers, 8 bytes a value,
-    which become ``SolveResult.r`` and ``.y`` without a copy.
+    The state and the stages are Python floats, and each attempt is one call
+    of the step kernel ``_kernel(m)`` (see ``_kernel_source``), which takes
+    alpha and the tolerances as closure values.  Every sum keeps the
+    left-to-right order of a loop over the stages, so the trajectory is the
+    same bit for bit as that of the loop (``tests/test_ode.py`` checks it
+    against one).  The accepted nodes and states are kept in ``array('d')``
+    buffers, 8 bytes a value, which become ``SolveResult.r`` and ``.y``
+    without a copy.
 
     A trial step whose stages leave the float range, or whose error norm
     is not finite, is rejected and retried at a fifth of its size, so a
@@ -393,10 +390,12 @@ CLASSIFY_TOL = 1e-4
 DEPARTURE_TOL = 0.01
 
 
-def handoff_radius(eps: float) -> float:
-    """Series handoff radius for data near w_eps: fixed relative to the
-    dilation scale, so the start error is the same for every member."""
-    return 1e-4 * eps
+def unit_radius(eps: float, r: float) -> float:
+    """The radius r/eps of the eps = 1 problem that is the image of radius
+    r of w_eps under the dilation; raises DomainError unless 0 < eps < inf."""
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"dilation parameter must be positive and finite, got {eps!r}")
+    return r / eps
 
 
 def match_epsilon(m: int, alpha: float, v0: float) -> float:
@@ -463,14 +462,13 @@ class ClassificationReport:
 
 def classification_check(m: int, alpha: float, eps: float, r_max: float
                          ) -> ClassificationReport:
-    """Integrate from w_eps initial data at the tolerances of :class:`IVPSpec`
-    and measure the sup-norm-relative deviation of every component (u_j and
-    u_j') from the exact state.  A run that stops before r_max raises its
-    :class:`OdeError`; ``stopped_classification`` reports it."""
-    spec = IVPSpec(
-        m=m, alpha=alpha, even_initial=family_state(m, alpha, eps, 0.0)[0, 0::2],
-        r0=handoff_radius(eps), r_max=r_max,
-    )
+    """Integrate from w_1 data to ``unit_radius(eps, r_max)`` at the defaults
+    of :class:`IVPSpec`; the sup-relative deviation of every component (u_j,
+    u_j') from the exact state is that of w_eps on [0, r_max].  A run that
+    stops early raises its :class:`OdeError`; ``stopped_classification``
+    reports it."""
+    spec = IVPSpec(m=m, alpha=alpha, even_initial=family_state(m, alpha, 1.0, 0.0)[0, 0::2],
+                   r_max=unit_radius(eps, r_max))
     return _classification_report(m, alpha, eps, r_max, integrate(spec))
 
 
@@ -482,24 +480,24 @@ def describe_stop(err: OdeError) -> str:
 def stopped_classification(m: int, alpha: float, eps: float, r_max: float,
                            err: OdeError) -> ClassificationReport:
     """The report of a ``classification_check`` run that raised ``err``: the
-    deviation and counters of the partial trajectory it carries, the radius
-    reached and the error as ``stop_reason``.  w_eps is global, so the
-    verdict is "departs"."""
+    deviation and counters of the partial unit trajectory it carries, the
+    radius reached and the error as ``stop_reason``.  w_eps is global, so
+    the verdict is "departs"."""
     return _classification_report(m, alpha, eps, r_max, err.result, describe_stop(err))
 
 
 def _classification_report(m: int, alpha: float, eps: float, r_max: float,
                            result: SolveResult, stop_reason: Optional[str] = None
                            ) -> ClassificationReport:
-    exact = family_state(m, alpha, eps, result.r)
+    exact = family_state(m, alpha, 1.0, result.r)
     max_dev = float(np.max(np.max(np.abs(result.y - exact), axis=0)
                            / np.max(np.abs(exact), axis=0)))
     coincides = stop_reason is None and max_dev <= CLASSIFY_TOL
     return ClassificationReport(
         m=m, alpha=float(alpha), eps=float(eps), r_max=float(r_max),
-        max_rel_dev=max_dev, stats=result.stats,
+        max_rel_dev=max_dev, stats=replace(result.stats, min_step=result.stats.min_step * eps),
         verdict="coincides" if coincides else "departs",
-        reached_r=float(result.r[-1]), stop_reason=stop_reason,
+        reached_r=float(result.r[-1]) * eps, stop_reason=stop_reason,
     )
 
 

@@ -134,6 +134,17 @@ class TestIterate:
             assert len(rows) == 4096
             assert set(rows[0]) == {"r", f"w_{k}"}
 
+    def test_tiny_profile_is_not_passed_vacuously(self, capsys, tmp_path):
+        # w_eps at eps = 1e-100 is about 1e-92 and below on the grid; an
+        # absolute denominator floor of 1e-12 read the residual as 2.8e-80
+        code, out, _ = run_cli(
+            ["iterate", "--m", "1", "--alpha", "3", "--eps", "1e-100",
+             "--output-dir", str(tmp_path)], capsys
+        )
+        report = json.loads(out)
+        assert report["checks"]["fixed_point_residual"] >= 0.5
+        assert code == 1 and report["passed"] is False
+
 
 class TestClassify:
     def test_family_member(self, capsys):
@@ -229,6 +240,39 @@ class TestClassify:
         _, out, _ = run_cli(["classify", "--m", "2", "--alpha", "4"], capsys)
         assert not {"reached_r", "stop_reason"} & set(json.loads(out))
 
+    @pytest.mark.parametrize("m,alpha,eps,r_max,unit_r_max,code", [
+        # built at eps = 1e5, the absolute abs_tol made exact data depart at 0.174
+        ("3", "8", "1e5", "2e6", "20", 0),
+        # 20/eps = 2e301 blows up, as at eps = 1; stop_reason names the unit radius
+        ("2", "4", "1e-300", "20", "2e301", 1),
+    ])
+    def test_dilation_runs_the_unit_problem(self, m, alpha, eps, r_max, unit_r_max,
+                                            code, capsys):
+        # every eps runs the eps = 1 problem to r_max/eps: the same report,
+        # with reached_r and min_step scaled back by eps
+        argv = ["classify", "--m", m, "--alpha", alpha]
+        got = run_cli(argv + ["--eps", eps, "--r-max", r_max], capsys)
+        unit = run_cli(argv + ["--eps", "1", "--r-max", unit_r_max], capsys)
+        assert got[0] == unit[0] == code
+        report, unit = json.loads(got[1]), json.loads(unit[1])
+        assert (report["eps"], report["r_max"]) == (float(eps), float(r_max))
+        for key in set(unit) - {"eps", "r_max", "reached_r", "min_step"}:
+            assert report[key] == unit[key], key
+        for key in {"reached_r", "min_step"} & set(unit):
+            assert report[key] == pytest.approx(unit[key] * float(eps), rel=1e-11), key
+
+    def test_unperturbed_data_coincides_at_a_large_dilation(self, capsys):
+        # the departure is measured on the unit trajectory: the eps = 1
+        # figure, where data built at eps = 1e5 read "departs" at 0.062
+        argv = ["classify", "--m", "3", "--alpha", "8", "--perturb-index", "1",
+                "--perturb-scale", "1.0"]
+        code, out, _ = run_cli(argv + ["--eps", "1e5", "--r-max", "2e6"], capsys)
+        _, unit, _ = run_cli(argv, capsys)
+        report, unit = json.loads(out), json.loads(unit)
+        assert code == 1 and report["verdict"] == "coincides"
+        assert report["departure"] == unit["departure"] < 1e-7
+        assert report["reached_r"] == report["r_max"] == 2e6
+
     def test_perturb_index_validated(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["classify", "--m", "2", "--alpha", "4",
@@ -295,7 +339,7 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "1", "--perturb",
      "--perturb-amplitude", "nan"],
     ["classify", "--m", "2", "--alpha", "4", "--r-max", "inf"],
-    ["classify", "--m", "2", "--alpha", "4", "--eps", "1e-300"],
+    ["classify", "--m", "2", "--alpha", "4", "--eps", "1e-310"],    # r_max/eps = inf
     ["rayleigh", "--m", "2", "--alpha", "4", "--eps-list", "1e-300"],
     ["best-constant", "--m", "1", "--alpha", "1e300"],
     ["iterate", "--m", "2", "--alpha", "1e6"],

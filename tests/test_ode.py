@@ -6,6 +6,7 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from polyrad.ode import (
     classification_check,
     departure_from_family,
     family_state,
-    handoff_radius,
     integrate,
     match_epsilon,
     series_start,
     stopped_classification,
+    unit_radius,
 )
 
 SQRT8 = math.sqrt(8.0)
@@ -130,6 +131,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             IVPSpec(m=1, alpha=3.0, even_initial=(1.0,), r0=30.0, r_max=20.0)
 
+    def test_infinite_radius_is_a_domain_error(self):
+        # integrate would step towards r_max = inf forever
+        with pytest.raises(DomainError, match=r"< r_max \(inf\) < inf"):
+            IVPSpec(m=1, alpha=3.0, even_initial=(SQRT8,), r_max=math.inf)
+
 
 class TestSeriesStart:
     def test_matches_profile_to_sixth_order(self):
@@ -220,7 +226,7 @@ class TestIntegrate:
         # the partial trajectory rides on the error), equals the loop
         alpha = 2 * m - 1 + SWEEP_GAP
         spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
-                       r0=handoff_radius(1.0), **tolerances)
+                       **tolerances)
         try:
             res = integrate(spec)
         except BlowupError as err:
@@ -242,8 +248,7 @@ class TestIntegrate:
         # exact data at the sweep gap stop where, and with the message that,
         # the loop over stages stopped them
         alpha = 2 * m - 1 + SWEEP_GAP
-        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
-                       r0=handoff_radius(1.0))
+        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0))
         with pytest.raises(BlowupError) as info:
             integrate(spec)
         assert str(info.value) == message
@@ -315,7 +320,7 @@ class TestIntegrate:
         # radius: a blow-up before the first step, raised without a warning
         data = family_data(2, 4.0, 1.0)
         data[0] *= 1e10
-        spec = IVPSpec(m=2, alpha=4.0, even_initial=data, r0=handoff_radius(1.0))
+        spec = IVPSpec(m=2, alpha=4.0, even_initial=data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowupError, match=r"non-finite step from r=0\.0001") as info:
@@ -362,7 +367,7 @@ class TestIntegrate:
             spec = IVPSpec(m=m, alpha=alpha,
                            even_initial=[v * eps ** (-gap / 2.0 - 2 * j)
                                          for j, v in enumerate(data)],
-                           r0=handoff_radius(eps), r_max=r_max * eps)
+                           r0=1e-4 * eps, r_max=r_max * eps)
             with pytest.raises(BlowupError) as info:
                 integrate(spec)
             r = info.value.result.r
@@ -375,8 +380,7 @@ class TestIntegrate:
         # conditioned); the level bound stops the run before the step
         # collapses on the singularity, which took 8464 steps
         m, alpha = 8, 17.59
-        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
-                       r0=handoff_radius(1.0))
+        spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0))
         with pytest.raises(BlowupError, match=r"^u_\d = .* at r=") as info:
             integrate(spec)
         assert info.value.result.stats.steps < 4000
@@ -441,15 +445,33 @@ class TestClassification:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("gap", [1.0, 2.5, 4.0])
     def test_exact_data_coincide_at_every_dilation(self, m, gap):
-        # an absolute bound on |u_0| stopped the eps = 1e-6, gap 4 runs at
-        # r = 1.05e-10 with a blow-up; the level bounds follow the dilation
+        # every eps runs the eps = 1 problem to r_max/eps, so the deviation
+        # and the counters are those of that run; the step sizes are scaled
+        # back by eps.  With data built at each eps the absolute abs_tol made
+        # each one a different float problem: (3, 8) departed at eps = 1e5
+        # and blew up at eps = 1e6.
         alpha = 2 * m - 1 + gap
-        devs = []
-        for eps in (1e-6, 1e-3, 1.0):
-            rep = classification_check(m, alpha, eps, 20.0 * eps)
+        for eps in (1e-200, 1e-6, 1e-3, 1.0, 1e3, 1e5, 1e6):
+            r_max = 20.0 * eps
+            rep = classification_check(m, alpha, eps, r_max)
+            unit = classification_check(m, alpha, 1.0, r_max / eps)
             assert rep.verdict == "coincides", (eps, rep.max_rel_dev)
-            devs.append(rep.max_rel_dev)
-        assert max(devs) <= 2.0 * min(devs)
+            assert (rep.eps, rep.r_max) == (eps, r_max)
+            assert rep.max_rel_dev == unit.max_rel_dev
+            assert rep.stats == replace(unit.stats, min_step=unit.stats.min_step * eps)
+            assert rep.reached_r == unit.reached_r * eps
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_dilation_is_a_domain_error(self, eps):
+        with pytest.raises(DomainError, match="dilation parameter must be positive"):
+            unit_radius(eps, 20.0)
+        with pytest.raises(DomainError, match="dilation parameter must be positive"):
+            classification_check(2, 4.0, eps, 20.0)
+
+    def test_radius_past_the_float_range_is_a_domain_error(self):
+        # 20 / 1e-310 overflows to inf, which no run can reach
+        with pytest.raises(DomainError, match=r"r_max \(inf\)"):
+            classification_check(2, 4.0, 1e-310, 20.0)
 
     def test_small_dilation_reaches_r_max(self):
         # the exact dilation of the eps = 1, r_max = 20 case; a step floor
@@ -457,7 +479,7 @@ class TestClassification:
         m, alpha, eps, r_max = 2, 4.0, 1e-7, 2e-6
         res = integrate(IVPSpec(m=m, alpha=alpha,
                                 even_initial=family_data(m, alpha, eps),
-                                r0=handoff_radius(eps), r_max=r_max))
+                                r0=1e-4 * eps, r_max=r_max))
         assert res.r[-1] == r_max
         assert classification_check(m, alpha, eps, r_max).verdict == "coincides"
 
@@ -467,7 +489,7 @@ class TestClassification:
         for t in (1e-5, 5e-6, 2.5e-6):
             res = integrate(IVPSpec(m=m, alpha=alpha,
                                     even_initial=family_data(m, alpha, eps),
-                                    r0=handoff_radius(eps), r_max=20.0,
+                                    r_max=20.0,
                                     rel_tol=t, abs_tol=t * 1e-2))
             exact = family_state(m, alpha, eps, res.r)
             devs.append(float(np.max(np.max(np.abs(res.y - exact), axis=0)
@@ -521,8 +543,7 @@ class TestClassification:
             for scale in (1.0, 1.05, 0.95, 1.0001):
                 data = family_data(m, alpha, 1.0)
                 data[index] *= scale
-                spec = IVPSpec(m=m, alpha=alpha, even_initial=data,
-                               r0=handoff_radius(1.0), r_max=20.0)
+                spec = IVPSpec(m=m, alpha=alpha, even_initial=data, r_max=20.0)
                 try:
                     result = integrate(spec)
                 except OdeError as err:
@@ -540,7 +561,7 @@ class TestClassification:
         m, alpha = 2, 4.0
         res = integrate(IVPSpec(m=m, alpha=alpha,
                                 even_initial=family_data(m, alpha, eps),
-                                r0=handoff_radius(eps), r_max=20.0 * eps))
+                                r0=1e-4 * eps, r_max=20.0 * eps))
         assert departure_from_family(m, alpha, res) <= 1e-6
 
 
