@@ -33,7 +33,6 @@ from .constants import (
     best_constant,
     beta_integral,
     critical_exponent,
-    gamma,
 )
 from .functionals import (
     NormReport,

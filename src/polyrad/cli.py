@@ -14,7 +14,8 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 invalid arguments.
 Every float flag must be a finite number; argparse rejects anything else.
 Argument domains (the embedding condition alpha - 2m + 1 > 0, positive
 dilation parameters, grid and radius bounds, ...) are checked only by the
-library, which raises ``DomainError``; ``main`` turns that into exit 2.
+library, which raises ``DomainError``; ``main`` turns that, and an
+``--output`` or ``--output-dir`` that cannot be written, into exit 2.
 JSON reports carry a top-level ``schema_version``; numeric fields are
 rounded to 12 significant digits so reports are stable across runs.  CSV
 output uses comma delimiters and ``.`` decimals regardless of locale.  Pass
@@ -340,7 +341,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
-    except DomainError as exc:  # arguments the checks cannot work with
+    except (DomainError, OSError) as exc:  # arguments the checks or the files cannot take
         parser.error(str(exc))
     except PolyradError as exc:
         print(f"error: {exc}", file=sys.stderr)

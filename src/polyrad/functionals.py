@@ -23,7 +23,7 @@ extremal family
     w_eps(r) = P^((alpha-2m+1)/(4m)) * (eps / (eps^2 + r^2))^((alpha-2m+1)/2)
 
 are computed (the amplitude P^(...) is irrational, so it lives in the float
-coefficient, never in the rational algebra).
+coefficient, never in the exact integer algebra).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The algebra manipulates finite sums of terms
 
     c(alpha) * r^rho * (1 + r^2)^(-sigma/2)
 
-where ``c`` is a polynomial in the formal parameter alpha with rational
+where ``c`` is a polynomial in the formal parameter alpha with integer
 coefficients and ``sigma = a*alpha + b`` is affine in alpha with
 ``a in {0, 1}``.  This family is closed under the weighted radial Laplacian
 
@@ -27,9 +27,8 @@ with
     C(x, y)    = x(x + y - 1).
 
 All arithmetic on coefficients is exact; no floats enter the symbolic path.
-A coefficient is stored as an ``int`` when it is integral, which every
-coefficient this toolkit derives is, and as a ``fractions.Fraction``
-otherwise.  Canonical forms lower every power r^(2i+e), e in {0, 1}, in one
+Every coefficient is a plain ``int``: the expansion lives in Z[alpha].
+Canonical forms lower every power r^(2i+e), e in {0, 1}, in one
 binomial step,
 
     r^(2i+e) (1+r^2)^(-s/2)
@@ -51,48 +50,36 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
-
-
-def _exact(x) -> Scalar:
-    """The exact value of x: an int when it is integral, else a Fraction."""
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError(f"exact coefficient expected, got {type(x).__name__}")
+from typing import Iterable
 
 
 class AlphaPoly:
-    """Polynomial in the formal symbol alpha over the rationals.
+    """Polynomial in the formal symbol alpha with integer coefficients.
 
-    Coefficients are stored dense by degree with the trailing (leading-degree)
-    zeros stripped, so the zero polynomial has an empty coefficient tuple and
-    the leading coefficient is nonzero otherwise.  An integral coefficient is
-    stored as an ``int`` and any other as a ``Fraction``; the two compare,
-    hash and print alike, so ``3`` and ``Fraction(3)`` give the same
-    polynomial.  Exact evaluation returns a ``Fraction`` either way.
-
-    The public constructor and scalar operands normalise every coefficient;
-    arithmetic results come from ``_derived``, which checks no all-int result.
+    Coefficients are plain ``int`` values (no bool, float, Fraction or numpy
+    integer), stored dense by degree with the trailing (leading-degree) zeros
+    stripped, so the zero polynomial has an empty coefficient tuple and the
+    leading coefficient is nonzero otherwise.  The constructor and the scalar
+    operands refuse any other type with ``TypeError``; arithmetic results
+    come from ``_derived``, since int arithmetic gives ints.  Exact
+    evaluation at an int or Fraction alpha returns a ``Fraction``.
     """
 
     __slots__ = ("_coeffs",)
 
+    # numpy scalars defer to these operators, which refuse them
+    __array_ufunc__ = None
+
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_exact(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"int coefficient expected, got {c!r}")
+        self._coeffs = AlphaPoly._derived(cs)._coeffs
 
     @classmethod
     def _derived(cls, cs: list) -> "AlphaPoly":
-        """From exact results cs: an int sum means all are ints; a Fraction
-        takes the public constructor, which stores 2 * 1/2 as the int 1."""
-        if type(sum(cs)) is not int:
-            return cls(cs)
+        """From int coefficients cs, with the leading zeros stripped."""
         while cs and cs[-1] == 0:
             cs.pop()
         out = object.__new__(cls)
@@ -134,11 +121,11 @@ class AlphaPoly:
         return not self._coeffs
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, AlphaPoly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == AlphaPoly.constant(other)
-        return NotImplemented
+        if type(other) is int:
+            other = AlphaPoly.constant(other)
+        if not isinstance(other, AlphaPoly):
+            return NotImplemented
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
         return hash(self._coeffs)
@@ -149,7 +136,7 @@ class AlphaPoly:
     # -- arithmetic (exact) -------------------------------------------------
 
     def __add__(self, other) -> "AlphaPoly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = AlphaPoly.constant(other)
         if not isinstance(other, AlphaPoly):
             return NotImplemented
@@ -167,14 +154,15 @@ class AlphaPoly:
         return AlphaPoly._derived([-c for c in self._coeffs])
 
     def __sub__(self, other) -> "AlphaPoly":
-        return self + (-other if isinstance(other, AlphaPoly) else AlphaPoly.constant(-_exact(other)))
+        if type(other) is not int and not isinstance(other, AlphaPoly):
+            return NotImplemented  # -True would pass as the int -1
+        return self + (-other)
 
     def __rsub__(self, other) -> "AlphaPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "AlphaPoly":
-        if isinstance(other, (int, Fraction)):
-            other = _exact(other)
+        if type(other) is int:
             return AlphaPoly._derived([c * other for c in self._coeffs])
         if not isinstance(other, AlphaPoly):
             return NotImplemented
@@ -192,9 +180,8 @@ class AlphaPoly:
     __rmul__ = __mul__
 
     def __call__(self, value):
-        """Evaluate by Horner's rule; exact for int/Fraction arguments."""
-        if not self._coeffs:
-            return Fraction(0) if isinstance(value, (int, Fraction)) else 0.0
+        """Evaluate by Horner's rule; exact (a Fraction) at an int or
+        Fraction argument."""
         if isinstance(value, (int, Fraction)):
             acc = Fraction(0)
             for c in reversed(self._coeffs):
@@ -208,7 +195,7 @@ class AlphaPoly:
     # -- io -------------------------------------------------------------
 
     def to_strings(self) -> list:
-        """Degree-indexed rational strings, e.g. ['-3', '-2', '1']."""
+        """Degree-indexed integer strings, e.g. ['-3', '-2', '1']."""
         return [str(c) for c in self._coeffs]
 
     def __str__(self) -> str:
@@ -306,6 +293,7 @@ class RadialExpr:
     """
 
     __slots__ = ("_terms",)
+    __array_ufunc__ = None  # as AlphaPoly: numpy scalars are refused
 
     def __init__(self, terms: Iterable[RadialTerm] = ()):
         merged: dict = {}
@@ -398,15 +386,12 @@ class RadialExpr:
         )
 
     def __mul__(self, scalar) -> "RadialExpr":
-        """Scale by a rational number or an AlphaPoly."""
-        if isinstance(scalar, (int, Fraction, AlphaPoly)):
-            return RadialExpr(
-                tuple(
-                    RadialTerm(t.coeff * scalar, t.r_power, t.sigma)
-                    for t in self._terms
-                )
-            )
-        return NotImplemented
+        """Scale by an int or an AlphaPoly."""
+        if type(scalar) is not int and not isinstance(scalar, AlphaPoly):
+            return NotImplemented
+        return RadialExpr(
+            tuple(RadialTerm(t.coeff * scalar, t.r_power, t.sigma) for t in self._terms)
+        )
 
     __rmul__ = __mul__
 

@@ -350,6 +350,8 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "1", "--perturb",
      "--perturb-amplitude", "0"],
     ["iterate", "--m", "1", "--alpha", "3", "--eps", "1e-160"],
+    ["coeff-table", "--m", "3", "--output", "missing/t.json"],
+    ["best-constant", "--m", "1", "--alpha", "3", "--output", "."],
 ])
 def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a wrongly accepted iterate writes CSVs here

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from polyrad.radial import (
     differentiate,
     nabla_m,
 )
-from polyrad.coefficients import base_profile_expr, p_constant
+from polyrad.coefficients import CoeffTable, base_profile_expr, h_reduced_row, h_row, p_constant
 
 
 def sigma(a, b):
@@ -45,32 +46,31 @@ class TestAlphaPoly:
         assert p.coefficients[-1] != 0
 
     def test_arithmetic_exact(self):
-        p = AlphaPoly.linear(1, Fraction(1, 3))
+        p = AlphaPoly.linear(3, 1)
         q = p * p - p
-        # (a + 1/3)^2 - (a + 1/3) = a^2 - a/3 - 2/9
-        assert q == AlphaPoly((Fraction(-2, 9), Fraction(-1, 3), 1))
+        # (3a + 1)^2 - (3a + 1) = 9a^2 + 3a
+        assert q == AlphaPoly((0, 3, 9))
+        assert AlphaPoly((2,)) == 2 and hash(AlphaPoly((2,))) == hash(AlphaPoly.constant(2))
+        assert p.to_strings() == ["1", "3"]
 
     def test_call_exact_vs_float(self):
-        p = AlphaPoly((Fraction(1, 7), -2, 3))
+        p = AlphaPoly((7, -2, 3))
         exact = p(Fraction(5, 3))
         assert isinstance(exact, Fraction)
         assert abs(float(exact) - p(5 / 3)) < 1e-12
 
-    def test_integral_coefficients_stored_as_int(self):
-        p = AlphaPoly((Fraction(4, 2), Fraction(1, 3)))
-        assert p.coefficients == (2, Fraction(1, 3))
-        assert type(p.coefficients[0]) is int
-        # the int form reads, compares and hashes like the all-Fraction form
-        all_fraction = (Fraction(2), Fraction(1, 3))
-        assert p.to_strings() == [str(c) for c in all_fraction] == ["2", "1/3"]
-        assert p.coefficients == all_fraction
-        assert hash(p.coefficients) == hash(all_fraction)
-        assert p == AlphaPoly(all_fraction) and hash(p) == hash(AlphaPoly(all_fraction))
-        assert AlphaPoly((Fraction(6, 3),)) == 2 == Fraction(2)
-        # a string is an inexact type like a float, not a parsed fraction
-        for inexact in (0.5, "1/3"):
-            with pytest.raises(TypeError, match="exact coefficient expected"):
-                AlphaPoly((1, inexact))
+    def test_only_plain_ints_are_coefficients_and_scalars(self):
+        p, e = AlphaPoly((1, 2)), single(1, 2)
+        for bad in (Fraction(1, 2), Fraction(2), True, 1.0, "1", np.int64(1)):
+            with pytest.raises(TypeError, match="int coefficient expected"):
+                AlphaPoly((1, bad))
+            with pytest.raises(TypeError, match="int coefficient expected"):
+                RadialExpr.single(bad)
+            for op in (lambda: p * bad, lambda: bad * p, lambda: p + bad, lambda: bad + p,
+                       lambda: p - bad, lambda: bad - p, lambda: e * bad, lambda: bad * e):
+                with pytest.raises(TypeError):
+                    op()
+            assert p != bad
 
     def test_exact_call_returns_fraction_for_int_data(self):
         p = AlphaPoly((1, 2))
@@ -78,30 +78,27 @@ class TestAlphaPoly:
         assert type(single(p).evaluate(3, 2)) is Fraction
 
     @pytest.mark.parametrize("result, want", [
-        (AlphaPoly([Fraction(1, 2)]) * 2, (1,)),
-        (2 * AlphaPoly([Fraction(1, 2), 3]), (1, 6)),
-        (AlphaPoly([3, 6]) * Fraction(1, 3), (1, 2)),
-        (AlphaPoly([Fraction(1, 2)]) * Fraction(4, 2), (1,)),
-        (AlphaPoly([Fraction(2, 3), 1]) * AlphaPoly([Fraction(3, 2), Fraction(1, 3)]),
-         (1, Fraction(3, 2) + Fraction(2, 9), Fraction(1, 3))),
-        (AlphaPoly([Fraction(1, 2), Fraction(1, 3)]) + AlphaPoly([Fraction(1, 2), 1]),
-         (1, Fraction(4, 3))),
-        (AlphaPoly([Fraction(1, 2)]) - AlphaPoly([Fraction(-1, 2), 0]), (1,)),
-        (AlphaPoly([Fraction(1, 3)]) - AlphaPoly([Fraction(1, 3)]), ()),
-        (-AlphaPoly([Fraction(1, 2), 4]), (Fraction(-1, 2), -4)),
-        (-(AlphaPoly([Fraction(3, 2)]) * Fraction(2, 3)), (-1,)),
+        (AlphaPoly([1]) * 2, (2,)),
+        (2 * AlphaPoly([1, 3]), (2, 6)),
+        (AlphaPoly([3, 6]) * -1, (-3, -6)),
+        (AlphaPoly([5, 1]) * 0, ()),
+        (AlphaPoly([2, 1]) * AlphaPoly([3, -1]), (6, 1, -1)),
+        (AlphaPoly([1, 3]) + AlphaPoly([1, -3]), (2,)),
+        (AlphaPoly([1]) - AlphaPoly([-1, 0]), (2,)),
+        (AlphaPoly([3]) - AlphaPoly([3]), ()),
+        (-AlphaPoly([1, 4]), (-1, -4)),
+        (1 - AlphaPoly([1, 2]), (0, -2)),
     ])
     def test_arithmetic_stores_integral_results_as_int(self, result, want):
         assert result.coefficients == want
-        assert [type(c) for c in result.coefficients] == [
-            int if Fraction(c).denominator == 1 else Fraction for c in want]
+        assert all(type(c) is int for c in result.coefficients)
 
     @pytest.mark.parametrize("op", [
         lambda p: p * 0.5, lambda p: 0.5 * p, lambda p: p + 1.0, lambda p: 1.0 - p,
     ])
     def test_float_operand_raises(self, op):
         with pytest.raises(TypeError):
-            op(AlphaPoly([Fraction(1, 2), 1]))
+            op(AlphaPoly([1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +138,7 @@ class TestSymbolicOracle:
             got = abc_coefficients(rho, sigma(mult, shift))
             for poly, want in zip(got, (A, B, C)):
                 coeffs = sp.Poly(sp.expand(want), a).all_coeffs()[::-1]
-                assert poly == AlphaPoly([Fraction(int(sp.nsimplify(c).p),
-                                                   int(sp.nsimplify(c).q))
-                                          for c in coeffs])
+                assert poly == AlphaPoly([int(c) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +266,7 @@ class TestEvaluate:
         assert abs(e.evaluate(3.0, 1.0) - 1.0) < 1e-14
 
     def test_exact_matches_float_path(self):
-        e = single(AlphaPoly((Fraction(1, 3), 2)), 2, sigma(1, 1)) + single(2, 0, sigma(0, 4))
+        e = single(AlphaPoly((1, 6)), 2, sigma(1, 1)) + single(2, 0, sigma(0, 4))
         exact = e.evaluate(5, Fraction(3, 2))
         assert isinstance(exact, Fraction)
         assert abs(float(exact) - e.evaluate(5.0, 1.5)) < 1e-13 * abs(float(exact))
@@ -304,8 +299,7 @@ class TestEvaluateBitEqualToHornerReference:
     """The float path gives the bits of ``horner_reference``, whatever the
     alphas of earlier calls."""
 
-    EXPR = nabla_m(base_profile_expr(4), 5) + single(AlphaPoly((Fraction(1, 3), -2, 1)), 3,
-                                                      sigma(1, -1))
+    EXPR = nabla_m(base_profile_expr(4), 5) + single(AlphaPoly((3, -2, 1)), 3, sigma(1, -1))
     R = [1e-3, 0.37, 1.0, 2.5, 40.0, 1e4]
 
     def test_scalar_r_with_alpha_switched_back_and_forth(self):
@@ -331,14 +325,13 @@ class TestEvaluateBitEqualToHornerReference:
             assert e.evaluate(alpha, 0.8) == horner_reference(e, alpha, 0.8)
 
     def test_exact_arguments_stay_exact_after_float_calls(self):
-        e = single(AlphaPoly((Fraction(1, 3), 2)), 2, sigma(1, 1)) + single(2, 0, sigma(0, 4))
+        e = single(AlphaPoly((1, 6)), 2, sigma(1, 1)) + single(2, 0, sigma(0, 4))
         e.evaluate(5.0, 1.5)
         exact = e.evaluate(5, Fraction(3, 2))
         assert isinstance(exact, Fraction)
         assert exact == e.evaluate(Fraction(5), Fraction(3, 2))
         # alpha = 5: sigma = 6 and 4, so every term is rational
-        assert exact == (Fraction(1, 3) + 10) * Fraction(9, 4) * Fraction(13, 4) ** -3 \
-            + 2 * Fraction(13, 4) ** -2
+        assert exact == 31 * Fraction(9, 4) * Fraction(13, 4) ** -3 + 2 * Fraction(13, 4) ** -2
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +364,8 @@ def test_laplacian_matches_second_difference(expr, alpha, r):
 # Property tests
 # ---------------------------------------------------------------------------
 
-fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-alphapoly_st = st.lists(fractions_st, min_size=0, max_size=3).map(AlphaPoly)
+ints_st = st.integers(min_value=-24, max_value=24)
+alphapoly_st = st.lists(ints_st, min_size=0, max_size=3).map(AlphaPoly)
 sigma_st = st.tuples(st.integers(0, 1), st.integers(-3, 6)).map(
     lambda ab: ExponentAffine(*ab)
 )
@@ -382,7 +375,7 @@ expr_st = st.lists(term_st, min_size=0, max_size=4).map(RadialExpr)
 
 
 @settings(max_examples=120, deadline=None)
-@given(expr_st, expr_st, fractions_st)
+@given(expr_st, expr_st, ints_st)
 def test_laplacian_linearity(e1, e2, scale):
     lhs = apply_laplacian(scale * e1 + e2)
     rhs = scale * apply_laplacian(e1) + apply_laplacian(e2)
@@ -425,7 +418,7 @@ def test_exact_evaluation_consistent_with_float(e, alpha_int):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 1), st.integers(2, 9), st.integers(-3, 6),
-       fractions_st, st.fractions(min_value=Fraction(1, 8), max_value=4,
+       ints_st, st.fractions(min_value=Fraction(1, 8), max_value=4,
                                   max_denominator=8))
 def test_closed_form_lowering(rho, a, alpha, half_sigma, c, r):
     # sigma(alpha) = 2 * half_sigma is even, so evaluation is exact
@@ -435,6 +428,18 @@ def test_closed_form_lowering(rho, a, alpha, half_sigma, c, r):
     assert all(t.r_power in (0, 1) for t in e.terms)
     want = c * r ** rho * (1 + r * r) ** -half_sigma
     assert e.evaluate(alpha, r) == want
+
+
+def test_derived_coefficients_are_plain_ints():
+    """Every coefficient the expansion derives, m = 1..14, is a plain int."""
+    for m in range(1, 15):
+        u = base_profile_expr(m)
+        polys = [*CoeffTable.build(m).g.values()]
+        for j in range(1, m):
+            polys += h_row(j, m) + h_reduced_row(j, m)
+        for expr in (apply_polyharmonic(u, m), nabla_m(u, m)):
+            polys += [t.coeff for t in expr.terms]
+        assert all(type(c) is int for p in polys for c in p.coefficients), m
 
 
 def test_sigma_multiplier_validation():
