@@ -15,7 +15,8 @@ Every float flag must be a finite number; argparse rejects anything else.
 Argument domains (the embedding condition alpha - 2m + 1 > 0, positive
 dilation parameters, grid and radius bounds, ...) are checked only by the
 library, which raises ``DomainError``; ``main`` turns that, and an
-``--output`` or ``--output-dir`` that cannot be written, into exit 2.
+``--output`` or ``--output-dir`` that cannot be written, into exit 2.  The
+output targets are checked before any computation.
 JSON reports carry a top-level ``schema_version``; numeric fields are
 rounded to 12 significant digits so reports are stable across runs.  CSV
 output uses comma delimiters and ``.`` decimals regardless of locale.  Pass
@@ -69,6 +70,22 @@ def _emit(text: str, path: Optional[str]) -> None:
 def _emit_json(obj: dict, path: Optional[str]) -> None:
     body = dict(schema_version=SCHEMA_VERSION, **obj)
     _emit(json.dumps(_round12(body), indent=2, sort_keys=True) + "\n", path)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Raise, before any work, the OSError that writing the outputs would
+    raise: ``--output`` and, for ``iterate``, a CSV in ``--output-dir``,
+    which is created here.  A file that did not exist is removed again, so a
+    run that fails later leaves no empty report behind."""
+    paths = [args.output]
+    if args.subcommand == "iterate":
+        os.makedirs(args.output_dir, exist_ok=True)
+        paths.append(f"{args.output_dir}/chain_k0.csv")
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        open(path, "a", encoding="utf-8").close()  # "a" keeps an existing file
+        if not existed:
+            os.remove(path)
 
 
 def _finite(text: str) -> float:
@@ -188,7 +205,6 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
               and inverse.max_residual <= suite.INVERSE_TOL
               and fixed <= suite.FIXED_POINT_TOL
               and all(e.bound_satisfied for e in decay.entries if not e.skipped))
-    os.makedirs(args.output_dir, exist_ok=True)
     for k, w in enumerate(chain.w):
         rows = [[float(r), float(v)] for r, v in zip(grid.nodes, w)]
         _emit(_csv_text(["r", f"w_{k}"], rows), f"{args.output_dir}/chain_k{k}.csv")
@@ -340,6 +356,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return _HANDLERS[args.subcommand](args)
     except (DomainError, OSError) as exc:  # arguments the checks or the files cannot take
         parser.error(str(exc))

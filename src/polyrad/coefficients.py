@@ -95,13 +95,19 @@ def g_row(j: int, m: int) -> list:
             for i, ke in enumerate(e_row(j, k_factor(j, m)))]
 
 
-def p_constant(m: int) -> AlphaPoly:
-    """P(alpha, m) = prod_{h=-m}^{m-1} (alpha + 1 + 2h), degree 2m."""
+def p_shifts(m: int) -> range:
+    """The shifts 1 + 2h, h = -m..m-1, of the 2m factors alpha + 1 + 2h of
+    P(alpha, m); :func:`p_constant` and ``constants.p_value`` read them here."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    return range(1 - 2 * m, 2 * m, 2)
+
+
+def p_constant(m: int) -> AlphaPoly:
+    """P(alpha, m) = prod_{h=-m}^{m-1} (alpha + 1 + 2h), degree 2m."""
     out = AlphaPoly.one()
-    for h in range(-m, m):
-        out = out * AlphaPoly.linear(1, 1 + 2 * h)
+    for s in p_shifts(m):
+        out = out * AlphaPoly.linear(1, s)
     return out
 
 

@@ -11,18 +11,19 @@ with P = prod_{h=-m}^{m-1} (alpha + 1 + 2h).  Equivalently
 
 where the bracket is the exact value of the improper integral
 int_0^inf r^alpha (1+r^2)^(-(alpha+1)) dr, which the quadrature route in
-:mod:`polyrad.functionals` evaluates directly as a cross-check.
+:mod:`polyrad.functionals` evaluates directly as a cross-check.  P itself is
+formed in integers from the exact ratio of the float alpha and rounded once
+(:func:`p_value`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import p_constant
+from .coefficients import p_shifts
 from .errors import DomainError
 
 #: Relative accuracy assumed for a single gamma evaluation when propagating
@@ -63,11 +64,15 @@ def critical_exponent(m: int, alpha: float) -> float:
 
 
 def p_value(m: int, alpha: float) -> float:
-    """P(alpha, m) evaluated exactly (its integer polynomial at the exact
-    rational alpha, then one final rounding), so no cancellation occurs for
-    large m.  Raises DomainError when P exceeds the float range."""
+    """P(alpha, m) at the float alpha with one rounding, so no cancellation
+    occurs for large m.  With alpha = n/d exactly, the product of the 2m
+    integers n + (1 + 2h) d is divided by d^(2m) once; int/int division
+    rounds correctly, so this is the float of the exact rational P.  Raises
+    DomainError when P exceeds the float range or alpha is infinite, and
+    ValueError when alpha is NaN."""
     try:
-        return float(p_constant(m)(Fraction(alpha)))
+        n, d = float(alpha).as_integer_ratio()
+        return math.prod(n + s * d for s in p_shifts(m)) / d ** (2 * m)
     except OverflowError:
         raise DomainError(f"P(alpha, m) overflows a float at m={m}, alpha={alpha!r}") from None
 

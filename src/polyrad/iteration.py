@@ -168,7 +168,8 @@ def _chain_values(u: RadialProfile, u_vals: np.ndarray, m: int, alpha: float,
     yield w
     r = grid.nodes
     R = r[-1]
-    half_dlog = 0.5 * np.diff(np.log(r))
+    half_dlog = np.diff(np.log(r))
+    half_dlog *= 0.5
     with np.errstate(over="ignore"):
         r_inner = r ** (alpha + 1.0)
         r_outer = r ** (1.0 - alpha)
@@ -604,5 +605,9 @@ def fixed_point_residual(u: RadialProfile, m: int, alpha: float,
     for w_m in _chain_values(u, u_vals, m, alpha, grid):
         pass
     sup = max(u_vals.max(), -u_vals.min()) or 1.0    # the zero profile reads 0
-    denom = np.maximum(np.abs(u_vals), FIXED_POINT_FLOOR * sup)
-    return float(np.max(np.abs(w_m - u_vals) / denom))
+    denom = np.abs(u_vals)
+    np.maximum(denom, FIXED_POINT_FLOOR * sup, out=denom)
+    w_m -= u_vals  # w_m is the generator's fresh last member
+    np.abs(w_m, out=w_m)
+    w_m /= denom
+    return float(np.max(w_m))

@@ -62,7 +62,8 @@ class AlphaPoly:
     leading coefficient is nonzero otherwise.  The constructor and the scalar
     operands refuse any other type with ``TypeError``; arithmetic results
     come from ``_derived``, since int arithmetic gives ints.  Exact
-    evaluation at an int or Fraction alpha returns a ``Fraction``.
+    evaluation at an int or Fraction alpha runs in integers and returns one
+    ``Fraction``.
     """
 
     __slots__ = ("_coeffs",)
@@ -181,12 +182,17 @@ class AlphaPoly:
 
     def __call__(self, value):
         """Evaluate by Horner's rule; exact (a Fraction) at an int or
-        Fraction argument."""
+        Fraction argument.  The exact value p/q is formed in integers, by
+        Horner's rule on B = sum_i c_i p^i q^(d-i) with the power of q kept
+        running, and only B / q^d becomes a Fraction."""
         if isinstance(value, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self._coeffs):
-                acc = acc * value + c
-            return acc
+            p, q = value.as_integer_ratio()
+            cs = self._coeffs
+            acc, qk = (cs[-1] if cs else 0), 1
+            for c in reversed(cs[:-1]):
+                qk *= q
+                acc = acc * p + c * qk
+            return Fraction(acc, qk)
         acc = 0.0
         for c in reversed(self._coeffs):
             acc = acc * value + float(c)
@@ -424,7 +430,9 @@ class RadialExpr:
         total = 0.0
         for t in self._terms:
             c, e = t.coeff(a), -0.5 * t.sigma.value_at(a)
-            total = total + c * r ** t.r_power * base ** e
+            if t.r_power:  # c * r ** 0 == c
+                c = c * r ** t.r_power
+            total = total + c * base ** e
         return total
 
     # -- io -------------------------------------------------------------

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from polyrad import cli, suite
+from polyrad import cli, iteration, suite
 
 
 def run_cli(argv, capsys):
@@ -359,6 +359,47 @@ def test_invalid_arguments_exit_2(argv, capsys, tmp_path, monkeypatch):
         cli.main(argv)
     assert info.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before the output target was checked")
+
+
+def test_unwritable_report_exits_2_before_the_suite(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(suite, "run_all", _must_not_run)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify-all", "--output", "missing/v.json"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "missing/v.json" in err
+
+
+def test_output_dir_that_is_a_file_exits_2_before_the_chain(capsys, tmp_path,
+                                                            monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept", encoding="utf-8")
+    monkeypatch.setattr(iteration, "iterate_chain", _must_not_run)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["iterate", "--m", "2", "--alpha", "4", "--output-dir", str(blocker)])
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("existing", [None, "old report"])
+def test_failed_run_leaves_the_output_as_it_was(existing, capsys, tmp_path):
+    # the target is checked before the work without creating or truncating it
+    path = tmp_path / "report.json"
+    if existing is not None:
+        path.write_text(existing, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["best-constant", "--m", "2", "--alpha", "2", "--output", str(path)])
+    assert info.value.code == 2
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_text(encoding="utf-8") == existing
 
 
 def test_overflowing_perturbation_names_initial_data(capsys):

@@ -2,10 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyrad.coefficients import p_constant
 from polyrad.constants import (
     GAMMA_EPS,
     best_constant,
@@ -160,6 +164,33 @@ class TestPValue:
         for h in range(-m, m):
             p *= mp.mpf(a) + 1 + 2 * h
         assert abs(p_value(m, a) - float(p)) <= 1e-12 * abs(float(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 16),
+           st.floats(0.01, 1e3, exclude_min=True, exclude_max=True))
+    def test_bit_equal_to_the_rounded_exact_polynomial(self, m, gap):
+        alpha = gap + 2 * m - 1
+        want = float(p_constant(m)(Fraction(alpha)))
+        assert p_value(m, alpha) == want
+        assert want == float(math.prod(Fraction(alpha) + 1 + 2 * h for h in range(-m, m)))
+
+    @pytest.mark.parametrize("m, alpha", [(1, 1e300), (8, 1e30), (1, math.inf),
+                                          (2, -math.inf)])
+    def test_overflow_and_infinity_raise_domain_error(self, m, alpha):
+        with pytest.raises(DomainError, match="overflows a float"):
+            p_value(m, alpha)
+
+    def test_nan_raises_value_error(self):
+        with pytest.raises(ValueError) as info:
+            p_value(2, math.nan)
+        assert type(info.value) is ValueError
+
+    def test_builds_no_fraction(self, fractions_built):
+        # an integer product over an integer power; evaluating P's Fraction
+        # polynomial would build 4m + 1 Fractions or more
+        p_value(8, 17.25)
+        p_value(1, 5e-324)
+        assert fractions_built == []
 
 
 def test_err_estimate_scales_with_gamma_eps():

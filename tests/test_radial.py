@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrad.radial import (
@@ -76,6 +76,12 @@ class TestAlphaPoly:
         p = AlphaPoly((1, 2))
         assert type(p(3)) is Fraction and p(3) == 7
         assert type(single(p).evaluate(3, 2)) is Fraction
+
+    @pytest.mark.parametrize("value", [3, Fraction(-7, 3), Fraction(5e-324)])
+    def test_exact_call_builds_one_fraction(self, value, fractions_built):
+        # Horner's rule on Fractions would build 2d + 1, one per product and sum
+        p_constant(8)(value)
+        assert len(fractions_built) == 1
 
     @pytest.mark.parametrize("result, want", [
         (AlphaPoly([1]) * 2, (2,)),
@@ -401,6 +407,34 @@ def test_closure_shift_by_four(e):
         a, b = t.sigma.alpha_multiplier, t.sigma.constant_shift
         assert any(a == ia and b <= ib + 4 and (ib + 4 - b) % 2 == 0
                    for ia, ib in in_keys)
+
+
+def fraction_horner(coeffs, value):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * value + c
+    return acc
+
+
+exact_value_st = st.one_of(
+    st.integers(),
+    st.fractions(max_value=0),
+    st.just(True),
+    st.just(Fraction(5e-324)),
+    st.builds(Fraction, st.integers(), st.integers(1, 2 ** 300)),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(), max_size=12).map(AlphaPoly), exact_value_st)
+@example(AlphaPoly(()), Fraction(5e-324))
+@example(AlphaPoly(()), 3)
+@example(AlphaPoly((0, 0, 1)), Fraction(-1, 2 ** 1074))
+def test_exact_call_matches_fraction_horner(p, value):
+    got = p(value)
+    assert type(got) is Fraction
+    assert got == fraction_horner(p.coefficients, value)
 
 
 @settings(max_examples=60, deadline=None)
