@@ -149,6 +149,7 @@ def _cmd_best_constant(args: argparse.Namespace) -> int:
         ok = rel <= suite.QUADRATURE_ROUTE_REL_TOL
         report["cross_check"] = {
             "S_quadrature": quad.S,
+            "err_estimate": quad.err_estimate,
             "rel_diff": rel,
             "agrees": ok,
         }

@@ -106,7 +106,10 @@ def best_constant(m: int, alpha: float, route: str = "closed_form") -> BestConst
 
     ``route="closed_form"`` uses the gamma-function formula;
     ``route="quadrature"`` replaces the gamma bracket by exp-sinh quadrature
-    of the defining improper integral (cross-check path).
+    of the defining improper integral (cross-check path); it raises
+    DomainError when that integral, about 2^-alpha, is below the smallest
+    normal float (alpha above about 1015), where its relative accuracy is
+    gone.
     """
     require_sobolev(m, alpha)
     p = p_value(m, alpha)
@@ -125,7 +128,11 @@ def best_constant(m: int, alpha: float, route: str = "closed_form") -> BestConst
             # log form keeps r^alpha finite for large alpha
             return np.exp(alpha * np.log(r) - (alpha + 1.0) * np.log1p(r * r))
 
-        report = functionals.improper_integral(integrand)
+        report = functionals.improper_integral(integrand, origin_power=alpha,
+                                               tail_power=-alpha - 2.0)
+        if report.value < np.finfo(float).tiny:
+            raise DomainError(f"the quadrature integral {report.value!r} is below "
+                              f"the smallest normal float at alpha={alpha!r}")
         s = p * report.value ** expo
         err = s * expo * (report.err_estimate / report.value)
     else:

@@ -11,10 +11,11 @@ class DomainError(PolyradError, ValueError):
 
 
 class NonConvergenceError(PolyradError):
-    """An improper integral does not converge: a divergent tail (of a
-    quadrature or of the iteration chain's outer integral), an integrand
-    that is not finite or not negligible at the window's ends, or no
-    agreement of successive sums by the smallest step."""
+    """An improper integral does not converge: a divergent tail (a stated
+    power law of a quadrature, or the iteration chain's outer integral), an
+    integrand that is not finite or does not follow its stated power law
+    beyond the window, or no agreement of successive sums by the smallest
+    step."""
 
 
 class OdeError(PolyradError):

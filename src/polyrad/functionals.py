@@ -8,8 +8,9 @@ window converges geometrically in the step.  Each level is one numpy call on
 an array of radii; halving the step reuses every node, and the difference of
 two successive sums is the error estimate (Bailey, Jeyabalan and Li, Exp.
 Math. 14, 2005).  Past the window the sum goes on in closed form along the
-integrand's power law at 0 and at infinity, which a profile's exact terms
-give, so slowly decaying tails (small Sobolev gaps) are summed, not cut.
+integrand's power law at 0 and at infinity, which every caller states (a
+profile's exact terms give it), so slowly decaying tails (small Sobolev
+gaps) are summed, not cut.
 
 Radial profiles carry their symbolic structure: a profile is a finite sum of
 pieces ``coeff * expr(alpha; r / scale)`` with ``expr`` in the exact term
@@ -41,10 +42,10 @@ from .errors import DomainError, NonConvergenceError
 from .radial import ExponentAffine, RadialExpr, nabla_m
 
 
-#: Accuracy contract of every improper integral: the relative and absolute
-#: tolerances on two successive exp-sinh sums.  ``rayleigh_quotient`` also
-#: refuses a profile norm below QUAD_ABS_TOL.
+#: Accuracy contract of every improper integral: the relative tolerance on
+#: two successive exp-sinh sums and on the power-law continuation.
 QUAD_REL_TOL = 1e-10
+#: ``rayleigh_quotient`` refuses a profile norm below this.
 QUAD_ABS_TOL = 1e-14
 #: The exp-sinh rule: the trapezoid window |t| <= DE_WINDOW (r from about
 #: 2e-31 to 5e30), the step of the first evaluation, whose every other node
@@ -205,28 +206,6 @@ def _de_summands(f, t: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_tail_decay(g) -> None:
-    """Reject tails that decay no faster than 1/r.
-
-    The integrands of this calculus have algebraic tails, so the log-log
-    slope over the radii 10, 100, ..., 1e7 is a reliable integrability
-    probe; it catches divergent cases that float underflow would otherwise
-    disguise as convergent.
-    """
-    with np.errstate(all="ignore"):
-        v = np.abs(np.asarray(g(10.0 ** np.arange(1, 8)), dtype=float))
-    if not np.all((v > 0.0) & np.isfinite(v)):
-        return  # decayed below floating range (or not finite: the rule rejects it)
-    slopes = np.diff(np.log10(v))
-    if np.any(slopes < -1.5):
-        return  # clearly integrable already
-    if slopes[-1] > -1.02:
-        raise NonConvergenceError(
-            "integrand tail decays like r^-p with p <= 1; integral diverges "
-            f"(measured log-log slope {slopes[-1]})"
-        )
-
-
 def _power_law_factor(rate: float, t: np.ndarray) -> np.ndarray:
     """The summand at |t| over the summand at |t| = DE_WINDOW, for an
     integrand that follows a power law in r from the window's end on:
@@ -250,11 +229,9 @@ def _continuation_weight(rate: float, h: float) -> float:
     return h * float(_power_law_factor(rate, t).sum())
 
 
-def _decay_rate(power, sign: float, where: str):
+def _decay_rate(power: float, sign: float, where: str) -> float:
     """sign * (power + 1), the rate at which a summand following r^power
-    decays beyond the window's end; None when the power is not known."""
-    if power is None:
-        return None
+    decays beyond the window's end."""
     rate = sign * (power + 1.0)
     if not rate > 0.0:
         raise NonConvergenceError(
@@ -263,39 +240,36 @@ def _decay_rate(power, sign: float, where: str):
     return rate
 
 
-def improper_integral(f, *, origin_power=None, tail_power=None) -> NormReport:
+def improper_integral(f, *, origin_power: float, tail_power: float) -> NormReport:
     """int_0^inf f(r) dr by the exp-sinh rule: r = exp(pi/2 sinh t) and the
     trapezoid rule in t on [-DE_WINDOW, DE_WINDOW], halving the step with
-    nested nodes until two successive sums agree to
-    max(QUAD_ABS_TOL, QUAD_REL_TOL |I|).
+    nested nodes until two successive sums agree to QUAD_REL_TOL |I|.
 
     ``f`` is called with arrays of radii, with numpy's floating-point
     warnings off; a :class:`RadialProfile` or any numpy expression in r
-    serves.  The sums at steps 2 DE_FIRST_STEP and DE_FIRST_STEP come from
-    one evaluation, the coarser one a strided slice of it; each further
-    level evaluates only its new nodes.  The error estimate is the last
-    difference, floored at the roundoff of the sum.
-
+    serves.  The caller states the power law f follows at both ends:
+    f(r) ~ r^origin_power as r -> 0 and f(r) ~ r^tail_power as r -> inf.
     Beyond the window (r below about 2e-31 or above 5e30) the sum goes on
-    in closed form when the caller states the power law f follows there:
-    f(r) ~ r^origin_power at the origin, f(r) ~ r^tail_power at infinity,
-    with the amplitude taken from the summand at the window's end.  The
-    law is checked against the node 2 DE_FIRST_STEP inside the end; its
-    mismatch times the continued sum is added to the error estimate.  At an
-    end with no stated power the summand must be negligible.
+    in closed form along that law, with the amplitude taken from the
+    summand at the window's end.  The law is checked against the node
+    2 DE_FIRST_STEP inside each end; its mismatch times the continued sum
+    is added to the error estimate and must stay within QUAD_REL_TOL |I|.
 
-    Raises :class:`NonConvergenceError` for a divergent tail (a stated power
-    of -1 or beyond, or the slope probe when ``tail_power`` is None), a
-    summand not negligible at an end with no stated power, a continuation
-    whose power law does not fit the integrand to the tolerance, non-finite
-    values and no convergence by DE_MIN_STEP.
+    The sums at steps 2 DE_FIRST_STEP and DE_FIRST_STEP come from one
+    evaluation, the coarser one a strided slice of it; each further level
+    evaluates only its new nodes.  Both tests are relative, so an integral
+    of any magnitude is resolved to QUAD_REL_TOL.  The error estimate is
+    the last difference, floored at the roundoff of the sum.
+
+    Raises :class:`NonConvergenceError` for a divergent stated law
+    (origin_power <= -1 or tail_power >= -1), a law that does not fit the
+    integrand to the tolerance, non-finite values and no convergence by
+    DE_MIN_STEP.
     """
     if not callable(f):
         raise TypeError(f"integrand must be callable, got {type(f).__name__}")
     rates = (_decay_rate(origin_power, 1.0, "at the origin"),
              _decay_rate(tail_power, -1.0, "at infinity"))
-    if tail_power is None:
-        _check_tail_decay(f)
     h = DE_FIRST_STEP
     n = round(DE_WINDOW / h)
     values = _de_summands(f, h * np.arange(-n, n + 1))
@@ -303,33 +277,25 @@ def improper_integral(f, *, origin_power=None, tail_power=None) -> NormReport:
 
     def beyond(step: float) -> float:
         return sum(end * _continuation_weight(rate, step)
-                   for end, rate in zip(ends, rates) if rate is not None)
+                   for end, rate in zip(ends, rates))
 
     fine = h * float(values.sum())
     coarse = 2.0 * h * float(values[::2].sum())
     total, coarse_total = fine + beyond(h), coarse + beyond(2.0 * h)
     magnitude = h * float(np.abs(values).sum())
-    tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
     model_err = 0.0
     for end, inner, rate in zip(ends, (float(values[2]), float(values[-3])), rates):
-        if rate is None:
-            if abs(end) > tol:
-                raise NonConvergenceError(
-                    f"integrand is not negligible at the ends of the exp-sinh "
-                    f"window: summand {abs(end):.3e} against a sum of {total:.3e}"
-                )
-        else:
-            continued = end * _continuation_weight(rate, h)
-            if continued != 0.0:
-                with np.errstate(all="ignore"):  # a subnormal end: NaN raises below
-                    predicted = end * _power_law_factor(rate, DE_WINDOW - 2.0 * h)
-                    model_err += abs(continued * (inner / predicted - 1.0))
-    if not model_err <= tol:
+        continued = end * _continuation_weight(rate, h)
+        if continued != 0.0:
+            with np.errstate(all="ignore"):  # a subnormal end: NaN raises below
+                predicted = end * _power_law_factor(rate, DE_WINDOW - 2.0 * h)
+                model_err += abs(continued * (inner / predicted - 1.0))
+    if not model_err <= QUAD_REL_TOL * abs(total):
         raise NonConvergenceError(
             f"integrand does not follow the stated power law beyond the exp-sinh "
             f"window: continuation error {model_err:.3e} against a sum of {total:.3e}"
         )
-    while abs(total - coarse_total) > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
+    while abs(total - coarse_total) > QUAD_REL_TOL * abs(total):
         if h / 2.0 < DE_MIN_STEP:
             raise NonConvergenceError(
                 f"exp-sinh rule did not converge by step {h:g}: successive sums "
@@ -347,30 +313,31 @@ def improper_integral(f, *, origin_power=None, tail_power=None) -> NormReport:
                       err_estimate=max(abs(total - coarse_total), roundoff) + model_err)
 
 
-def _weighted_power_integral(f, q: float, theta: float) -> NormReport:
+def _weighted_power_integral(f: RadialProfile, q: float, theta: float) -> NormReport:
     """int_0^inf |f(r)|^q r^theta dr, summed as exp(q log|f| + theta log r)
     because r^theta overflows at the window's ends for theta above 10.
 
-    Below the window the integrand is continued as r^theta, which holds when
-    |f| tends to a nonzero limit at the origin; for a :class:`RadialProfile`
-    it is continued above the window as r^(theta - q mu), mu the profile's
-    exact ``decay_exponent``.  A plain callable must be negligible there."""
+    The integrand is continued below the window as r^theta, which holds
+    when |f| tends to a nonzero limit at the origin, and above it as
+    r^(theta - q mu), mu the profile's exact ``decay_exponent``."""
     def integrand(r: np.ndarray) -> np.ndarray:
         # log(0) = -inf is exp'd back to 0; the caller silences its warning
         return np.exp(q * np.log(np.abs(f(r))) + theta * np.log(r))
 
-    tail = theta - q * f.decay_exponent if isinstance(f, RadialProfile) else None
-    return improper_integral(integrand, origin_power=theta, tail_power=tail)
+    return improper_integral(integrand, origin_power=theta,
+                             tail_power=theta - q * f.decay_exponent)
 
 
-def weighted_lebesgue_norm(f, q: float, theta: float) -> NormReport:
-    """( int_0^inf |f|^q r^theta dr )^(1/q) for q >= 1, theta > -1.
+def weighted_lebesgue_norm(f: RadialProfile, q: float, theta: float) -> NormReport:
+    """( int_0^inf |f|^q r^theta dr )^(1/q) for a :class:`RadialProfile`
+    f, q >= 1 and theta > -1.
 
     The quadrature continues the integrand past r ~ 2e-31 as r^theta, so
-    |f| must tend to a nonzero limit at the origin or be negligible there;
-    past r ~ 5e30 it continues a :class:`RadialProfile` by its exact decay
-    exponent, and a plain callable must be negligible there.  Otherwise it
-    raises :class:`NonConvergenceError` (see :func:`improper_integral`)."""
+    |f| must tend to a nonzero limit at the origin or be negligible there,
+    and past r ~ 5e30 by the profile's exact decay exponent.  Otherwise it
+    raises :class:`NonConvergenceError` (see :func:`improper_integral`).
+    Raises TypeError for anything but a RadialProfile."""
+    _require_profile(f)
     if q < 1:
         raise DomainError(f"Lebesgue exponent must be >= 1, got {q!r}")
     if theta <= -1:
@@ -404,11 +371,15 @@ def rayleigh_quotient(f: RadialProfile, m: int, alpha: float) -> float:
     return num / den_q ** (2.0 / two_star)
 
 
-def _check_profile_alpha(f: RadialProfile, alpha: float) -> None:
+def _require_profile(f) -> None:
     if not isinstance(f, RadialProfile):
         raise TypeError(
-            f"gradient operations need a RadialProfile, got {type(f).__name__}"
+            f"norms and gradients need a RadialProfile, got {type(f).__name__}"
         )
+
+
+def _check_profile_alpha(f: RadialProfile, alpha: float) -> None:
+    _require_profile(f)
     if abs(f.alpha - alpha) > 1e-12 * max(1.0, abs(alpha)):
         raise DomainError(
             f"profile is bound to alpha={f.alpha!r}, operation requested alpha={alpha!r}"

@@ -165,11 +165,13 @@ def check_quadrature_vs_gamma() -> CheckResult:
         rels = {}
         for a in GAMMA_QUAD_ALPHAS:
             got = fun.improper_integral(
-                lambda r, a=a: r ** a * (1.0 + r * r) ** (-(a + 1.0))
+                lambda r, a=a: r ** a * (1.0 + r * r) ** (-(a + 1.0)),
+                origin_power=a, tail_power=-a - 2.0,
             ).value
             want = const.beta_integral((a + 1.0) / 2.0, (a + 1.0) / 2.0) / 2.0
             rels[a] = abs(got - want) / want
-        exact = fun.improper_integral(lambda r: r * (1.0 + r * r) ** -2.0).value
+        exact = fun.improper_integral(lambda r: r * (1.0 + r * r) ** -2.0,
+                                      origin_power=1.0, tail_power=-3.0).value
         details.update(rel_errors=rels, alpha1_value=exact,
                        alpha1_abs_err=abs(exact - 0.5))
         return (max(rels.values()) <= GAMMA_QUAD_REL_TOL

@@ -39,6 +39,23 @@ class TestBestConstant:
         assert report["route"] == "closed_form"
         assert report["cross_check"]["agrees"] is True
         assert report["cross_check"]["rel_diff"] <= 1e-10
+        assert 0 < report["cross_check"]["err_estimate"] <= 1e-10 * report["S"]
+
+    @pytest.mark.parametrize("alpha", ("110", "201", "1000"))
+    def test_cross_check_agrees_at_large_alpha(self, alpha, capsys):
+        code, out, _ = run_cli(
+            ["best-constant", "--m", "1", "--alpha", alpha, "--cross-check"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["cross_check"]["agrees"] is True
+
+    def test_cross_check_underflow_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["best-constant", "--m", "1", "--alpha", "2000", "--cross-check"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "smallest normal float at alpha=2000.0" in err
+        assert "Traceback" not in err
 
     def test_sobolev_violation_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -20,6 +20,7 @@ from polyrad.constants import (
 )
 from polyrad.errors import DomainError
 from polyrad.functionals import improper_integral
+from polyrad.suite import QUADRATURE_ROUTE_REL_TOL
 
 mp.mp.dps = 40
 
@@ -63,7 +64,8 @@ class TestBetaIntegral:
     def test_against_quadrature(self):
         x, y = 2.5, 3.1
         got = improper_integral(
-            lambda s: s ** (x - 1) * (1 + s) ** (-(x + y))
+            lambda s: s ** (x - 1) * (1 + s) ** (-(x + y)),
+            origin_power=x - 1, tail_power=-y - 1,
         ).value
         assert abs(got - beta_integral(x, y)) <= 1e-10 * beta_integral(x, y)
 
@@ -126,6 +128,20 @@ class TestBestConstant:
         closed = best_constant(3, 30.0)
         quad = best_constant(3, 30.0, route="quadrature")
         assert abs(quad.S - closed.S) <= 1e-9 * closed.S
+
+    @pytest.mark.parametrize("gap", (0.05, 1.0, 19.0, 60.0, 200.0))
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_quadrature_route_across_the_domain(self, m, gap):
+        # the integral is about 2^-alpha: far below 1, it is still resolved
+        # to a relative tolerance
+        alpha = 2 * m - 1 + gap
+        closed = best_constant(m, alpha)
+        quad = best_constant(m, alpha, route="quadrature")
+        assert abs(quad.S - closed.S) <= QUADRATURE_ROUTE_REL_TOL * closed.S
+
+    def test_quadrature_route_underflow_raises_domain_error(self):
+        with pytest.raises(DomainError, match="alpha=2000.0"):
+            best_constant(1, 2000.0, route="quadrature")
 
     def test_sobolev_gate_and_route_validation(self):
         with pytest.raises(DomainError, match="Sobolev condition violated"):

@@ -24,6 +24,7 @@ from polyrad.functionals import (
     weighted_lebesgue_norm,
 )
 from polyrad.ode import family_state
+from polyrad.radial import ExponentAffine, RadialExpr
 
 # frozen at 30 digits:
 W_EPS2_AT_ZERO = 1.2651256603483465      # 105^(1/8) / sqrt(2)
@@ -45,45 +46,42 @@ class TestQuadratureSpec:
 
 class TestImproperIntegral:
     def test_antiderivative_case(self):
-        rep = improper_integral(lambda r: r * (1 + r * r) ** -2.0)
+        rep = improper_integral(lambda r: r * (1 + r * r) ** -2.0,
+                                origin_power=1.0, tail_power=-3.0)
         assert abs(rep.value - 0.5) <= 1e-12
         assert 0 < rep.err_estimate < 1e-10
 
     def test_gamma_identity_case(self):
-        rep = improper_integral(lambda r: r ** 3 * (1 + r * r) ** -4.0)
+        rep = improper_integral(lambda r: r ** 3 * (1 + r * r) ** -4.0,
+                                origin_power=3.0, tail_power=-5.0)
         assert abs(rep.value - 1 / 12) <= 1e-12
-
-    def test_divergent_tail_raises(self):
-        with pytest.raises(NonConvergenceError):
-            improper_integral(lambda r: (1 + r * r) ** -0.5)
 
     @pytest.mark.parametrize("alpha", (1.5, 3.0, 4.0, 7.25))
     def test_quadrature_vs_gamma(self, alpha):
         got = improper_integral(
-            lambda r: r ** alpha * (1 + r * r) ** (-(alpha + 1.0))
+            lambda r: r ** alpha * (1 + r * r) ** (-(alpha + 1.0)),
+            origin_power=alpha, tail_power=-alpha - 2.0,
         ).value
         want = beta_integral((alpha + 1) / 2, (alpha + 1) / 2) / 2
         assert abs(got - want) <= 1e-10 * want
 
     def test_profile_as_integrand(self):
+        # w_1 ~ r^-2 at infinity, so w_1^2 r ~ r^-3
         w = bliss_profile(1, 3.0, 1.0)
-        rep = improper_integral(lambda r: w(r) ** 2 * r ** 1.0)
+        rep = improper_integral(lambda r: w(r) ** 2 * r ** 1.0,
+                                origin_power=1.0, tail_power=-3.0)
         assert rep.value > 0
-
-    def test_slow_tail_not_negligible_at_window_end_raises(self):
-        # r^-1.05 passes the slope guard and is integrable, but the window
-        # ends long before its tail is negligible
-        with pytest.raises(NonConvergenceError, match="not negligible"):
-            improper_integral(lambda r: (1 + r * r) ** -0.525)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(NonConvergenceError, match="not finite"):
-            improper_integral(lambda r: np.sqrt(2.0 - r) / (1 + r * r) ** 2)
+            improper_integral(lambda r: np.sqrt(2.0 - r) / (1 + r * r) ** 2,
+                              origin_power=0.0, tail_power=-4.0)
 
     @pytest.mark.parametrize("s", (0.505, 0.525, 0.65))
     def test_stated_tail_power_continues_past_window(self, s):
         # int (1+r^2)^-s dr = sqrt(pi) Gamma(s - 1/2) / (2 Gamma(s))
-        rep = improper_integral(lambda r: (1 + r * r) ** -s, tail_power=-2.0 * s)
+        rep = improper_integral(lambda r: (1 + r * r) ** -s,
+                                origin_power=0.0, tail_power=-2.0 * s)
         want = math.sqrt(math.pi) * math.gamma(s - 0.5) / (2.0 * math.gamma(s))
         assert abs(rep.value - want) <= functionals.QUAD_REL_TOL * want
         assert 0 < rep.err_estimate <= functionals.QUAD_REL_TOL * want
@@ -92,7 +90,7 @@ class TestImproperIntegral:
     def test_stated_origin_power_continues_past_window(self, theta):
         # int r^theta (1+r^2)^-2 dr = Gamma(s/2) Gamma(2 - s/2) / 2, s = theta + 1
         rep = improper_integral(lambda r: r ** theta * (1 + r * r) ** -2.0,
-                                origin_power=theta)
+                                origin_power=theta, tail_power=theta - 4.0)
         s = theta + 1.0
         want = math.gamma(s / 2) * math.gamma(2 - s / 2) / 2
         assert abs(rep.value - want) <= functionals.QUAD_REL_TOL * want
@@ -100,12 +98,26 @@ class TestImproperIntegral:
 
     def test_wrong_stated_power_raises(self):
         with pytest.raises(NonConvergenceError, match="does not follow"):
-            improper_integral(lambda r: (1 + r * r) ** -0.525, tail_power=-1.2)
+            improper_integral(lambda r: (1 + r * r) ** -0.525,
+                              origin_power=0.0, tail_power=-1.2)
 
-    @pytest.mark.parametrize("powers", ({"tail_power": -1.0}, {"origin_power": -1.0}))
+    def test_wrong_stated_origin_power_near_minus_one_raises(self):
+        # r^-0.8 (1+r^2)^-2 stated as r^-0.9 at the origin: the summand at
+        # the window's lower end is far from negligible and the law misfits
+        with pytest.raises(NonConvergenceError, match="does not follow"):
+            improper_integral(lambda r: r ** -0.8 / (1.0 + r * r) ** 2,
+                              origin_power=-0.9, tail_power=-4.8)
+
+    @pytest.mark.parametrize("powers", ({"origin_power": 0.0, "tail_power": -1.0},
+                                        {"origin_power": -1.0, "tail_power": -2.0}))
     def test_divergent_stated_power_raises(self, powers):
         with pytest.raises(NonConvergenceError, match="diverges"):
             improper_integral(lambda r: 1.0 / r, **powers)
+
+    @pytest.mark.parametrize("powers", ({}, {"origin_power": 1.0}, {"tail_power": -3.0}))
+    def test_omitted_law_raises_type_error(self, powers):
+        with pytest.raises(TypeError, match="_power"):
+            improper_integral(lambda r: r * (1 + r * r) ** -2.0, **powers)
 
 
 def _mp_profile(f: RadialProfile):
@@ -254,21 +266,15 @@ class TestWeightedNorm:
     @pytest.mark.parametrize("theta", (-0.6, -0.9, -0.99))
     def test_weight_exponent_near_minus_one(self, theta):
         # int (1+r^2)^-2 r^theta dr = Gamma(s/2) Gamma(2 - s/2) / 2, s = theta + 1
-        rep = weighted_lebesgue_norm(lambda r: 1.0 / (1.0 + r * r), 2.0, theta)
+        f = RadialProfile.from_expr(RadialExpr.single(1, 0, ExponentAffine(0, 2)), 3.0)
+        rep = weighted_lebesgue_norm(f, 2.0, theta)
         s = theta + 1.0
         want = math.gamma(s / 2) * math.gamma(2 - s / 2) / 2
         assert abs(rep.value ** 2 - want) <= functionals.QUAD_REL_TOL * want
 
-    def test_no_nonzero_limit_at_origin_near_minus_one_raises(self):
-        # |f|^2 r^-0.9 ~ r^-0.8: f -> 0 too slowly to be negligible at the
-        # window's lower end, and the continuation as r^-0.9 does not fit
-        with pytest.raises(NonConvergenceError, match="does not follow"):
-            weighted_lebesgue_norm(lambda r: r ** 0.05 / (1.0 + r * r), 2.0, -0.9)
-
-    def test_plain_callable_slow_tail_raises(self):
-        # a plain callable has no known tail law: r^-1.05 is cut, loudly
-        with pytest.raises(NonConvergenceError, match="not negligible"):
-            weighted_lebesgue_norm(lambda r: (1.0 + r * r) ** -0.525, 1.0, 0.0)
+    def test_plain_callable_rejected(self):
+        with pytest.raises(TypeError, match="need a RadialProfile, got function"):
+            weighted_lebesgue_norm(lambda r: 1.0 / (1.0 + r * r), 2.0, 0.0)
 
 
 class TestGradientSeminorm:

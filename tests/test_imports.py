@@ -6,10 +6,12 @@ Deletions tend to leave imports, ``_``-prefixed helpers and error classes
 behind; this walks each module's syntax tree with the standard library only.
 ``__init__`` re-exports the public API, so its imports are the point of the
 module and are not checked.  The runtime needs numpy alone: importing the
-command line loads no scipy.  The library sketch in README.md runs.
+command line loads no scipy.  The library sketch in README.md runs, and
+every name README.md cites in backticks as ``module.NAME`` exists.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -21,6 +23,7 @@ import pytest
 
 import polyrad
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(p for p in Path(polyrad.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
@@ -163,9 +166,35 @@ def test_cli_import_loads_no_scipy():
 
 def test_readme_library_sketch_runs():
     # the sketch imports public names; a cut of the API must not break it
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        exec(compile(blocks[0], str(readme), "exec"), {})
+        exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def _cited_names(text: str, modules: set) -> set:
+    """(module, NAME) for each ``module.NAME`` inside a backticked span of
+    ``text`` whose module is one of ``modules``; a file name such as
+    ``suite.py`` is not a citation."""
+    return {(module, name)
+            for span in re.findall(r"`([^`\n]+)`", text)
+            for module, name in re.findall(r"(?<![\w.])(\w+)\.(?!py\b)([A-Za-z_]\w*)", span)
+            if module in modules}
+
+
+def test_readme_cited_names_exist():
+    # a deletion must take its README mentions with it
+    modules = {p.stem: f"polyrad.{p.stem}" for p in MODULES}
+    modules["polyrad"] = "polyrad"
+    cited = _cited_names(README.read_text(encoding="utf-8"), set(modules))
+    missing = sorted(f"{module}.{name}" for module, name in cited
+                     if not hasattr(importlib.import_module(modules[module]), name))
+    assert cited and not missing, f"README.md cites missing names {missing}"
+
+
+def test_walk_finds_cited_names():
+    text = ("`suite.EPS_SET` and `ode.family_state(m, r)`, not `np.exp`,\n"
+            "`x.suite.B`, suite.C or `functionals.py`; `polyrad.cli`")
+    assert _cited_names(text, {"suite", "ode", "functionals", "polyrad"}) == {
+        ("suite", "EPS_SET"), ("ode", "family_state"), ("polyrad", "cli")}
