@@ -108,11 +108,25 @@ class RadialProfile:
                    default=math.inf)
 
     def __call__(self, r):
+        """The value at r.  On an int or float array each piece is evaluated
+        in one fresh buffer and summed in place, to the bits of the scalar
+        sum from 0.0."""
         if not self.pieces:
             return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
-        total = 0.0
+        if not (isinstance(r, np.ndarray) and r.ndim and r.dtype.kind in "iuf"):
+            total = 0.0
+            for p in self.pieces:
+                total = total + p.coeff * p.expr.evaluate(self.alpha, r / p.scale)
+            return total
+        total = None
         for p in self.pieces:
-            total = total + p.coeff * p.expr.evaluate(self.alpha, r / p.scale)
+            piece = p.expr._evaluate_array(self.alpha, r / p.scale)
+            piece *= p.coeff
+            if total is None:
+                total = piece
+            else:
+                total += piece
+        total += 0.0  # as 0.0 + x: an exact zero reads +0.0
         return total
 
     def nabla(self, m: int) -> "RadialProfile":

@@ -24,21 +24,25 @@ embedding condition).  The companion exponent sequence is
     q_0 = 2*/(2*-1),   q_k = q_{k-1} (alpha+1) / (alpha - 2 q_{k-1} + 1)
                            = 2 (alpha+1) / (alpha + 2m + 1 - 4k).
 
-A chain holds its grid once and its members as plain float arrays on that
-grid; ``iterate_chain`` and ``fixed_point_residual`` need the grid given.
+A grid owns a read-only copy of its nodes, and a chain holds its grid once
+and its members as read-only float arrays on that grid; ``iterate_chain``
+and ``fixed_point_residual`` need the grid given.
 
 Cost: each call builds its grid-only arrays once.  The chain is stepped
-once per call, in place, with the log-spacing and power weights hoisted;
-``fixed_point_residual`` keeps only the running member.  The checks read
-each member about once.  ``verify_inverse`` walks the grid in cache-sized
-blocks and forms each block's stencil weights once for every k;
-``decay_report`` fits a view of each member's tail in closed form; and
-``origin_behavior`` solves one set of 7-column normal equations for all
-members, refined twice through one residual buffer.
+in place, with the log-spacing and power weights hoisted, and once per
+(u, m, alpha, grid): while a chain that ``iterate_chain`` built is alive,
+``fixed_point_residual`` on the same inputs reads its w_m and evaluates
+only u, and otherwise steps the chain keeping only the running member.
+The checks read each member about once.  ``verify_inverse`` walks the
+grid in cache-sized blocks and forms each block's stencil weights once
+for every k; ``decay_report`` fits a view of each member's tail in closed
+form; and ``origin_behavior`` solves one set of 7-column normal equations
+for all members, refined twice through one residual buffer.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -59,7 +63,10 @@ class RadialGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        # the grid owns its nodes: a read-only copy, so no caller's array
+        # can change a grid that a live chain is keyed on
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.flags.writeable = False
         if nodes.ndim != 1 or nodes.size < 3:
             raise DomainError("grid needs at least three nodes")
         if not nodes[0] > 0:
@@ -209,9 +216,17 @@ def _chain_values(u: RadialProfile, u_vals: np.ndarray, m: int, alpha: float,
         mu = min(alpha - 1.0, mu - 2.0)
 
 
+#: The live chains, by (u, m, float(alpha), id(grid)): ``fixed_point_residual``
+#: reads w_m of the chain that ``iterate_chain`` built for the same inputs
+#: instead of stepping it again.  The weak values keep no chain alive, and a
+#: live chain keeps its grid, so the grid's id is not reused while it is here.
+_LIVE_CHAINS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
 def iterate_chain(u: RadialProfile, m: int, alpha: float,
                   grid: RadialGrid) -> IterationChain:
-    """Build w_0..w_m from the profile u on the grid.
+    """Build w_0..w_m from the profile u on the grid; the members are
+    read-only.
 
     The tail decay exponent derived from u's exact terms closes the
     truncated integrals analytically.  Raises :class:`NonConvergenceError`
@@ -220,9 +235,15 @@ def iterate_chain(u: RadialProfile, m: int, alpha: float,
     the power weights leave the float range at this alpha on this grid.
     """
     with np.errstate(over="ignore"):  # u reads 0 where 1 + (r/eps)^2 overflows
-        members = _chain_values(u, np.asarray(u(grid.nodes), dtype=float), m, alpha, grid)
-    return IterationChain(m=m, alpha=float(alpha), grid=grid, w=tuple(members),
-                          q=tuple(q_sequence(m, alpha)))
+        members = tuple(_chain_values(u, np.asarray(u(grid.nodes), dtype=float),
+                                      m, alpha, grid))
+    for w in members:
+        w.flags.writeable = False
+    chain = IterationChain(m=m, alpha=float(alpha), grid=grid, w=members,
+                           q=tuple(q_sequence(m, alpha)))
+    # an equal chain already alive stays the one on record
+    _LIVE_CHAINS.setdefault((u, m, float(alpha), id(grid)), chain)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +620,24 @@ def fixed_point_residual(u: RadialProfile, m: int, alpha: float,
                          grid: RadialGrid) -> float:
     """sup over grid nodes of |w_m - u| / max(|u|, FIXED_POINT_FLOOR sup|u|),
     relative so that a tiny profile is judged too; small exactly for solution
-    profiles.  The chain is stepped without keeping the members before w_m."""
+    profiles.
+
+    While a chain that ``iterate_chain`` built from the same (u, m, alpha)
+    on this grid object is alive, its w_m is read, not written; otherwise
+    the chain is stepped without keeping the members before w_m.  Both give
+    the same bits."""
+    live = _LIVE_CHAINS.get((u, m, float(alpha), id(grid)))
     with np.errstate(over="ignore"):  # u reads 0 where 1 + (r/eps)^2 overflows
         u_vals = np.asarray(u(grid.nodes), dtype=float)
-    for w_m in _chain_values(u, u_vals, m, alpha, grid):
-        pass
     sup = max(u_vals.max(), -u_vals.min()) or 1.0    # the zero profile reads 0
-    denom = np.abs(u_vals)
+    if live is not None and live.grid is grid:
+        diff = np.subtract(live.w[-1], u_vals)
+    else:
+        for diff in _chain_values(u, u_vals, m, alpha, grid):
+            pass
+        diff -= u_vals  # the generator's fresh last member
+    denom = np.abs(u_vals, out=u_vals)
     np.maximum(denom, FIXED_POINT_FLOOR * sup, out=denom)
-    w_m -= u_vals  # w_m is the generator's fresh last member
-    np.abs(w_m, out=w_m)
-    w_m /= denom
-    return float(np.max(w_m))
+    np.abs(diff, out=diff)
+    diff /= denom
+    return float(np.max(diff))

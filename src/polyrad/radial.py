@@ -52,6 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 
 class AlphaPoly:
     """Polynomial in the formal symbol alpha with integer coefficients.
@@ -410,7 +412,10 @@ class RadialExpr:
         sigma(alpha) is an even integer, the result is an exact Fraction;
         otherwise ordinary floating arithmetic is used (r may be a numpy
         array in that case), with each term's c(alpha) by Horner's rule at
-        float(alpha) and its exponent -sigma(alpha)/2.
+        float(alpha) and its exponent -sigma(alpha)/2.  An int or float array
+        r is evaluated in floats in place, to the bits of the scalar
+        expression summed from 0.0 wherever that expression does not
+        overflow an int.
         """
         exact = isinstance(alpha_value, (int, Fraction)) and isinstance(r, (int, Fraction))
         if exact:
@@ -426,6 +431,11 @@ class RadialExpr:
                 )
             return total
         a = float(alpha_value)
+        if isinstance(r, np.ndarray) and r.ndim and r.dtype.kind in "iuf":
+            # ints are squared as floats: r * r in int64 wraps past 3.04e9
+            total = self._evaluate_array(a, r if r.dtype.kind == "f" else r.astype(float))
+            total += 0.0  # as 0.0 + x: an exact zero reads +0.0
+            return total
         base = 1.0 + r * r
         total = 0.0
         for t in self._terms:
@@ -433,6 +443,40 @@ class RadialExpr:
             if t.r_power:  # c * r ** 0 == c
                 c = c * r ** t.r_power
             total = total + c * base ** e
+        return total
+
+    def _evaluate_array(self, a: float, r: np.ndarray) -> np.ndarray:
+        """The float value at the float alpha a on the float array r, in a
+        fresh array.  1 + r^2 takes one buffer, which the last term's power
+        overwrites; each other term (c r^rho) (1+r^2)^e takes one more, and
+        the powers of terms with an r factor share one scratch buffer.  The
+        terms are summed in place from the first, so an exact zero may read
+        -0.0 where the sum from 0.0 reads +0.0; every other value has the
+        bits of the scalar expression in :meth:`evaluate`."""
+        if not self._terms:
+            return np.zeros(r.shape, dtype=r.dtype)
+        base = np.multiply(r, r)
+        base += 1.0
+        last = len(self._terms) - 1
+        total = scratch = None
+        for i, t in enumerate(self._terms):
+            c, e = t.coeff(a), -0.5 * t.sigma.value_at(a)
+            if i == last:  # 1 + r^2 is not needed past the last term
+                power = np.power(base, e, out=base)
+            elif t.r_power:
+                power = scratch = np.power(base, e, out=scratch)
+            else:
+                power = np.power(base, e)
+            if t.r_power:
+                term = np.multiply(r, c) if t.r_power == 1 else r ** t.r_power * c
+                term *= power
+            else:  # c * r ** 0 == c
+                term = power
+                term *= c
+            if total is None:
+                total = term
+            else:
+                total += term
         return total
 
     # -- io -------------------------------------------------------------

@@ -151,6 +151,26 @@ class TestIterate:
             assert len(rows) == 4096
             assert set(rows[0]) == {"r", f"w_{k}"}
 
+    def test_steps_the_chain_once(self, capsys, tmp_path, monkeypatch):
+        # the fixed point reads w_m of the chain that iterate built and
+        # checked; the CSVs are written from its read-only members
+        steps = []
+        stepped = iteration._chain_values
+
+        def counted(*args):
+            steps.append(args[2:4])
+            return stepped(*args)
+
+        monkeypatch.setattr(iteration, "_chain_values", counted)
+        code, out, _ = run_cli(
+            ["iterate", "--m", "2", "--alpha", "4", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0 and steps == [(2, 4.0)]
+        assert json.loads(out)["checks"]["fixed_point_residual"] <= 1e-3
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [f"chain_k{k}.csv" for k in range(3)]
+
     def test_tiny_profile_is_not_passed_vacuously(self, capsys, tmp_path):
         # w_eps at eps = 1e-100 is about 1e-92 and below on the grid; an
         # absolute denominator floor of 1e-12 read the residual as 2.8e-80

@@ -14,6 +14,7 @@ from polyrad.errors import DomainError, NonConvergenceError
 from polyrad.functionals import (
     PERTURBATION_DIRECTIONS,
     NormReport,
+    ProfilePiece,
     RadialProfile,
     bliss_amplitude,
     bliss_profile,
@@ -24,7 +25,7 @@ from polyrad.functionals import (
     weighted_lebesgue_norm,
 )
 from polyrad.ode import family_state
-from polyrad.radial import ExponentAffine, RadialExpr
+from polyrad.radial import AlphaPoly, ExponentAffine, RadialExpr
 
 # frozen at 30 digits:
 W_EPS2_AT_ZERO = 1.2651256603483465      # 105^(1/8) / sqrt(2)
@@ -409,3 +410,98 @@ class TestProfileAlgebra:
         g1 = bliss_profile(2, 4.0, 1.0).nabla(2)
         g2 = bliss_profile(2, 6.5, 0.3).nabla(2)
         assert g1.pieces[0].expr is g2.pieces[0].expr
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation in place, against the scalar expression summed from 0.0
+# ---------------------------------------------------------------------------
+
+
+def _expr_sum_from_zero(expr, alpha, r):
+    """The float expression of ``RadialExpr.evaluate``, one temporary per
+    operation."""
+    a = float(alpha)
+    base = 1.0 + r * r
+    total = 0.0
+    for t in expr.terms:
+        c, e = t.coeff(a), -0.5 * t.sigma.value_at(a)
+        if t.r_power:
+            c = c * r ** t.r_power
+        total = total + c * base ** e
+    return total
+
+
+def _profile_sum_from_zero(u, r):
+    total = 0.0
+    for p in u.pieces:
+        total = total + p.coeff * _expr_sum_from_zero(p.expr, u.alpha, r / p.scale)
+    return total
+
+
+def _same_bits(got, want):
+    # an expression without terms sums to the scalar 0.0 on any r
+    want = np.broadcast_to(np.asarray(want, dtype=float), np.shape(got))
+    return np.asarray(got, dtype=float).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@st.composite
+def _exprs(draw):
+    """Sums of up to four terms c(alpha) r^rho (1+r^2)^(-sigma/2), rho lowered
+    to 0 or 1; the empty sum is the zero expression."""
+    expr = RadialExpr.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        coeff = AlphaPoly(draw(st.lists(st.integers(-50, 50), max_size=3)))
+        sigma = ExponentAffine(draw(st.integers(0, 1)), draw(st.integers(-6, 12)))
+        expr = expr + RadialExpr.single(coeff, draw(st.integers(0, 4)), sigma)
+    return expr
+
+
+_ALPHAS = st.floats(1.0, 30.0)
+# zeros and radii whose square overflows reach the exact zeros of the sum
+_FLOAT_RADII = st.lists(
+    st.one_of(st.just(0.0), st.floats(-10.0, 10.0), st.floats(1e-300, 1e300)),
+    min_size=1, max_size=12).map(np.array)
+_INT_RADII = st.lists(st.integers(0, 10 ** 4), min_size=1,
+                      max_size=12).map(lambda v: np.array(v, dtype=np.int64))
+
+
+class TestInPlaceEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(expr=_exprs(), alpha=_ALPHAS, r=st.one_of(_FLOAT_RADII, _INT_RADII))
+    def test_expression_on_float_and_int_arrays(self, expr, alpha, r):
+        with np.errstate(all="ignore"):
+            got = expr.evaluate(alpha, r)
+            want = _expr_sum_from_zero(expr, alpha, r)
+        assert _same_bits(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.tuples(_exprs(), st.floats(-1e3, 1e3),
+                                     st.floats(1e-3, 1e3)), max_size=3),
+           alpha=_ALPHAS,
+           r=st.one_of(_FLOAT_RADII, _INT_RADII, st.floats(0.0, 1e3)))
+    def test_profile_on_floats_and_int_arrays(self, pieces, alpha, r):
+        u = RadialProfile(alpha, tuple(ProfilePiece(c, e, s) for e, c, s in pieces))
+        with np.errstate(all="ignore"):
+            got = u(r)
+            want = _profile_sum_from_zero(u, r)
+        assert np.shape(got) == np.shape(r)
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("r", [np.array([100, 7], dtype=np.int8),
+                                   np.array([100, 2 ** 32]),
+                                   np.array([100, 2 ** 32], dtype=np.uint64)])
+    def test_int_arrays_are_squared_as_floats(self, r):
+        # r * r wraps at 100 in int8 and at 2^32 in 64 bits
+        expr = RadialExpr.single(1, 1, ExponentAffine(0, 4))  # r (1+r^2)^-2
+        got = expr.evaluate(3.0, r)
+        assert got.tobytes() == expr.evaluate(3.0, r.astype(float)).tobytes()
+        for g, x in zip(got, r):
+            assert g == pytest.approx(float(x) / (1.0 + float(x) ** 2) ** 2, rel=1e-15)
+
+    def test_negative_zero_reads_positive_as_from_zero(self):
+        # (1 + r^2)^-2 underflows to 0 at r = 1e200, and -1 * 0 is -0.0
+        u = RadialProfile.from_expr(RadialExpr.single(1, 0, ExponentAffine(0, 4)),
+                                    3.0, coeff=-1.0)
+        with np.errstate(over="ignore"):
+            got = u(np.array([1.0, 1e200]))
+        assert got[1] == 0.0 and math.copysign(1.0, got[1]) == 1.0

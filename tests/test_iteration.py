@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from polyrad import iteration
 from polyrad.errors import DomainError, NonConvergenceError
 from polyrad.functionals import RadialProfile, bliss_profile
 from polyrad.radial import ExponentAffine, RadialExpr
@@ -50,6 +51,16 @@ class TestGrid:
             RadialGrid(np.array([0.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
             RadialGrid(np.array([1.0, 1.0, 2.0]))
+
+    def test_nodes_are_a_read_only_copy(self):
+        nodes = np.geomspace(1e-3, 1e2, 16)
+        grid = RadialGrid(nodes)
+        for g in (grid, RadialGrid.geometric(1e-3, 1e2, 16)):
+            with pytest.raises(ValueError):
+                g.nodes[0] = 0.5
+        assert nodes.flags.writeable and not np.shares_memory(nodes, grid.nodes)
+        nodes[0] = 0.5
+        assert grid.r_min == 1e-3
 
 
 class TestQSequence:
@@ -262,6 +273,87 @@ class TestFixedPoint:
 def test_positive_input_gives_positive_chain(bliss_chain_24):
     for w in bliss_chain_24.w:
         assert np.all(w > 0.0)
+
+
+def test_members_are_read_only(bliss_chain_24):
+    for w in bliss_chain_24.w:
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+    # the checks only read the members
+    assert verify_inverse(bliss_chain_24, 1).max_residual <= 1e-4
+    assert all(e.bound_satisfied for e in decay_report(bliss_chain_24).entries)
+    assert len(origin_behavior(bliss_chain_24).entries) == M + 1
+
+
+# ---------------------------------------------------------------------------
+# The fixed point reads the live chain of its inputs
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def chain_steps(monkeypatch):
+    """The chains stepped by ``_chain_values``, one entry each."""
+    steps = []
+    stepped = iteration._chain_values
+
+    def counted(u, u_vals, m, alpha, grid):
+        steps.append((m, alpha))
+        return stepped(u, u_vals, m, alpha, grid)
+
+    monkeypatch.setattr(iteration, "_chain_values", counted)
+    return steps
+
+
+def _reuse_grid():
+    # a grid of this test's own: no chain from elsewhere is keyed on it
+    return RadialGrid.geometric(1e-4, 1e3, 2048)
+
+
+class TestChainReuse:
+    @pytest.mark.parametrize("m, alpha", [(1, 3.0), (2, 4.0), (3, 8.0), (4, 11.0)])
+    @pytest.mark.parametrize("eps", [0.7, 1.0, 1.6])
+    def test_hit_and_miss_give_the_same_bits(self, m, alpha, eps, chain_steps):
+        grid = _reuse_grid()
+        w = bliss_profile(m, alpha, eps)
+        for u in (w, 1.1 * w, RadialProfile.zero(alpha)):
+            miss = fixed_point_residual(u, m, alpha, grid)
+            chain = iterate_chain(u, m, alpha, grid)
+            stepped = len(chain_steps)
+            hit = fixed_point_residual(u, m, alpha, grid)
+            assert len(chain_steps) == stepped  # read, not stepped
+            assert hit.hex() == miss.hex()
+            del chain
+
+    def test_dead_chain_is_stepped_again(self, chain_steps):
+        grid, u = _reuse_grid(), bliss_profile(M, ALPHA, 1.0)
+        chain = iterate_chain(u, M, ALPHA, grid)
+        assert [k for k, v in iteration._LIVE_CHAINS.items() if v is chain] \
+            == [(u, M, ALPHA, id(grid))]
+        del chain
+        assert not [k for k in iteration._LIVE_CHAINS.keys() if k[3] == id(grid)]
+        fixed_point_residual(u, M, ALPHA, grid)
+        assert len(chain_steps) == 2
+
+    def test_a_second_equal_chain_leaves_the_first_on_record(self, chain_steps):
+        grid, u = _reuse_grid(), bliss_profile(M, ALPHA, 1.0)
+        first = iterate_chain(u, M, ALPHA, grid)
+        iterate_chain(u, M, ALPHA, grid)  # dropped at once
+        fixed_point_residual(u, M, ALPHA, grid)
+        assert len(chain_steps) == 2 and first.grid is grid
+
+    def test_equal_inputs_hit_and_an_equal_grid_misses(self, chain_steps):
+        grid = _reuse_grid()
+        chain = iterate_chain(bliss_profile(M, ALPHA, 1.0), M, ALPHA, grid)
+        # an equal profile and an int alpha name the same chain
+        hit = fixed_point_residual(bliss_profile(M, ALPHA, 1.0), M, int(ALPHA), grid)
+        assert len(chain_steps) == 1
+        # an equal-valued grid object does not
+        other = RadialGrid(grid.nodes)
+        miss = fixed_point_residual(bliss_profile(M, ALPHA, 1.0), M, ALPHA, other)
+        assert len(chain_steps) == 2 and chain.grid is grid
+        assert hit.hex() == miss.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +581,19 @@ class TestMemory:
         assert _peak_arrays(origin_behavior, chain) <= 6.0
         assert _peak_arrays(decay_report, chain) <= 1.0
 
-    def test_fixed_point_keeps_only_the_running_member(self, setup):
-        grid, u, _ = setup
+    def test_fixed_point_keeps_only_the_running_member(self):
+        # no live chain of these inputs, so the chain is stepped
+        grid = RadialGrid.geometric(1e-4, 1e3, MEM_N)
+        u = bliss_profile(MEM_M, MEM_ALPHA, 1.0)
+        assert (u, MEM_M, MEM_ALPHA, id(grid)) not in iteration._LIVE_CHAINS
         assert _peak_arrays(fixed_point_residual, u, MEM_M, MEM_ALPHA, grid) <= 9.0
+
+    def test_fixed_point_on_a_live_chain_evaluates_only_the_profile(self, setup):
+        # the profile's samples and the difference from w_m
+        grid, u, _ = setup
+        assert _peak_arrays(fixed_point_residual, u, MEM_M, MEM_ALPHA, grid) <= 2.5
+
+    def test_profile_evaluates_in_one_buffer(self, setup):
+        # r / eps and one buffer, which becomes the result
+        grid, u, _ = setup
+        assert _peak_arrays(u, grid.nodes) <= 2.5
