@@ -112,6 +112,21 @@ def _csv_text(header: List[str], rows: List[list]) -> str:
     return buffer.getvalue()
 
 
+#: Rows that ``_write_chain_csv`` formats per write.
+_CSV_CHUNK = 16384
+
+
+def _write_chain_csv(path: str, k: int, nodes: np.ndarray, w: np.ndarray) -> None:
+    """Write the text of ``_csv_text(["r", f"w_{k}"], rows)`` for the rows
+    (r, w_k(r)), streamed in chunks of rows: no list of all rows and no
+    string of the whole file is built."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(f"r,w_{k}\n")
+        for lo in range(0, len(nodes), _CSV_CHUNK):
+            rows = zip(nodes[lo:lo + _CSV_CHUNK].tolist(), w[lo:lo + _CSV_CHUNK].tolist())
+            handle.writelines(f"{r:.12g},{v:.12g}\n" for r, v in rows)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers (each returns the process exit code)
 # ---------------------------------------------------------------------------
@@ -197,7 +212,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         "fd_inverse_residual": inverse.max_residual,
         "fixed_point_residual": fixed,
         "monotone_decreasing": all(
-            bool(np.all(np.diff(w) <= 0)) for w in chain.w[1:]
+            bool(np.all(w[1:] <= w[:-1])) for w in chain.w[1:]
         ),
         "decay": [dataclasses.asdict(e) for e in decay.entries],
         "origin": [dataclasses.asdict(e) for e in origin.entries],
@@ -207,8 +222,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
               and fixed <= suite.FIXED_POINT_TOL
               and all(e.bound_satisfied for e in decay.entries if not e.skipped))
     for k, w in enumerate(chain.w):
-        rows = [[float(r), float(v)] for r, v in zip(grid.nodes, w)]
-        _emit(_csv_text(["r", f"w_{k}"], rows), f"{args.output_dir}/chain_k{k}.csv")
+        _write_chain_csv(f"{args.output_dir}/chain_k{k}.csv", k, grid.nodes, w)
     _emit_json(
         {"subcommand": "iterate", "m": m, "alpha": alpha, "eps": args.eps,
          "grid_points": args.grid_points, "checks": checks, "passed": passed},

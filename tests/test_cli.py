@@ -9,6 +9,7 @@ import re
 import pytest
 
 from polyrad import cli, iteration, suite
+from polyrad import functionals as fun
 
 
 def run_cli(argv, capsys):
@@ -170,6 +171,22 @@ class TestIterate:
         assert json.loads(out)["checks"]["fixed_point_residual"] <= 1e-3
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             [f"chain_k{k}.csv" for k in range(3)]
+
+    def test_streamed_csv_matches_csv_text(self, capsys, tmp_path, monkeypatch):
+        # written in chunks of rows, including a short last one, with the
+        # bytes of the CSV text built from all rows at once
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 1000)
+        code, _, _ = run_cli(
+            ["iterate", "--m", "2", "--alpha", "4", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        grid = iteration.RadialGrid.geometric(1e-4, 1e3, 4096)
+        u = fun.bliss_profile(2, 4.0, 1.0)
+        for k, w in enumerate(iteration.iterate_chain(u, 2, 4.0, grid).w):
+            rows = [[float(r), float(v)] for r, v in zip(grid.nodes, w)]
+            want = cli._csv_text(["r", f"w_{k}"], rows).encode("utf-8")
+            assert (tmp_path / f"chain_k{k}.csv").read_bytes() == want
 
     def test_tiny_profile_is_not_passed_vacuously(self, capsys, tmp_path):
         # w_eps at eps = 1e-100 is about 1e-92 and below on the grid; an

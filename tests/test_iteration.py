@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from polyrad import iteration
+from polyrad.constants import critical_exponent
 from polyrad.errors import DomainError, NonConvergenceError
 from polyrad.functionals import RadialProfile, bliss_profile
 from polyrad.radial import ExponentAffine, RadialExpr
@@ -521,28 +522,170 @@ class TestEquivalence:
                 assert abs(g - w) <= 1e-7 * abs(entry.value), entry.k
 
 
-    @pytest.mark.parametrize("chain", ["chain_38", "bliss_chain_24", "chain_38_fine"])
+    @pytest.mark.parametrize("chain", ["chain_38", "bliss_chain_24", "chain_38_fine",
+                                       _BLOCK - 1, _BLOCK, _BLOCK + 1, BLOCKED_N])
     def test_origin_fit_matches_svd_solve(self, chain, request):
-        # c = V S^-1 U^T b with one refinement step on the residual; the two
-        # solvers differ at roundoff, which d3 = 6 c_3 / r_fit^3 amplifies
-        chain = request.getfixturevalue(chain)
-        r_fit = ORIGIN_FIT_RADIUS
-        nodes = chain.grid.nodes
-        mask = nodes <= r_fit
-        design = np.vander(nodes[mask] / r_fit, 7, increasing=True)
-        samples = np.column_stack([w[mask] for w in chain.w])
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-
-        def solve(rhs):
-            return vt.T @ ((u.T @ rhs) / s[:, None])
-
-        coeff = solve(samples)
-        coeff += solve(samples - design @ coeff)
-        want = (coeff[0], coeff[1] / r_fit, 2.0 * coeff[2] / r_fit ** 2,
-                6.0 * coeff[3] / r_fit ** 3)
+        # the two solvers differ at roundoff, which d3 = 6 c_3 / r_fit^3
+        # amplifies; an int is the number of nodes in the fit window
+        chain = _fit_chain(chain, request)
         got = _origin_fit(chain)
-        for g, w in zip(got, want):
+        for g, w in zip(got, _svd_fit(chain)):
             assert np.all(np.abs(g - w) <= 1e-8 * np.abs(got[0]))
+
+    @pytest.mark.parametrize("chain", ["chain_38", "bliss_chain_24", _BLOCK - 1, _BLOCK])
+    def test_one_block_origin_fit_gives_the_whole_window_bits(self, chain, request):
+        # adding a block's products into zeros is exact
+        chain = _fit_chain(chain, request)
+        for got, want in zip(_origin_fit(chain), _origin_fit_reference(chain)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _svd_fit(chain):
+    """The origin fit as c = V S^-1 U^T b with one refinement step on the
+    residual, over the whole window at once."""
+    r_fit = ORIGIN_FIT_RADIUS
+    nodes = chain.grid.nodes
+    mask = nodes <= r_fit
+    design = np.vander(nodes[mask] / r_fit, 7, increasing=True)
+    samples = np.column_stack([w[mask] for w in chain.w])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+
+    def solve(rhs):
+        return vt.T @ ((u.T @ rhs) / s[:, None])
+
+    coeff = solve(samples)
+    coeff += solve(samples - design @ coeff)
+    return (coeff[0], coeff[1] / r_fit, 2.0 * coeff[2] / r_fit ** 2,
+            6.0 * coeff[3] / r_fit ** 3)
+
+
+def _origin_fit_reference(chain):
+    """The origin fit with whole-window matrices: the 7 x count powers and
+    an (m+1) x count residual."""
+    r_fit = ORIGIN_FIT_RADIUS
+    count = int(np.searchsorted(chain.grid.nodes, r_fit, side="right"))
+    x = chain.grid.nodes[:count] / r_fit
+    powers = np.empty((7, count))
+    powers[0] = 1.0
+    powers[1] = x
+    for i in range(2, 7):
+        np.multiply(powers[i - 1], x, out=powers[i])
+    gram = powers @ powers.T
+    residual = np.empty((chain.m + 1, count))
+    for k, w in enumerate(chain.w):
+        residual[k] = w[:count]
+    coeff = np.linalg.solve(gram, powers @ residual.T)
+    for _ in range(2):
+        np.dot(coeff.T, powers, out=residual)
+        for k, w in enumerate(chain.w):
+            np.subtract(w[:count], residual[k], out=residual[k])
+        coeff += np.linalg.solve(gram, powers @ residual.T)
+    return (coeff[0], coeff[1] / r_fit, 2.0 * coeff[2] / r_fit ** 2,
+            6.0 * coeff[3] / r_fit ** 3)
+
+
+def _fit_chain(chain, request):
+    """The fixture named ``chain``, or for an int a chain of smooth members
+    with that many nodes in the origin fit's window and three beyond it."""
+    if isinstance(chain, str):
+        return request.getfixturevalue(chain)
+    nodes = np.concatenate([np.geomspace(1e-4, 0.8 * ORIGIN_FIT_RADIUS, chain),
+                            [0.5, 1.0, 2.0]])
+    w = tuple(c / (1.0 + nodes ** 2) ** (k + 1) for k, c in enumerate((1.0, 2.0, -0.5)))
+    return IterationChain(m=2, alpha=ALPHA, grid=RadialGrid(nodes), w=w,
+                          q=tuple(q_sequence(2, ALPHA)))
+
+
+# ---------------------------------------------------------------------------
+# The blocked chain sweeps and the inverse check's skipped blocks
+# ---------------------------------------------------------------------------
+
+
+def _chain_reference(u, m, alpha, grid):
+    """The chain stepped over whole arrays: the trapezoid pieces of every
+    interval at once, summed by one cumsum per sweep."""
+    two_star = critical_exponent(m, alpha)
+    u_vals = u(grid.nodes)
+    w = np.abs(u_vals) ** (two_star - 2.0) * u_vals
+    members = [w]
+    r = grid.nodes
+    R = r[-1]
+    half_dlog = np.diff(np.log(r)) * 0.5
+    r_inner, r_outer = r ** (alpha + 1.0), r ** (1.0 - alpha)
+    work, pieces = np.empty_like(r), np.empty_like(half_dlog)
+    mu = u.decay_exponent * (two_star - 1.0)
+    for _ in range(m):
+        np.multiply(r_inner, w, out=work)
+        np.add(work[1:], work[:-1], out=pieces)
+        pieces *= half_dlog
+        work[0] = 0.0
+        np.cumsum(pieces, out=work[1:])
+        work += iteration._origin_power(r[0], r[1], w[0], w[1], alpha)
+        tail = work[-1] * R ** (1.0 - alpha) / (alpha - 1.0) \
+            + w[-1] * R * R / ((mu - 2.0) * (alpha - 1.0))
+        work *= r_outer
+        np.add(work[1:], work[:-1], out=pieces)
+        pieces *= half_dlog
+        w = np.empty_like(r)
+        w[-1] = 0.0
+        np.cumsum(pieces[::-1], out=w[-2::-1])
+        w += tail
+        members.append(w)
+        mu = min(alpha - 1.0, mu - 2.0)
+    return members
+
+
+class TestBlockedChain:
+    @pytest.mark.parametrize("n", [3, 5, _BLOCK + 1, _BLOCK + 2, BLOCKED_N])
+    @pytest.mark.parametrize("m, alpha, eps", [(1, 3.0, 1.0), (4, 11.0, 1.7)])
+    def test_matches_whole_array_sweeps(self, n, m, alpha, eps):
+        grid = RadialGrid.geometric(1e-4, 1e3, n)
+        u = bliss_profile(m, alpha, eps)
+        got = iterate_chain(u, m, alpha, grid).w
+        want = _chain_reference(u, m, alpha, grid)
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("n", [3, _BLOCK + 2, BLOCKED_N])
+    def test_zero_profile(self, n):
+        grid = RadialGrid.geometric(1e-4, 1e3, n)
+        u = RadialProfile.zero(ALPHA)
+        got = iterate_chain(u, M, ALPHA, grid).w
+        want = _chain_reference(u, M, ALPHA, grid)
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+
+
+class TestInverseSkip:
+    @pytest.mark.parametrize("r_min, first_block", [(1e-9, []), (5e-8, [1])])
+    def test_only_resolved_members_are_differenced(self, r_min, first_block, monkeypatch):
+        chain = _blocked_chain(r_min)
+        want = _inverse_reference(chain)
+        # the k differenced per call of _laplacians, by block
+        calls = {}
+        laplacians = iteration._laplacians
+
+        def recorded(r, members, alpha, work):
+            block = int(np.searchsorted(chain.grid.nodes, r[0])) // _BLOCK
+            calls[block] = [next(k for k, w in enumerate(chain.w) if np.shares_memory(v, w))
+                            for v in members]
+            return laplacians(r, members, alpha, work)
+
+        monkeypatch.setattr(iteration, "_laplacians", recorded)
+        # a member is differenced in a block exactly when one of the block's
+        # nodes resolves it
+        eps = float(np.finfo(float).eps)
+        r = chain.grid.nodes[1:-1]
+        resolved = {
+            k: eps * float(np.max(np.abs(chain.w[k]))) * (6.0 / np.gradient(r) ** 2)
+            / float(np.max(np.abs(chain.w[k - 1][1:-1]))) <= INVERSE_NOISE_FLOOR
+            for k in range(1, M + 1)
+        }
+        blocks = range(-(-len(r) // _BLOCK))
+        expected = {b: [k for k in resolved if resolved[k][b * _BLOCK:(b + 1) * _BLOCK].any()]
+                    for b in blocks}
+        rep = verify_inverse(chain, 1)
+        assert (rep.residuals, rep.windows) == want
+        assert expected[0] == first_block
+        assert calls == {b: ks for b, ks in expected.items() if ks}
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +712,18 @@ class TestMemory:
         u = bliss_profile(MEM_M, MEM_ALPHA, 1.0)
         return grid, u, iterate_chain(u, MEM_M, MEM_ALPHA, grid)
 
-    def test_chain_checks_within_eleven_arrays(self, setup):
+    def test_chain_within_nine_arrays(self, setup):
+        # the m + 1 members, the profile's samples and the three grid
+        # weights; each step sweeps the grid in blocks
         grid, u, chain = setup
-        assert _peak_arrays(iterate_chain, u, MEM_M, MEM_ALPHA, grid) <= 11.0
+        assert _peak_arrays(iterate_chain, u, MEM_M, MEM_ALPHA, grid) <= 9.0
 
     def test_post_chain_checks_work_in_blocks(self, setup):
-        # blocked differences, tail views and one residual buffer: the
+        # blocked differences, tail views and blocked origin sweeps: the
         # checks hold a few arrays besides the chain they judge
         _, _, chain = setup
         assert _peak_arrays(verify_inverse, chain, 1) <= 5.0
-        assert _peak_arrays(origin_behavior, chain) <= 6.0
+        assert _peak_arrays(origin_behavior, chain) <= 3.5
         assert _peak_arrays(decay_report, chain) <= 1.0
 
     def test_fixed_point_keeps_only_the_running_member(self):
@@ -586,7 +731,7 @@ class TestMemory:
         grid = RadialGrid.geometric(1e-4, 1e3, MEM_N)
         u = bliss_profile(MEM_M, MEM_ALPHA, 1.0)
         assert (u, MEM_M, MEM_ALPHA, id(grid)) not in iteration._LIVE_CHAINS
-        assert _peak_arrays(fixed_point_residual, u, MEM_M, MEM_ALPHA, grid) <= 9.0
+        assert _peak_arrays(fixed_point_residual, u, MEM_M, MEM_ALPHA, grid) <= 7.0
 
     def test_fixed_point_on_a_live_chain_evaluates_only_the_profile(self, setup):
         # the profile's samples and the difference from w_m
