@@ -24,7 +24,9 @@ extremal family
     w_eps(r) = P^((alpha-2m+1)/(4m)) * (eps / (eps^2 + r^2))^((alpha-2m+1)/2)
 
 are computed (the amplitude P^(...) is irrational, so it lives in the float
-coefficient, never in the exact integer algebra).
+coefficient, never in the exact integer algebra).  Calling a profile is the
+one place where a term sum becomes a float: any r, scalar or array, is
+evaluated as a float array in place, term by term.
 """
 
 from __future__ import annotations
@@ -108,26 +110,24 @@ class RadialProfile:
                    default=math.inf)
 
     def __call__(self, r):
-        """The value at r.  On an int or float array each piece is evaluated
-        in one fresh buffer and summed in place, to the bits of the scalar
-        sum from 0.0."""
-        if not self.pieces:
-            return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
-        if not (isinstance(r, np.ndarray) and r.ndim and r.dtype.kind in "iuf"):
-            total = 0.0
-            for p in self.pieces:
-                total = total + p.coeff * p.expr.evaluate(self.alpha, r / p.scale)
-            return total
+        """The value at r: a Python float for a scalar r, a float array of
+        r's shape for an array.  Every r is evaluated as a float array of at
+        least one dimension, each piece's terms by :func:`_term_sum` and the
+        pieces summed in place, so a point has the same bits alone and in
+        an array."""
+        x = np.atleast_1d(np.asarray(r, dtype=float))
         total = None
         for p in self.pieces:
-            piece = p.expr._evaluate_array(self.alpha, r / p.scale)
+            piece = _term_sum(p.expr.terms, self.alpha, x / p.scale)
             piece *= p.coeff
             if total is None:
                 total = piece
             else:
                 total += piece
+        if total is None:  # no pieces: the zero function
+            total = np.zeros(x.shape)
         total += 0.0  # as 0.0 + x: an exact zero reads +0.0
-        return total
+        return total if np.ndim(r) else float(total[0])
 
     def nabla(self, m: int) -> "RadialProfile":
         """The m-th order gradient as a profile, through the exact symbolic
@@ -162,6 +162,41 @@ class RadialProfile:
         )
 
     __rmul__ = __mul__
+
+
+def _term_sum(terms, a: float, r: np.ndarray) -> np.ndarray:
+    """The float value of the term sum ``terms`` at the float alpha a on the
+    float array r, in a fresh array: each term is c(a) r^rho (1+r^2)^e with
+    c(a) by Horner's rule and e = -sigma(a)/2.  1 + r^2 takes one buffer,
+    which the last term's power overwrites; each other term takes one more,
+    and the powers of terms with an r factor share one scratch buffer.  The
+    terms are summed in place from the first, so an exact zero may read
+    -0.0."""
+    if not terms:
+        return np.zeros(r.shape)
+    base = np.multiply(r, r)
+    base += 1.0
+    last = len(terms) - 1
+    total = scratch = None
+    for i, t in enumerate(terms):
+        c, e = t.coeff(a), -0.5 * t.sigma.value_at(a)
+        if i == last:  # 1 + r^2 is not needed past the last term
+            power = np.power(base, e, out=base)
+        elif t.r_power:
+            power = scratch = np.power(base, e, out=scratch)
+        else:
+            power = np.power(base, e)
+        if t.r_power:
+            term = np.multiply(r, c) if t.r_power == 1 else r ** t.r_power * c
+            term *= power
+        else:  # c * r ** 0 == c
+            term = power
+            term *= c
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
 
 
 # kept: the 230 quotients of a scalar-highm pass take 46-53 ms with it, 135-180 without

@@ -275,8 +275,7 @@ def iterate_chain(u: RadialProfile, m: int, alpha: float,
     the power weights leave the float range at this alpha on this grid.
     """
     with np.errstate(over="ignore"):  # u reads 0 where 1 + (r/eps)^2 overflows
-        members = tuple(_chain_values(u, np.asarray(u(grid.nodes), dtype=float),
-                                      m, alpha, grid))
+        members = tuple(_chain_values(u, u(grid.nodes), m, alpha, grid))
     for w in members:
         w.flags.writeable = False
     chain = IterationChain(m=m, alpha=float(alpha), grid=grid, w=members,
@@ -695,7 +694,7 @@ def fixed_point_residual(u: RadialProfile, m: int, alpha: float,
     the same bits."""
     live = _LIVE_CHAINS.get((u, m, float(alpha), id(grid)))
     with np.errstate(over="ignore"):  # u reads 0 where 1 + (r/eps)^2 overflows
-        u_vals = np.asarray(u(grid.nodes), dtype=float)
+        u_vals = u(grid.nodes)
     sup = max(u_vals.max(), -u_vals.min()) or 1.0    # the zero profile reads 0
     if live is not None and live.grid is grid:
         diff = np.subtract(live.w[-1], u_vals)

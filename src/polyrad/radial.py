@@ -27,7 +27,9 @@ with
     C(x, y)    = x(x + y - 1).
 
 All arithmetic on coefficients is exact; no floats enter the symbolic path.
-Every coefficient is a plain ``int``: the expansion lives in Z[alpha].
+Every coefficient is a plain ``int``: the expansion lives in Z[alpha], and
+:meth:`RadialExpr.evaluate` gives exact values only.  Float values of a term
+sum come from :class:`polyrad.functionals.RadialProfile`.
 Canonical forms lower every power r^(2i+e), e in {0, 1}, in one
 binomial step,
 
@@ -51,8 +53,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 
 class AlphaPoly:
@@ -405,78 +405,25 @@ class RadialExpr:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, alpha_value, r):
-        """Numeric value at (alpha, r).
-
-        If both arguments are exact (int / Fraction) and every exponent
-        sigma(alpha) is an even integer, the result is an exact Fraction;
-        otherwise ordinary floating arithmetic is used (r may be a numpy
-        array in that case), with each term's c(alpha) by Horner's rule at
-        float(alpha) and its exponent -sigma(alpha)/2.  An int or float array
-        r is evaluated in floats in place, to the bits of the scalar
-        expression summed from 0.0 wherever that expression does not
-        overflow an int.
-        """
-        exact = isinstance(alpha_value, (int, Fraction)) and isinstance(r, (int, Fraction))
-        if exact:
-            sigmas = [t.sigma.value_at(Fraction(alpha_value)) for t in self._terms]
-            exact = all(s.denominator == 1 and s.numerator % 2 == 0 for s in sigmas)
-        if exact:
-            rq = Fraction(r)
-            total = Fraction(0)
-            base = 1 + rq * rq
-            for t, s in zip(self._terms, sigmas):
-                total += t.coeff(Fraction(alpha_value)) * rq ** t.r_power * base ** (
-                    -(s // 2)
-                )
-            return total
-        a = float(alpha_value)
-        if isinstance(r, np.ndarray) and r.ndim and r.dtype.kind in "iuf":
-            # ints are squared as floats: r * r in int64 wraps past 3.04e9
-            total = self._evaluate_array(a, r if r.dtype.kind == "f" else r.astype(float))
-            total += 0.0  # as 0.0 + x: an exact zero reads +0.0
-            return total
-        base = 1.0 + r * r
-        total = 0.0
+    def evaluate(self, alpha_value, r) -> Fraction:
+        """The exact value at (alpha, r), a Fraction, for int or Fraction
+        arguments.  Raises TypeError for any other argument (float values
+        come from :class:`polyrad.functionals.RadialProfile`) and ValueError
+        when some sigma(alpha) is not an even integer, where
+        (1+r^2)^(-sigma/2) is in general irrational."""
+        for x in (alpha_value, r):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"exact evaluation takes int or Fraction arguments, "
+                                f"got {x!r}")
+        a, rq = Fraction(alpha_value), Fraction(r)
+        base = 1 + rq * rq
+        total = Fraction(0)
         for t in self._terms:
-            c, e = t.coeff(a), -0.5 * t.sigma.value_at(a)
-            if t.r_power:  # c * r ** 0 == c
-                c = c * r ** t.r_power
-            total = total + c * base ** e
-        return total
-
-    def _evaluate_array(self, a: float, r: np.ndarray) -> np.ndarray:
-        """The float value at the float alpha a on the float array r, in a
-        fresh array.  1 + r^2 takes one buffer, which the last term's power
-        overwrites; each other term (c r^rho) (1+r^2)^e takes one more, and
-        the powers of terms with an r factor share one scratch buffer.  The
-        terms are summed in place from the first, so an exact zero may read
-        -0.0 where the sum from 0.0 reads +0.0; every other value has the
-        bits of the scalar expression in :meth:`evaluate`."""
-        if not self._terms:
-            return np.zeros(r.shape, dtype=r.dtype)
-        base = np.multiply(r, r)
-        base += 1.0
-        last = len(self._terms) - 1
-        total = scratch = None
-        for i, t in enumerate(self._terms):
-            c, e = t.coeff(a), -0.5 * t.sigma.value_at(a)
-            if i == last:  # 1 + r^2 is not needed past the last term
-                power = np.power(base, e, out=base)
-            elif t.r_power:
-                power = scratch = np.power(base, e, out=scratch)
-            else:
-                power = np.power(base, e)
-            if t.r_power:
-                term = np.multiply(r, c) if t.r_power == 1 else r ** t.r_power * c
-                term *= power
-            else:  # c * r ** 0 == c
-                term = power
-                term *= c
-            if total is None:
-                total = term
-            else:
-                total += term
+            s = t.sigma.value_at(a)
+            if s.denominator != 1 or s.numerator % 2:
+                raise ValueError(f"sigma = {t.sigma} is {s} at alpha = {alpha_value}, not an "
+                                 "even integer: (1+r^2)^(-sigma/2) is not exact")
+            total += t.coeff(a) * rq ** t.r_power * base ** (-(s // 2))
         return total
 
     # -- io -------------------------------------------------------------

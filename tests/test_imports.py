@@ -6,7 +6,8 @@ Deletions tend to leave imports, ``_``-prefixed helpers and error classes
 behind; this walks each module's syntax tree with the standard library only.
 ``__init__`` re-exports the public API, so its imports are the point of the
 module and are not checked.  The runtime needs numpy alone: importing the
-command line loads no scipy.  The library sketch in README.md runs, and
+command line loads no scipy, and the exact term algebra in ``radial.py``
+imports the standard library only.  The library sketch in README.md runs, and
 every name README.md cites in backticks as ``module.NAME`` exists.
 """
 
@@ -28,17 +29,29 @@ MODULES = sorted(p for p in Path(polyrad.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
 
-def _imported_names(tree: ast.Module) -> dict:
-    """Bound name -> line of each module-level import (not __future__)."""
-    names = {}
-    for node in tree.body:
+def _imports(nodes):
+    """(module, bound name, line) of each import among ``nodes`` (not
+    __future__); a relative import's module keeps its leading dots."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+                yield alias.name, alias.asname or alias.name.split(".")[0], node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "." * node.level + (node.module or "")
             for alias in node.names:
-                names[alias.asname or alias.name] = node.lineno
-    return names
+                yield module, alias.asname or alias.name, node.lineno
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Bound name -> line of each module-level import (not __future__)."""
+    return {name: line for _, name, line in _imports(tree.body)}
+
+
+def _non_stdlib_imports(tree: ast.Module) -> set:
+    """The modules imported anywhere in ``tree`` that are not in the
+    standard library."""
+    return {module for module, _, _ in _imports(ast.walk(tree))
+            if module.split(".")[0] not in sys.stdlib_module_names}
 
 
 def _private_names(tree: ast.Module) -> dict:
@@ -107,6 +120,16 @@ def test_walk_flags_an_unused_import():
                      "def f(x: Tuple) -> 'int':\n    return x\n")
     used = _referenced_names(tree)
     assert {n for n in _imported_names(tree) if n not in used} == {"os", "Optional"}
+
+
+def test_radial_imports_only_the_standard_library():
+    # exact values are ints and Fractions; floats come from functionals
+    path = Path(polyrad.__file__).parent / "radial.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not _non_stdlib_imports(tree)
+    local = ast.parse("import json\nfrom . import errors\n"
+                      "def f():\n    import numpy.linalg as la\n    from fractions import F\n")
+    assert _non_stdlib_imports(local) == {".", "numpy.linalg"}
 
 
 def _class_names(tree: ast.Module) -> set:

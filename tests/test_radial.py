@@ -21,6 +21,7 @@ from polyrad.radial import (
     nabla_m,
 )
 from polyrad.coefficients import CoeffTable, base_profile_expr, h_reduced_row, h_row, p_constant
+from polyrad.functionals import RadialProfile
 
 
 def sigma(a, b):
@@ -243,12 +244,12 @@ class TestDerivativeAndGradient:
         # centered fourth-order-free check at alpha=8, h=1e-5
         m, alpha = 3, 8.0
         e = base_profile_expr(m)
-        third = nabla_m(e, 3)
-        lap = apply_laplacian(e)
+        third = RadialProfile.from_expr(nabla_m(e, 3), alpha)
+        lap = RadialProfile.from_expr(apply_laplacian(e), alpha)
         h = 1e-5
         for r in (0.5, 1.0, 2.0):
-            fd = (lap.evaluate(alpha, r + h) - lap.evaluate(alpha, r - h)) / (2 * h)
-            got = third.evaluate(alpha, r)
+            fd = (lap(r + h) - lap(r - h)) / (2 * h)
+            got = third(r)
             assert abs(got - fd) <= 1e-6 * max(abs(fd), 1.0)
 
 
@@ -259,7 +260,8 @@ class TestDerivativeAndGradient:
 
 class TestEvaluate:
     def test_zero_expression(self):
-        assert RadialExpr.zero().evaluate(3.7, 1.3) == 0.0
+        assert RadialExpr.zero().evaluate(3, Fraction(13, 10)) == 0
+        assert RadialProfile.from_expr(RadialExpr.zero(), 3.7)(1.3) == 0.0
 
     def test_simple_rational(self):
         v = single(1, 0, sigma(0, 2)).evaluate(1, 1)
@@ -269,22 +271,34 @@ class TestEvaluate:
         # (a-1)(a+1) (1+r^2)^(-(a+3)/2) at a=3, r=1 -> 8 * 2^(-3) = 1
         e = single(p_constant(1), 0, sigma(1, 3))
         assert e.evaluate(3, 1) == 1
-        assert abs(e.evaluate(3.0, 1.0) - 1.0) < 1e-14
+        assert abs(RadialProfile.from_expr(e, 3.0)(1.0) - 1.0) < 1e-14
 
     def test_exact_matches_float_path(self):
         e = single(AlphaPoly((1, 6)), 2, sigma(1, 1)) + single(2, 0, sigma(0, 4))
         exact = e.evaluate(5, Fraction(3, 2))
         assert isinstance(exact, Fraction)
-        assert abs(float(exact) - e.evaluate(5.0, 1.5)) < 1e-13 * abs(float(exact))
+        approx = RadialProfile.from_expr(e, 5.0)(1.5)
+        assert abs(float(exact) - approx) < 1e-13 * abs(float(exact))
 
     def test_numpy_vectorized(self):
-        import numpy as np
-
         e = single(1, 2, sigma(0, 4))
         r = np.array([0.5, 1.0, 2.0])
-        got = e.evaluate(3.0, r)
+        got = RadialProfile.from_expr(e, 3.0)(r)
         want = r ** 2 * (1 + r ** 2) ** -2.0
         assert np.allclose(got, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("alpha, r", [(3.0, 1), (3, 1.0), (np.float64(3.0), 1),
+                                          (3, np.int64(1)), (3, np.array(1))])
+    def test_exact_evaluation_refuses_floats(self, alpha, r):
+        with pytest.raises(TypeError, match="int or Fraction arguments"):
+            single(1, 0, sigma(0, 2)).evaluate(alpha, r)
+
+    def test_exact_evaluation_refuses_irrational_values(self):
+        e = single(1, 0, sigma(1, 0))  # (1+r^2)^(-alpha/2)
+        assert e.evaluate(4, 1) == Fraction(1, 4)
+        for alpha in (3, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="not an even integer"):
+                e.evaluate(alpha, 1)
 
 
 def horner_reference(expr, alpha, r):
@@ -302,8 +316,9 @@ def horner_reference(expr, alpha, r):
 
 
 class TestEvaluateBitEqualToHornerReference:
-    """The float path gives the bits of ``horner_reference``, whatever the
-    alphas of earlier calls."""
+    """Float values have the bits of ``horner_reference`` on an array, a
+    scalar r those on a one-element array, whatever the alphas of earlier
+    calls."""
 
     EXPR = nabla_m(base_profile_expr(4), 5) + single(AlphaPoly((3, -2, 1)), 3, sigma(1, -1))
     R = [1e-3, 0.37, 1.0, 2.5, 40.0, 1e4]
@@ -312,27 +327,25 @@ class TestEvaluateBitEqualToHornerReference:
         e = self.EXPR
         for alpha in (9.3, 11.75, 9.3, 11.75):
             for r in self.R:
-                assert e.evaluate(alpha, r) == horner_reference(e, alpha, r)
+                want = horner_reference(e, alpha, np.array([r]))[0]
+                assert RadialProfile.from_expr(e, alpha)(r) == want
 
     def test_ndarray_r_with_alpha_switched_back_and_forth(self):
-        import numpy as np
-
         e = self.EXPR
         r = np.geomspace(1e-3, 1e4, 101)
         for alpha in (9.3, 11.75, 9.3):
-            got = e.evaluate(alpha, r)
+            got = RadialProfile.from_expr(e, alpha)(r)
             assert got.tobytes() == horner_reference(e, alpha, r).tobytes()
 
     def test_int_and_numpy_alpha_give_the_float_value(self):
-        import numpy as np
-
         e = self.EXPR
         for alpha in (10, np.float64(10.0), 10.0, 12):
-            assert e.evaluate(alpha, 0.8) == horner_reference(e, alpha, 0.8)
+            want = horner_reference(e, alpha, np.array([0.8]))[0]
+            assert RadialProfile.from_expr(e, alpha)(0.8) == want
 
     def test_exact_arguments_stay_exact_after_float_calls(self):
         e = single(AlphaPoly((1, 6)), 2, sigma(1, 1)) + single(2, 0, sigma(0, 4))
-        e.evaluate(5.0, 1.5)
+        RadialProfile.from_expr(e, 5.0)(1.5)
         exact = e.evaluate(5, Fraction(3, 2))
         assert isinstance(exact, Fraction)
         assert exact == e.evaluate(Fraction(5), Fraction(3, 2))
@@ -358,11 +371,11 @@ FD_SAMPLES = [
 @pytest.mark.parametrize("expr,alpha,r", FD_SAMPLES)
 def test_laplacian_matches_second_difference(expr, alpha, r):
     h = 1e-5
-    f = lambda x: expr.evaluate(alpha, x)
+    f = RadialProfile.from_expr(expr, alpha)
     fd = (f(r + h) - 2 * f(r) + f(r - h)) / h ** 2 + alpha / r * (
         f(r + h) - f(r - h)
     ) / (2 * h)
-    exact = apply_laplacian(expr).evaluate(alpha, r)
+    exact = RadialProfile.from_expr(apply_laplacian(expr), alpha)(r)
     assert abs(fd - exact) <= 1e-6 * abs(exact)
 
 
@@ -445,7 +458,7 @@ def test_exact_evaluation_consistent_with_float(e, alpha_int):
            for t in e.terms):
         return
     exact = e.evaluate(alpha_int, Fraction(3, 2))
-    approx = e.evaluate(float(alpha_int), 1.5)
+    approx = RadialProfile.from_expr(e, alpha_int)(1.5)
     assert isinstance(exact, Fraction)
     assert abs(float(exact) - approx) <= 1e-10 * max(1.0, abs(float(exact)))
 
