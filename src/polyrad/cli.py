@@ -119,12 +119,13 @@ _CSV_CHUNK = 16384
 def _write_chain_csv(path: str, k: int, nodes: np.ndarray, w: np.ndarray) -> None:
     """Write the text of ``_csv_text(["r", f"w_{k}"], rows)`` for the rows
     (r, w_k(r)), streamed in chunks of rows: no list of all rows and no
-    string of the whole file is built."""
+    string of the whole file is built.  Each chunk is one %-format of its
+    interleaved values; "%.12g" gives the text of f"{x:.12g}"."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"r,w_{k}\n")
         for lo in range(0, len(nodes), _CSV_CHUNK):
-            rows = zip(nodes[lo:lo + _CSV_CHUNK].tolist(), w[lo:lo + _CSV_CHUNK].tolist())
-            handle.writelines(f"{r:.12g},{v:.12g}\n" for r, v in rows)
+            rows = np.column_stack((nodes[lo:lo + _CSV_CHUNK], w[lo:lo + _CSV_CHUNK]))
+            handle.write("%.12g,%.12g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -35,3 +35,8 @@ class BlowupError(OdeError):
     """A level u_j of the solution exceeded its blow-up bound, which follows
     the dilation scale of the data, or a step left the float range
     (non-global solution)."""
+
+
+class DepartureError(OdeError):
+    """The solution left the reference solution it was checked against by
+    more than a verdict threshold, so the verdict is settled before r_max."""

@@ -14,11 +14,13 @@ initial data and the origin relations
     u_j'(0) = 0,      u_j''(0) = -u_{j+1}(0) / (alpha + 1),
 
 (the fourth-order coefficient follows from the same relations one level
-up), and proceeds with the embedded Dormand-Prince 5(4) pair of Hairer,
-Norsett and Wanner (Solving ODEs I, II.4-5) under a standard error-per-step
-controller.  The pair is FSAL: its last stage is f at the new state, and it
-becomes the next step's first stage only after the step is accepted; a
-rejected attempt retries from f(r, y).  ``integrate`` steps on Python
+up), and proceeds with the embedded Dormand-Prince 8(5,3) pair DOP853 of
+Hairer, Norsett and Wanner (Solving ODEs I, II.10) under a standard
+error-per-step controller: an 8th-order pair suits the 1e-10 tolerance of
+the classification, where the 5(4) pair took 4-8 times the steps and left
+10-100 times the deviation.  Each attempt evaluates f at eleven stages past
+the first; f at the new state is evaluated only once the step is accepted,
+and becomes the next step's first stage.  ``integrate`` steps on Python
 floats, which beat numpy calls at these sizes (2m <= 16), through one
 generated step kernel per order m: straight-line code over local names, with
 no list, zip or call per stage, compiled on first use and cached by m.
@@ -28,8 +30,11 @@ modes r^-(alpha-2j+1) decay with increasing r, but the regular modes of the
 linearization grow like r^(2j) while w_eps decays like r^-(alpha-2m+1), so
 a roundoff error at ``rel_tol`` grows relative to the solution by about
 r^(alpha-2m+1+2(m-1)).  At alpha - 2m + 1 between 2 and 2.75 and
-r_max = 20, exact family data for m = 5 is classified "departs" and
-m = 6..8 raise BlowupError.
+r_max = 20, exact family data for m <= 4 coincide (deviations up to
+1.3e-6), m = 5 reads 5e-5 to 6e-4 and is classified "departs" at most gaps,
+m = 6 reaches r_max but departs (0.04 to 20) and m = 7, 8 raise
+BlowupError.  From m = 4 on a tighter ``rel_tol`` no longer shrinks the
+deviation, so the float data, not the integrator, set it there.
 
 A maximal solution ends where its state becomes unbounded, so the run
 stops once some level |u_j| exceeds OVERFLOW_LIMIT lam^(gap/2 + 2j), with
@@ -43,9 +48,12 @@ dilation family w_eps; ``classification_check`` quantifies that statement by
 integrating from w_1 data to ``unit_radius(eps, r_max)`` = r_max/eps (the
 equation is dilation invariant, u_j(r) = eps^-(gap/2 + 2j) U_j(r/eps), so
 every eps is the same float problem) and measuring the deviation from the
-exact state ``family_state`` derives from ``bliss_profile``;
-``departure_from_family`` measures how far a perturbed data set drifts from
-every member of the family.
+exact state ``family_state`` derives from ``bliss_profile``.  It stops the
+run with DepartureError once |u_0 - w_1| passes CLASSIFY_TOL w_1(0), where
+the verdict "departs" is settled: at gap 2.5 exact data for m = 6, 7, 8
+stop there at r = 9.13, 6.55 and 4.65, in runs that would reach r_max or
+raise BlowupError at r = 14.1 and 9.3.  ``departure_from_family`` measures
+how far a perturbed data set drifts from every member of the family.
 """
 
 from __future__ import annotations
@@ -54,12 +62,13 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .constants import critical_exponent, require_sobolev, sobolev_gap
-from .errors import BlowupError, DomainError, OdeError, StepUnderflowError
+from .errors import (BlowupError, DepartureError, DomainError, OdeError,
+                     StepUnderflowError)
 from .functionals import bliss_amplitude, bliss_profile
 
 
@@ -69,6 +78,9 @@ OVERFLOW_LIMIT = 1e12
 #: ``integrate`` raises StepUnderflowError once the step falls below this
 #: times r; relative to r, so the floor scales with the dilation.
 STEP_FLOOR = 1e-12
+#: ``integrate`` hands its ``departed`` check each run of this many accepted
+#: steps: one array call per run costs under 1 us a step.
+DEPARTURE_CHECK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -156,37 +168,72 @@ def series_start(spec: IVPSpec) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Embedded Dormand-Prince 5(4)
+# Embedded Dormand-Prince 8(5,3)
 # ---------------------------------------------------------------------------
 
-# The tableau of Hairer, Norsett and Wanner, Solving ODEs I, Table II.5.2:
-# stage nodes _Cs, stage weights _Asj, 5th-order weights _Bj (b2 = 0, and
-# b7 = 0 because the pair is FSAL) and error weights _Ej = b_j - b*_j (e2 = 0).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
-
-
-# The step as data for the kernel generator: each stage's node (None for
-# r + h) and its (weight, stage) terms, then the 5th-order solution and the
-# error estimate.  Weights are named, never formatted, so one kernel per m
-# serves every alpha and tolerance.
+# The DOP853 tableau of Hairer, Norsett and Wanner, Solving ODEs I, II.10
+# (after Prince and Dormand 1981), as the step's data for the kernel
+# generator: for each stage s = 2..12 its node c_s and its nonzero (a_sj, j)
+# terms, then the 8th-order solution (b_j, j) and the 5th- and 3rd-order
+# error weights (e_j, j).  The values are those of scipy's
+# dop853_coefficients: the doubles nearest the published 30-digit ones,
+# except e3_1, e3_9 and e3_12, which are the differences b_j - bhat_j in
+# doubles.
 _STAGE_ROWS = (
-    ("_C2", (("_A21", 1),)),
-    ("_C3", (("_A31", 1), ("_A32", 2))),
-    ("_C4", (("_A41", 1), ("_A42", 2), ("_A43", 3))),
-    ("_C5", (("_A51", 1), ("_A52", 2), ("_A53", 3), ("_A54", 4))),
-    (None, (("_A61", 1), ("_A62", 2), ("_A63", 3), ("_A64", 4), ("_A65", 5))),
+    (0.05260015195876773, ((0.05260015195876773, 1),)),
+    (0.0789002279381516, ((0.0197250569845379, 1), (0.0591751709536137, 2))),
+    (0.1183503419072274, ((0.02958758547680685, 1), (0.08876275643042054, 3))),
+    (0.2816496580927726, ((0.2413651341592667, 1), (-0.8845494793282861, 3),
+                          (0.924834003261792, 4))),
+    (0.3333333333333333, ((0.037037037037037035, 1), (0.17082860872947386, 4),
+                          (0.12546768756682242, 5))),
+    (0.25, ((0.037109375, 1), (0.17025221101954405, 4), (0.06021653898045596, 5),
+            (-0.017578125, 6))),
+    (0.3076923076923077, ((0.03709200011850479, 1), (0.17038392571223998, 4),
+                          (0.10726203044637328, 5), (-0.015319437748624402, 6),
+                          (0.008273789163814023, 7))),
+    (0.6512820512820513, ((0.6241109587160757, 1), (-3.3608926294469414, 4),
+                          (-0.868219346841726, 5), (27.59209969944671, 6),
+                          (20.154067550477894, 7), (-43.48988418106996, 8))),
+    (0.6, ((0.47766253643826434, 1), (-2.4881146199716677, 4), (-0.590290826836843, 5),
+           (21.230051448181193, 6), (15.279233632882423, 7), (-33.28821096898486, 8),
+           (-0.020331201708508627, 9))),
+    (0.8571428571428571, ((-0.9371424300859873, 1), (5.186372428844064, 4),
+                          (1.0914373489967295, 5), (-8.149787010746927, 6),
+                          (-18.52006565999696, 7), (22.739487099350505, 8),
+                          (2.4936055526796523, 9), (-3.0467644718982196, 10))),
+    (1.0, ((2.273310147516538, 1), (-10.53449546673725, 4), (-2.0008720582248625, 5),
+           (-17.9589318631188, 6), (27.94888452941996, 7), (-2.8589982771350235, 8),
+           (-8.87285693353063, 9), (12.360567175794303, 10), (0.6433927460157636, 11))),
 )
-_SOLUTION_ROW = (("_B1", 1), ("_B3", 3), ("_B4", 4), ("_B5", 5), ("_B6", 6))
-_ERROR_ROW = (("_E1", 1), ("_E3", 3), ("_E4", 4), ("_E5", 5), ("_E6", 6), ("_E7", 7))
+_SOLUTION_ROW = (
+    (0.054293734116568765, 1), (4.450312892752409, 6), (1.8915178993145003, 7),
+    (-5.801203960010585, 8), (0.3111643669578199, 9), (-0.1521609496625161, 10),
+    (0.20136540080403034, 11), (0.04471061572777259, 12),
+)
+_ERROR5_ROW = (
+    (0.01312004499419488, 1), (-1.2251564463762044, 6), (-0.4957589496572502, 7),
+    (1.6643771824549864, 8), (-0.35032884874997366, 9), (0.3341791187130175, 10),
+    (0.08192320648511571, 11), (-0.022355307863886294, 12),
+)
+_ERROR3_ROW = (
+    (-0.18980075407240762, 1), (4.450312892752409, 6), (1.8915178993145003, 7),
+    (-5.801203960010585, 8), (-0.4226823213237919, 9), (-0.1521609496625161, 10),
+    (0.20136540080403034, 11), (0.02265179219836082, 12),
+)
+
+
+def _coefficient_names() -> dict:
+    """Every nonzero coefficient under the name the kernel gives it: C{s}
+    and A{s}_{j} of stage s, B{j}, E5_{j} and E3_{j}.  Names, not
+    formatted values, so one kernel per m serves every alpha and tolerance."""
+    names = {}
+    for s, (node, row) in enumerate(_STAGE_ROWS, start=2):
+        names[f"C{s}"] = node
+        names.update((f"A{s}_{j}", w) for w, j in row)
+    for prefix, row in (("B", _SOLUTION_ROW), ("E5_", _ERROR5_ROW), ("E3_", _ERROR3_ROW)):
+        names.update((f"{prefix}{j}", w) for w, j in row)
+    return names
 
 
 def _rhs_lines(n: int, point: list, slope: list) -> list:
@@ -206,14 +253,18 @@ def _kernel_source(m: int) -> str:
     the pair (rhs, step) for the order m, written out straight-line.
 
     ``rhs(r, y)`` is f(r, y) as a tuple.  ``step(r, h, y, k1)`` is one
-    Dormand-Prince attempt from the state y with k1 = f(r, y); it returns
-    (y_new, k7, err_sum), k7 = f(r + h, y_new) and err_sum the sum of the
-    squared scaled error components.  Stage s keeps the odd entries of its
-    point in z{s}_i and of its slope in k{s}_i; its slope's even entries are
-    the point's odd ones.  Each sum runs left to right in the order of the
-    tableau, so the arithmetic is that of the loop over stages."""
+    DOP853 attempt from the state y with k1 = f(r, y); it returns
+    (y_new, err5, err3), the sums of the squared components of the 5th- and
+    3rd-order error estimates sum_j e_j k_j, each scaled by abs_tol +
+    rel_tol max(|y_i|, |y_new_i|).  f(r + h, y_new) is left to the caller,
+    which needs it only once the step is accepted.  Stage s keeps the odd
+    entries of its point in z{s}_i and of its slope in k{s}_i; its slope's
+    even entries are the point's odd ones.  Each sum runs left to right in
+    the order of the tableau, so the arithmetic is that of the loop over
+    stages."""
     n = 2 * m
     state = [f"y{i}" for i in range(n)]
+    new = len(_STAGE_ROWS) + 2          # y_new is the point after the last stage
 
     def slope(prefix: str, point: list) -> list:
         return [point[i + 1] if i % 2 == 0 else f"{prefix}{i}" for i in range(n)]
@@ -222,31 +273,34 @@ def _kernel_source(m: int) -> str:
     rhs += _rhs_lines(n, state, slope("f", state))
     rhs.append(f"return {', '.join(slope('f', state))}")
 
-    points = {s: [f"z{s}_{i}" for i in range(n)] for s in range(2, 8)}
-    slopes = {s: slope(f"k{s}_", points[s]) for s in range(2, 8)}
+    points = {s: [f"z{s}_{i}" for i in range(n)] for s in range(2, new + 1)}
+    slopes = {s: slope(f"k{s}_", points[s]) for s in range(2, new)}
     slopes[1] = [f"k1_{i}" for i in range(n)]
     step = [f"{', '.join(state)} = y", f"{', '.join(slopes[1])} = k1"]
 
-    def combine(s: int, row) -> None:
-        step.extend(f"a{t} = h * {w}" for w, t in row)
+    def combine(s: int, prefix: str, row) -> None:
+        step.extend(f"a{t} = h * {prefix}{t}" for _, t in row)
         for i in range(n):
             terms = "".join(f" + a{t} * {slopes[t][i]}" for _, t in row)
             step.append(f"{points[s][i]} = {state[i]}{terms}")
 
-    for s, (node, row) in enumerate(_STAGE_ROWS, start=2):
-        combine(s, row)
-        step.append(f"k = -(alpha / (r + {node} * h))" if node else "k = -(alpha / (r + h))")
+    def weighted_sum(prefix: str, row, i: int) -> str:
+        return " + ".join(f"{prefix}{t} * {slopes[t][i]}" for _, t in row)
+
+    for s, (_, row) in enumerate(_STAGE_ROWS, start=2):
+        combine(s, f"A{s}_", row)
+        step.append(f"k = -(alpha / (r + C{s} * h))")
         step += _rhs_lines(n, points[s], slopes[s])
-    combine(7, _SOLUTION_ROW)           # y_new, at r + h as stage 6
-    step += _rhs_lines(n, points[7], slopes[7])
-    step += [f"a{t} = h * {w}" for w, t in _ERROR_ROW]
+    combine(new, "B", _SOLUTION_ROW)
     for i in range(n):
         # max(|y_i|, |y_new_i|) as max() picks it: the second only if larger
-        terms = " + ".join(f"a{t} * {slopes[t][i]}" for _, t in _ERROR_ROW)
-        step += [f"a = abs({state[i]})", f"b = abs({points[7][i]})",
-                 f"q = ({terms}) / (abs_tol + rel_tol * (b if b > a else a))",
-                 "total += q * q" if i else "total = q * q"]
-    step.append(f"return ({', '.join(points[7])}), ({', '.join(slopes[7])}), total")
+        step += [f"a = abs({state[i]})", f"b = abs({points[new][i]})",
+                 "s = abs_tol + rel_tol * (b if b > a else a)",
+                 f"q = ({weighted_sum('E5_', _ERROR5_ROW, i)}) / s",
+                 "err5 += q * q" if i else "err5 = q * q",
+                 f"q = ({weighted_sum('E3_', _ERROR3_ROW, i)}) / s",
+                 "err3 += q * q" if i else "err3 = q * q"]
+    step.append(f"return ({', '.join(points[new])}), err5, err3")
     indent = "\n        "
     return (f"def make(alpha, p, abs_tol, rel_tol):\n"
             f"    def rhs(r, y):{indent}{indent.join(rhs)}\n"
@@ -254,14 +308,14 @@ def _kernel_source(m: int) -> str:
             f"    return rhs, step\n")
 
 
-# kept: a compile takes 0.6 / 1.5 / 2.6 ms at m = 1 / 4 / 8, a classification 3 / 10 / 51
+# kept: a build takes 1.3 / 3.2 / 8.5 ms at m = 1 / 4 / 8, a classification 1 / 6 / 25
 @functools.lru_cache(maxsize=16)    # bounded: a kernel's code grows with m
 def _kernel(m: int):
     """The compiled ``make`` of ``_kernel_source(m)``, built on first use;
-    its globals are this module's, where the tableau names live."""
+    its globals are the tableau's ``_coefficient_names``."""
     namespace: dict = {}
-    exec(compile(_kernel_source(m), f"<dormand-prince m={m}>", "exec"),
-         globals(), namespace)
+    exec(compile(_kernel_source(m), f"<dop853 m={m}>", "exec"),
+         _coefficient_names(), namespace)
     return namespace["make"]
 
 
@@ -282,7 +336,9 @@ def _level_bounds(gap: float, y: list) -> Tuple[float, tuple]:
                       for i in range(0, len(y), 2))
 
 
-def integrate(spec: IVPSpec) -> SolveResult:
+def integrate(spec: IVPSpec,
+              departed: Optional[Callable[[np.ndarray, np.ndarray], Optional[str]]] = None
+              ) -> SolveResult:
     """Adaptive integration of the coupled system from r0 to r_max.
 
     The state and the stages are Python floats, and each attempt is one call
@@ -294,15 +350,22 @@ def integrate(spec: IVPSpec) -> SolveResult:
     buffers, 8 bytes a value, which become ``SolveResult.r`` and ``.y``
     without a copy.
 
-    A trial step whose stages leave the float range, or whose error norm
-    is not finite, is rejected and retried at a fifth of its size, so a
-    long trial step past a blow-up does not decide where the run stops.
+    A trial step whose stages, or f at whose new state, leave the float
+    range, or whose error norm is not finite, is rejected and retried at a
+    fifth of its size, so a long trial step past a blow-up does not decide
+    where the run stops.  f at the new state is evaluated only for a step
+    that passes the error test, so ``rhs_evaluations`` is one at the start,
+    eleven per attempt and one per step that passed the error test.
     Raises :class:`StepUnderflowError` when the controller collapses the
     step below the floor (a stiff problem, or f overflowing every trial
     step) and :class:`BlowupError` when, after an accepted step, some
     level |u_j| exceeds its bound OVERFLOW_LIMIT lam^(gap/2 + 2j) (see
     ``_level_bounds``), when f overflows at the start state or when the
-    error scale is zero; both carry the partial trajectory in ``.result``.
+    error scale is zero.  ``departed``, when given, is called with the radii
+    and the states (rows as in ``SolveResult.y``) of each run of
+    DEPARTURE_CHECK_STEPS accepted steps, and returns None or the reason to
+    stop, which raises :class:`DepartureError`.  Each error carries the
+    partial trajectory in ``.result``.
     """
     r_max, rel_tol, abs_tol = spec.r_max, spec.rel_tol, spec.abs_tol
     p = _closing_power(spec.m, spec.alpha)
@@ -342,22 +405,24 @@ def integrate(spec: IVPSpec) -> SolveResult:
                 f"step {h:.3e} underflowed at r={r:.6g} (blow-up or stiffness)",
                 _finish(),
             )
-        evals += 6               # counted also when a stage ends the attempt
+        evals += 11              # counted also when a stage ends the attempt
         try:
-            y_new, k7, total = step(r, h, y, k1)
+            y_new, err5, err3 = step(r, h, y, k1)
+            # the 5th-order estimate, damped where the 3rd-order one is large
+            err_norm = h * err5 / math.sqrt(n * (err5 + 0.01 * err3)) if err5 else 0.0
+            if err_norm <= 1.0:
+                # the step clipped to r_max lands on it: r + (r_max - r) can
+                # fall an ulp short, and the next step would be below the floor
+                r_new = r_max if h == r_max - r else r + h
+                evals += 1
+                k1_new = rhs(r_new, y_new)
         except OverflowError:
-            total = math.inf     # a stage past the float range
+            err_norm = math.inf  # a stage, or f at y_new, past the float range
         except ZeroDivisionError:
             # a zero error scale (abs_tol = 0 at a zero state)
             raise _non_finite() from None
-        # the last stage is the RHS at y_new, so a non-finite y_new also
-        # makes the error norm non-finite, and the step is rejected
-        err_norm = math.sqrt(total / n)
         if err_norm <= 1.0:
-            # the step clipped to r_max lands on it: r + (r_max - r) can
-            # fall an ulp short, and the next step would be below the floor
-            r = r_max if h == r_max - r else r + h
-            y, k1 = y_new, k7        # FSAL, only after acceptance
+            r, y, k1 = r_new, y_new, k1_new
             steps += 1
             min_step = min(min_step, h)
             nodes.append(r)
@@ -371,10 +436,16 @@ def integrate(spec: IVPSpec) -> SolveResult:
                         f"(non-global solution)",
                         _finish(),
                     )
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            if departed is not None and steps % DEPARTURE_CHECK_STEPS == 0:
+                reason = departed(
+                    np.frombuffer(nodes[-DEPARTURE_CHECK_STEPS:]),
+                    np.frombuffer(states[-DEPARTURE_CHECK_STEPS * n:]).reshape(-1, n))
+                if reason is not None:
+                    raise DepartureError(reason, _finish())
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.125))
         else:
             rejected += 1
-            factor = max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2
+            factor = max(0.2, 0.9 * err_norm ** -0.125) if math.isfinite(err_norm) else 0.2
         h *= factor
     return _finish()
 
@@ -466,10 +537,27 @@ def classification_check(m: int, alpha: float, eps: float, r_max: float
     of :class:`IVPSpec`; the sup-relative deviation of every component (u_j,
     u_j') from the exact state is that of w_eps on [0, r_max].  A run that
     stops early raises its :class:`OdeError`; ``stopped_classification``
-    reports it."""
+    reports it.
+
+    The run stops with :class:`DepartureError` once |u_0 - w_1| exceeds
+    CLASSIFY_TOL w_1(0) at a node: w_1 falls from its sup w_1(0), so the
+    deviation already exceeds CLASSIFY_TOL and the verdict is "departs"
+    whatever the rest of the run does."""
+    w = bliss_profile(m, alpha, 1.0)
+    limit = CLASSIFY_TOL * w(0.0)
+
+    def departed(r: np.ndarray, y: np.ndarray) -> Optional[str]:
+        gaps = np.abs(y[:, 0] - w(r))
+        far = np.flatnonzero(gaps > limit)
+        if not far.size:
+            return None
+        k = far[0]
+        return (f"u_0 - w_1 = {gaps[k]:.3e} exceeded CLASSIFY_TOL ({CLASSIFY_TOL:g}) "
+                f"x w_1(0) = {limit:.3e} at r={r[k]:.6g} (departs from the family)")
+
     spec = IVPSpec(m=m, alpha=alpha, even_initial=family_state(m, alpha, 1.0, 0.0)[0, 0::2],
                    r_max=unit_radius(eps, r_max))
-    return _classification_report(m, alpha, eps, r_max, integrate(spec))
+    return _classification_report(m, alpha, eps, r_max, integrate(spec, departed))
 
 
 def describe_stop(err: OdeError) -> str:

@@ -7,6 +7,8 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyrad import cli, iteration, suite
 from polyrad import functionals as fun
@@ -188,6 +190,19 @@ class TestIterate:
             want = cli._csv_text(["r", f"w_{k}"], rows).encode("utf-8")
             assert (tmp_path / f"chain_k{k}.csv").read_bytes() == want
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(-0.0)
+    @example(5e-324)
+    @example(123456789012.5)
+    def test_percent_format_is_the_format_spec(self, x):
+        # _write_chain_csv formats a chunk with "%.12g", _csv_text each value
+        # with f"{x:.12g}"
+        assert "%.12g" % x == f"{x:.12g}"
+
     def test_tiny_profile_is_not_passed_vacuously(self, capsys, tmp_path):
         # w_eps at eps = 1e-100 is about 1e-92 and below on the grid; an
         # absolute denominator floor of 1e-12 read the residual as 2.8e-80
@@ -212,6 +227,16 @@ class TestClassify:
         assert report["max_rel_dev"] <= 1e-6
         assert report["steps"] > 0
         assert 0.0 < report["min_step"] < report["r_max"]
+
+    @pytest.mark.parametrize("alpha", ["16", "17"])
+    def test_large_alpha_family_member_coincides(self, alpha, capsys):
+        # the 5(4) pair read a deviation of 12.4 at alpha = 16 and raised
+        # BlowupError at 17; the 8(5,3) pair reads 1.3e-8 and 1.6e-6
+        code, out, _ = run_cli(["classify", "--m", "2", "--alpha", alpha], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "coincides"
+        assert report["max_rel_dev"] <= 1e-5
 
     def test_perturbed_departs(self, capsys):
         code, out, _ = run_cli(
@@ -251,12 +276,13 @@ class TestClassify:
         ["--perturb-index", "1", "--perturb-scale", "1.05"],
     ])
     def test_reports_rhs_evaluations(self, extra, capsys):
-        # one evaluation at the start and six per attempted step
+        # one evaluation at the start, eleven per attempted step and one at
+        # the end of each accepted step
         _, out, _ = run_cli(["classify", "--m", "2", "--alpha", "4"] + extra, capsys)
         report = json.loads(out)
-        assert report["steps"] > 0
-        assert report["rhs_evaluations"] == 1 + 6 * (report["steps"]
-                                                     + report["rejected_steps"])
+        steps, rejected = report["steps"], report["rejected_steps"]
+        assert steps > 0
+        assert report["rhs_evaluations"] == 1 + 11 * (steps + rejected) + steps
 
     def test_stop_reason(self, capsys):
         # null when the run reaches r_max, else the error class and message
@@ -277,19 +303,20 @@ class TestClassify:
                             report["stop_reason"])
 
     def test_early_stop_keeps_the_report(self, capsys):
-        # exact m = 6 data blow up before r_max (the forward integration is
-        # ill conditioned): the report still gives the counters, the
-        # deviation up to the stop, how far the run got and why it stopped
-        code, out, _ = run_cli(["classify", "--m", "6", "--alpha", "13.5"], capsys)
+        # exact m = 7 data depart before r_max (the forward integration is
+        # ill conditioned), and the run stops once the verdict is settled:
+        # the report still gives the counters, the deviation up to the
+        # stop, how far the run got and why it stopped
+        code, out, _ = run_cli(["classify", "--m", "7", "--alpha", "15.5"], capsys)
         assert code == 1
         report = json.loads(out)
         assert report["verdict"] == "departs"
         assert 0.0 < report["reached_r"] < report["r_max"]
         assert report["steps"] > 0 and report["max_rel_dev"] > 0.0
-        assert report["rhs_evaluations"] == 1 + 6 * (report["steps"]
-                                                     + report["rejected_steps"])
-        assert re.fullmatch(r"BlowupError: u_5 = .* at r=\S+ \(non-global solution\)",
-                            report["stop_reason"])
+        steps, rejected = report["steps"], report["rejected_steps"]
+        assert report["rhs_evaluations"] == 1 + 11 * (steps + rejected) + steps
+        assert re.fullmatch(r"DepartureError: u_0 - w_1 = .* at r=\S+ "
+                            r"\(departs from the family\)", report["stop_reason"])
         # a run that reaches r_max reports neither field
         _, out, _ = run_cli(["classify", "--m", "2", "--alpha", "4"], capsys)
         assert not {"reached_r", "stop_reason"} & set(json.loads(out))
@@ -297,7 +324,7 @@ class TestClassify:
     @pytest.mark.parametrize("m,alpha,eps,r_max,unit_r_max,code", [
         # built at eps = 1e5, the absolute abs_tol made exact data depart at 0.174
         ("3", "8", "1e5", "2e6", "20", 0),
-        # 20/eps = 2e301 blows up, as at eps = 1; stop_reason names the unit radius
+        # 20/eps = 2e301 departs, as at eps = 1; stop_reason names the unit radius
         ("2", "4", "1e-300", "20", "2e301", 1),
     ])
     def test_dilation_runs_the_unit_problem(self, m, alpha, eps, r_max, unit_r_max,

@@ -13,12 +13,19 @@ import pytest
 
 from polyrad.errors import (
     BlowupError,
+    DepartureError,
     DomainError,
     OdeError,
     StepUnderflowError,
 )
 from polyrad.functionals import bliss_profile
 from polyrad.ode import (
+    _ERROR3_ROW,
+    _ERROR5_ROW,
+    _SOLUTION_ROW,
+    _STAGE_ROWS,
+    CLASSIFY_TOL,
+    DEPARTURE_CHECK_STEPS,
     DEPARTURE_TOL,
     IVPSpec,
     _kernel,
@@ -34,8 +41,8 @@ from polyrad.ode import (
 )
 
 SQRT8 = math.sqrt(8.0)
-#: The gap alpha - 2m + 1 of the order sweeps: m <= 5 reach r_max = 20,
-#: m = 6..8 blow up (the benchmark's ``scalar-highm`` draws it from [2, 2.75]).
+#: The gap alpha - 2m + 1 of the order sweeps: m <= 6 reach r_max = 20,
+#: m = 7, 8 blow up (the benchmark's ``scalar-highm`` draws it from [2, 2.75]).
 SWEEP_GAP = 2.4
 LOOSE = {"rel_tol": 1e-4, "abs_tol": 1e-6}
 
@@ -45,39 +52,31 @@ def family_data(m, alpha, eps):
     return family_state(m, alpha, eps, 0.0)[0, 0::2]
 
 
-# the Dormand-Prince 5(4) tableau: nodes, stage weights (the last row gives
-# the 5th-order solution), error weights
-DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-DP_A = [
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-]
-DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-def _combine(h, base, weights, stages):
-    """base + sum_j (h w_j) k_j over the nonzero weights, summed left to
-    right in plain floats."""
+def _combine(h, base, row, stages):
+    """base + sum_j (h a_j) k_j over the sparse (a_j, j) terms of ``row``,
+    summed left to right in plain floats; stages are numbered from 1."""
     out = []
     for i, acc in enumerate(base):
-        for w, k in zip(weights, stages):
-            if w:
-                acc += (h * w) * k[i]
+        for w, j in row:
+            acc += (h * w) * stages[j - 1][i]
         out.append(acc)
     return out
 
 
-def reference_dormand_prince(spec, max_steps=None):
-    """Dormand-Prince 5(4) with the controller of ``integrate``, written
-    plainly on Python floats with sums in the same order: every attempt,
-    accepted or not, starts from f(r, y) evaluated afresh.  Returns the
-    accepted nodes, states and the rejection count, after at most
-    ``max_steps`` accepted steps."""
+def _error_sum(row, stages, i):
+    """sum_j e_j k_j[i] over the (e_j, j) terms of ``row``, left to right."""
+    total = 0.0
+    for w, j in row:
+        total += w * stages[j - 1][i]
+    return total
+
+
+def reference_dop853(spec, max_steps=None):
+    """DOP853 with the controller of ``integrate``, written plainly on Python
+    floats with sums in the same order: every attempt, accepted or not,
+    starts from f(r, y) evaluated afresh.  Returns the accepted nodes,
+    states and the rejection count, after at most ``max_steps`` accepted
+    steps."""
     m, alpha = spec.m, spec.alpha
     p = 2.0 * (alpha + 1.0) / (alpha - 2 * m + 1) - 2.0     # 2* - 2
 
@@ -92,30 +91,72 @@ def reference_dormand_prince(spec, max_steps=None):
         return dy
 
     r, y = spec.r0, series_start(spec)
+    n = len(y)
     nodes, states, rejected = [r], [y], 0
     h = min(0.05 * spec.r0, spec.r_max - spec.r0)
     while r < spec.r_max and len(nodes) - 1 != max_steps:
         h = min(h, spec.r_max - r)
         k = [f(r, y)]
-        for s in range(1, 7):
-            k.append(f(r + DP_C[s] * h, _combine(h, y, DP_A[s], k)))
-        y_new = _combine(h, y, DP_A[6], k[:6])
-        err = _combine(h, [0.0] * len(y), DP_ERR, k)
-        total = 0.0
-        for e, a, b in zip(err, y, y_new):
-            q = e / (spec.abs_tol + spec.rel_tol * max(abs(a), abs(b)))
-            total += q * q
-        err_norm = math.sqrt(total / len(y))
+        for c, row in _STAGE_ROWS:
+            k.append(f(r + c * h, _combine(h, y, row, k)))
+        y_new = _combine(h, y, _SOLUTION_ROW, k)
+        err5 = err3 = 0.0
+        for i in range(n):
+            scale = spec.abs_tol + spec.rel_tol * max(abs(y[i]), abs(y_new[i]))
+            q5 = _error_sum(_ERROR5_ROW, k, i) / scale
+            q3 = _error_sum(_ERROR3_ROW, k, i) / scale
+            err5 += q5 * q5
+            err3 += q3 * q3
+        err_norm = h * err5 / math.sqrt(n * (err5 + 0.01 * err3)) if err5 else 0.0
         if err_norm <= 1.0:
-            r, y = r + h, y_new
+            r = spec.r_max if h == spec.r_max - r else r + h
+            y = y_new
             nodes.append(r)
             states.append(y)
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.125))
         else:
             rejected += 1
-            factor = max(0.2, 0.9 * err_norm ** -0.2)
+            factor = max(0.2, 0.9 * err_norm ** -0.125)
         h *= factor
     return np.array(nodes), np.array(states), rejected
+
+
+class TestTableau:
+    """The DOP853 literals against the conditions they must satisfy."""
+
+    # each sum holds to the rounding of its literals to doubles: within
+    # 2^-52 of the sum of the magnitudes of its terms
+
+    def test_row_sums_are_the_nodes(self):
+        for c, row in _STAGE_ROWS:
+            total = math.fsum(a for a, _ in row)
+            assert abs(total - c) <= 2.0 ** -52 * math.fsum(abs(a) for a, _ in row)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_quadrature_order_eight(self, k):
+        nodes = (0.0,) + tuple(c for c, _ in _STAGE_ROWS)
+        terms = [b * nodes[j - 1] ** (k - 1) for b, j in _SOLUTION_ROW]
+        assert abs(math.fsum(terms) - 1.0 / k) <= k * 2.0 ** -52 * math.fsum(map(abs, terms))
+
+    @pytest.mark.parametrize("row", [_ERROR5_ROW, _ERROR3_ROW], ids=["e5", "e3"])
+    def test_error_weights_sum_to_zero(self, row):
+        assert abs(math.fsum(e for e, _ in row)) <= 2.0 ** -52 * math.fsum(abs(e) for e, _ in row)
+
+    def test_equals_the_scipy_coefficients(self):
+        dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+
+        def dense(row, size):
+            out = [0.0] * size
+            for w, j in row:
+                out[j - 1] = w
+            return out
+
+        assert [c for c, _ in _STAGE_ROWS] == dop.C[1:12].tolist()
+        for s, (_, row) in enumerate(_STAGE_ROWS, start=1):
+            assert dense(row, 12) == dop.A[s, :12].tolist()
+        assert dense(_SOLUTION_ROW, 12) == dop.B.tolist()
+        assert dense(_ERROR5_ROW, 13) == dop.E5.tolist()
+        assert dense(_ERROR3_ROW, 13) == dop.E3.tolist()
 
 
 class TestSpecValidation:
@@ -197,23 +238,23 @@ class TestIntegrate:
                                 even_initial=family_data(2, 4.0, 1.0)))
         assert res.stats.steps == len(res.r) - 1
         assert res.stats.min_step > 0
-        assert res.stats.rhs_evaluations >= 6 * res.stats.steps
+        assert res.stats.rhs_evaluations >= 12 * res.stats.steps
 
     def test_loose_tolerance_exercises_rejections(self):
         stats = integrate(IVPSpec(m=2, alpha=4.0,
                                   even_initial=family_data(2, 4.0, 1.0),
-                                  rel_tol=1e-4, abs_tol=1e-6)).stats
+                                  rel_tol=1e-5, abs_tol=1e-7)).stats
         assert stats.rejected >= 1
-        # one evaluation at the start, six per attempt: the seventh stage
-        # of an accepted step is the next step's first
-        assert stats.rhs_evaluations == 1 + 6 * (stats.steps + stats.rejected)
+        # one evaluation at the start, eleven per attempt and one at the end
+        # of each accepted step, which is the next step's first stage
+        assert stats.rhs_evaluations == 1 + 11 * (stats.steps + stats.rejected) + stats.steps
 
     @pytest.mark.parametrize("m,alpha", [(2, 4.0), (3, 7.5)])
     def test_retry_after_rejection_restarts_from_f_at_y(self, m, alpha):
         spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
-                       rel_tol=1e-4, abs_tol=1e-6)
+                       rel_tol=1e-5, abs_tol=1e-7)
         res = integrate(spec)
-        r_ref, y_ref, rejected = reference_dormand_prince(spec)
+        r_ref, y_ref, rejected = reference_dop853(spec)
         assert rejected == res.stats.rejected >= 1
         assert res.r.tobytes() == r_ref.tobytes()
         assert res.y.tobytes() == y_ref.tobytes()
@@ -222,7 +263,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_every_order_matches_the_reference(self, m, tolerances):
         # the step kernel is generated per m: every order, run to r_max or
-        # to the blow-up stop (m >= 6, and m >= 4 at loose tolerances, where
+        # to the blow-up stop (m >= 7, and m >= 4 at loose tolerances, where
         # the partial trajectory rides on the error), equals the loop
         alpha = 2 * m - 1 + SWEEP_GAP
         spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0),
@@ -231,24 +272,27 @@ class TestIntegrate:
             res = integrate(spec)
         except BlowupError as err:
             res = err.result
-        r_ref, y_ref, rejected = reference_dormand_prince(spec, res.stats.steps)
+        r_ref, y_ref, rejected = reference_dop853(spec, res.stats.steps)
         assert res.stats.rejected == rejected
         assert res.r.tobytes() == r_ref.tobytes()
         assert res.y.tobytes() == y_ref.tobytes()
 
     @pytest.mark.parametrize("m,r_stop,message", [
-        (6, 17.610360359304536, "u_5 = 5.195e+23 exceeded OVERFLOW_LIMIT (1e+12) x "
-         "dilation scale 11.1128^11.2 = 5.167e+23 at r=17.6104 (non-global solution)"),
-        (7, 11.59119476936589, "u_6 = 3.573e+26 exceeded OVERFLOW_LIMIT (1e+12) x "
-         "dilation scale 12.6407^13.2 = 3.494e+26 at r=11.5912 (non-global solution)"),
-        (8, 8.653170692302545, "u_7 = 3.223e+29 exceeded OVERFLOW_LIMIT (1e+12) x "
-         "dilation scale 14.1624^15.2 = 3.143e+29 at r=8.65317 (non-global solution)"),
+        (6, 20.0, None),
+        (7, 14.854513023311181, "u_6 = -3.898e+26 exceeded OVERFLOW_LIMIT (1e+12) x "
+         "dilation scale 12.6407^13.2 = 3.494e+26 at r=14.8545 (non-global solution)"),
+        (8, 9.343134442506557, "u_7 = -4.413e+29 exceeded OVERFLOW_LIMIT (1e+12) x "
+         "dilation scale 14.1624^15.2 = 3.143e+29 at r=9.34313 (non-global solution)"),
     ], ids=["m6", "m7", "m8"])
     def test_high_order_stop_is_pinned(self, m, r_stop, message):
-        # exact data at the sweep gap stop where, and with the message that,
-        # the loop over stages stopped them
+        # exact data at the sweep gap: m = 6 reaches r_max (the 5(4) pair
+        # stopped it at r = 17.6), and m = 7, 8 stop where, and with the
+        # message that, the loop over stages stopped them
         alpha = 2 * m - 1 + SWEEP_GAP
         spec = IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0))
+        if message is None:
+            assert integrate(spec).r[-1] == r_stop
+            return
         with pytest.raises(BlowupError) as info:
             integrate(spec)
         assert str(info.value) == message
@@ -442,6 +486,32 @@ class TestClassification:
         assert rep.verdict == "coincides"
         assert rep.stats.steps > 0
 
+    @pytest.mark.parametrize("m,alpha", [(6, 13.5), (7, 15.5), (8, 17.4)])
+    def test_departure_stop_settles_the_verdict(self, m, alpha):
+        # the check reads the trajectory and does not steer it: the stopped
+        # run is a prefix of the unchecked one, cut at the end of the first
+        # run of DEPARTURE_CHECK_STEPS steps that holds a node where
+        # |u_0 - w_1| > CLASSIFY_TOL w_1(0), the node its message names; the
+        # deviation up to there already exceeds CLASSIFY_TOL
+        with pytest.raises(DepartureError) as info:
+            classification_check(m, alpha, 1.0, 20.0)
+        part = info.value.result
+        try:
+            full = integrate(IVPSpec(m=m, alpha=alpha, even_initial=family_data(m, alpha, 1.0)))
+        except OdeError as err:
+            full = err.result
+        k = part.r.size
+        assert part.r.tobytes() == full.r[:k].tobytes()
+        assert part.y.tobytes() == full.y[:k].tobytes()
+        w = bliss_profile(m, alpha, 1.0)
+        hit = np.flatnonzero(np.abs(full.y[:, 0] - w(full.r)) > CLASSIFY_TOL * w(0.0))[0]
+        assert (k - 1) % DEPARTURE_CHECK_STEPS == 0
+        assert k - DEPARTURE_CHECK_STEPS <= hit < k
+        assert str(info.value).endswith(f"at r={full.r[hit]:.6g} (departs from the family)")
+        report = stopped_classification(m, alpha, 1.0, 20.0, info.value)
+        assert report.verdict == "departs" and report.max_rel_dev > CLASSIFY_TOL
+        assert report.reached_r == part.r[-1] < 20.0
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("gap", [1.0, 2.5, 4.0])
     def test_exact_data_coincide_at_every_dilation(self, m, gap):
@@ -533,7 +603,8 @@ class TestClassification:
         # exact data coincide wherever the family check does: the departure
         # is relative to sup w_eps, like that check's deviation, since
         # relative to w_eps(r), which falls like r^-gap, the tail's absolute
-        # error dominates.  At (2, 16) both forms depart.  At m = 1 a scaled
+        # error dominates.  At (2, 16) both forms coincide
+        # (under the 5(4) pair both departed).  At m = 1 a scaled
         # u_0 is the datum of another family member, so it coincides.
         try:
             family = classification_check(m, alpha, 1.0, 20.0)
@@ -567,12 +638,14 @@ class TestClassification:
 
 class TestMemory:
     def test_failing_trajectory_within_three_copies(self):
-        # a blow-up after more than 1000 steps: the traced peak stays within
+        # a blow-up after more than 600 steps: the traced peak stays within
         # three times the partial trajectory it returns.  Low order, because
         # tracemalloc's cost per object grows with the kernel's length (about
-        # 25 s at m = 8); the kernel is compiled first, so its compile
-        # transients do not count, whichever test ran before.
-        spec = IVPSpec(m=2, alpha=4.0, even_initial=(5.0, -500.0), r_max=50.0)
+        # 25 s at m = 8), and tight tolerances for a long trajectory; the
+        # kernel is compiled first, so its compile transients do not count,
+        # whichever test ran before.
+        spec = IVPSpec(m=2, alpha=4.0, even_initial=(5.0, -500.0), r_max=50.0,
+                       rel_tol=1e-14, abs_tol=1e-16)
         _kernel(spec.m)
         tracemalloc.start()
         try:
@@ -582,5 +655,5 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         partial = info.value.result
-        assert partial.stats.steps > 1000
+        assert partial.stats.steps > 600
         assert peak <= 3.0 * (partial.r.nbytes + partial.y.nbytes)
