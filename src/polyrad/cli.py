@@ -253,7 +253,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     except ode.OdeError as err:
         result = err.result
         stop_reason = ode.describe_stop(err)
-    departure = ode.departure_from_family(m, alpha, result)
+    departure = ode.departure_from_family(spec, result)
     verdict = "departs" if departure >= ode.DEPARTURE_TOL else "coincides"
     _emit_json(
         {"subcommand": "classify", "m": m, "alpha": alpha, "eps": eps,

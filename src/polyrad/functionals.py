@@ -199,7 +199,8 @@ def _term_sum(terms, a: float, r: np.ndarray) -> np.ndarray:
     return total
 
 
-# kept: the 230 quotients of a scalar-highm pass take 46-53 ms with it, 135-180 without
+# kept: a scalar-highm pass's 230 quotients take 35-38 ms with it, 79
+# without (min of 20 passes, best of 4-6 runs, 2 cores)
 @functools.lru_cache(maxsize=256)
 def _nabla_expr(expr: RadialExpr, m: int) -> RadialExpr:
     """nabla_m(expr, m), kept per (expr, m): the exact expression depends on
@@ -234,19 +235,44 @@ def bliss_profile(m: int, alpha: float, eps: float) -> RadialProfile:
     """The extremal profile w_eps, with its exact derivative chain via the
     dilation scaling laws."""
     amp = bliss_amplitude(m, alpha, eps)
-    return RadialProfile.from_expr(base_profile_expr(m), alpha, coeff=amp, scale=eps)
+    return RadialProfile.from_expr(_base_expr(m), alpha, coeff=amp, scale=eps)
+
+
+# kept: a scalar-highm pass's 230 quotients take 35-38 ms with it, 43
+# without (min of 20 passes, best of 4-6 runs, 2 cores)
+@functools.lru_cache(maxsize=64)
+def _base_expr(m: int) -> RadialExpr:
+    """base_profile_expr(m), kept per m: every profile of the family at
+    every alpha and dilation shares it."""
+    return base_profile_expr(m)
 
 
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
 
-def _de_summands(f, t: np.ndarray) -> np.ndarray:
-    """f(r) dr/dt at the exp-sinh nodes t, with r = exp(pi/2 sinh t).
-    Raises NonConvergenceError at the first node where it is not finite."""
+# kept: a scalar-highm pass's 230 quotients take 35-38 ms with them, 43
+# without (min of 20 passes, best of 4-6 runs, 2 cores)
+@functools.lru_cache(maxsize=8)     # DE_MIN_STEP allows six levels
+def _de_nodes(level: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The radii r = exp(pi/2 sinh t) and the weights dr/dt of the nodes t
+    that ``improper_integral`` adds at the step DE_FIRST_STEP / 2^level:
+    the whole window at level 0, the odd multiples of the step after.
+    Read-only, as every integral shares them."""
+    h = DE_FIRST_STEP / 2 ** level
+    n = round(DE_WINDOW / DE_FIRST_STEP) * 2 ** level
+    t = h * (np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2))
     r = np.exp(0.5 * math.pi * np.sinh(t))
-    with np.errstate(all="ignore"):
-        values = np.asarray(f(r), dtype=float) * (0.5 * math.pi * np.cosh(t) * r)
+    weight = 0.5 * math.pi * np.cosh(t) * r
+    r.flags.writeable = weight.flags.writeable = False
+    return r, weight
+
+
+def _de_summands(f, level: int) -> np.ndarray:
+    """f(r) dr/dt at the exp-sinh nodes of ``_de_nodes(level)``.  Raises
+    NonConvergenceError at the first node where it is not finite."""
+    r, weight = _de_nodes(level)
+    values = np.asarray(f(r), dtype=float) * weight
     bad = ~np.isfinite(values)
     if bad.any():
         raise NonConvergenceError(
@@ -262,11 +288,21 @@ def _power_law_factor(rate: float, t: np.ndarray) -> np.ndarray:
     phi = pi/2 sinh, formed in log space because r leaves the float range.
     ``rate`` is the power plus one at the origin and minus that at infinity."""
     phi = 0.5 * math.pi * (np.sinh(np.abs(t)) - math.sinh(DE_WINDOW))
-    with np.errstate(over="ignore"):
-        return np.exp(np.log(np.cosh(t) / math.cosh(DE_WINDOW)) - rate * phi)
+    return np.exp(np.log(np.cosh(t) / math.cosh(DE_WINDOW)) - rate * phi)
 
 
-# kept: the 230 quotients of a scalar-highm pass take 46-53 ms with it, 80-120 without
+# kept: a scalar-highm pass's 230 quotients take 35-38 ms with it, 40
+# without (min of 20 passes, best of 4-6 runs, 2 cores)
+@functools.lru_cache(maxsize=256)
+def _inner_factor(rate: float) -> np.float64:
+    """The power-law factor at |t| = DE_WINDOW - 2 DE_FIRST_STEP, the node
+    against which ``improper_integral`` checks the stated law, kept per
+    rate; a numpy float, so a subnormal end divides as numpy does."""
+    return _power_law_factor(rate, DE_WINDOW - 2.0 * DE_FIRST_STEP)
+
+
+# kept: a scalar-highm pass's 230 quotients take 35-38 ms with it, 63
+# without (min of 20 passes, best of 4-6 runs, 2 cores)
 @functools.lru_cache(maxsize=256)
 def _continuation_weight(rate: float, h: float) -> float:
     """h times the sum of the power-law factors at |t| = DE_WINDOW + k h,
@@ -319,47 +355,47 @@ def improper_integral(f, *, origin_power: float, tail_power: float) -> NormRepor
         raise TypeError(f"integrand must be callable, got {type(f).__name__}")
     rates = (_decay_rate(origin_power, 1.0, "at the origin"),
              _decay_rate(tail_power, -1.0, "at infinity"))
-    h = DE_FIRST_STEP
-    n = round(DE_WINDOW / h)
-    values = _de_summands(f, h * np.arange(-n, n + 1))
-    ends = (float(values[0]), float(values[-1]))
+    # f's warnings are off, and a subnormal end's NaN raises below
+    with np.errstate(all="ignore"):
+        h = DE_FIRST_STEP
+        level = 0
+        values = _de_summands(f, level)
+        ends = (float(values[0]), float(values[-1]))
 
-    def beyond(step: float) -> float:
-        return sum(end * _continuation_weight(rate, step)
-                   for end, rate in zip(ends, rates))
+        def beyond(step: float) -> float:
+            return sum(end * _continuation_weight(rate, step)
+                       for end, rate in zip(ends, rates))
 
-    fine = h * float(values.sum())
-    coarse = 2.0 * h * float(values[::2].sum())
-    total, coarse_total = fine + beyond(h), coarse + beyond(2.0 * h)
-    magnitude = h * float(np.abs(values).sum())
-    model_err = 0.0
-    for end, inner, rate in zip(ends, (float(values[2]), float(values[-3])), rates):
-        continued = end * _continuation_weight(rate, h)
-        if continued != 0.0:
-            with np.errstate(all="ignore"):  # a subnormal end: NaN raises below
-                predicted = end * _power_law_factor(rate, DE_WINDOW - 2.0 * h)
-                model_err += abs(continued * (inner / predicted - 1.0))
-    if not model_err <= QUAD_REL_TOL * abs(total):
-        raise NonConvergenceError(
-            f"integrand does not follow the stated power law beyond the exp-sinh "
-            f"window: continuation error {model_err:.3e} against a sum of {total:.3e}"
-        )
-    while abs(total - coarse_total) > QUAD_REL_TOL * abs(total):
-        if h / 2.0 < DE_MIN_STEP:
+        fine = h * float(values.sum())
+        coarse = 2.0 * h * float(values[::2].sum())
+        total, coarse_total = fine + beyond(h), coarse + beyond(2.0 * h)
+        magnitude = h * float(np.abs(values).sum())
+        model_err = 0.0
+        for end, inner, rate in zip(ends, (float(values[2]), float(values[-3])), rates):
+            continued = end * _continuation_weight(rate, h)
+            if continued != 0.0:
+                model_err += abs(continued * (inner / (end * _inner_factor(rate)) - 1.0))
+        if not model_err <= QUAD_REL_TOL * abs(total):
             raise NonConvergenceError(
-                f"exp-sinh rule did not converge by step {h:g}: successive sums "
-                f"{coarse_total!r} and {total!r}"
+                f"integrand does not follow the stated power law beyond the exp-sinh "
+                f"window: continuation error {model_err:.3e} against a sum of {total:.3e}"
             )
-        h /= 2.0
-        n *= 2
-        new = _de_summands(f, h * np.arange(1 - n, n, 2))
-        fine = 0.5 * fine + h * float(new.sum())
-        coarse_total, total = total, fine + beyond(h)
-        magnitude = 0.5 * magnitude + h * float(np.abs(new).sum())
-    # the floor counts the window's summands and the continued sums
-    roundoff = np.finfo(float).eps * (magnitude + abs(total - fine))
-    return NormReport(value=total,
-                      err_estimate=max(abs(total - coarse_total), roundoff) + model_err)
+        while abs(total - coarse_total) > QUAD_REL_TOL * abs(total):
+            if h / 2.0 < DE_MIN_STEP:
+                raise NonConvergenceError(
+                    f"exp-sinh rule did not converge by step {h:g}: successive sums "
+                    f"{coarse_total!r} and {total!r}"
+                )
+            h /= 2.0
+            level += 1
+            new = _de_summands(f, level)
+            fine = 0.5 * fine + h * float(new.sum())
+            coarse_total, total = total, fine + beyond(h)
+            magnitude = 0.5 * magnitude + h * float(np.abs(new).sum())
+        # the floor counts the window's summands and the continued sums
+        roundoff = np.finfo(float).eps * (magnitude + abs(total - fine))
+        return NormReport(value=total,
+                          err_estimate=max(abs(total - coarse_total), roundoff) + model_err)
 
 
 def _weighted_power_integral(f: RadialProfile, q: float, theta: float) -> NormReport:
@@ -452,9 +488,17 @@ PERTURBATION_DIRECTIONS: Tuple[Tuple[int, int], ...] = (
 def perturbation_direction(index: int, m: int, alpha: float) -> RadialProfile:
     """The index-th versioned probe direction as a symbolic profile."""
     require_sobolev(m, alpha)
+    return RadialProfile.from_expr(_direction_expr(index, m), alpha)
+
+
+# kept: a scalar-highm pass's 230 quotients take 35-38 ms with it, 43
+# without (min of 20 passes, best of 4-6 runs, 2 cores)
+@functools.lru_cache(maxsize=256)
+def _direction_expr(index: int, m: int) -> RadialExpr:
+    """The exact expression of the index-th probe direction at order m,
+    kept per (index, m): it does not depend on alpha."""
     a, b = PERTURBATION_DIRECTIONS[index]
-    expr = RadialExpr.single(1, 2 * a, ExponentAffine(1, 1 - 2 * m + 2 * b))
-    return RadialProfile.from_expr(expr, alpha)
+    return RadialExpr.single(1, 2 * a, ExponentAffine(1, 1 - 2 * m + 2 * b))
 
 
 def probe_profile(w: RadialProfile, index: int, amp: float, m: int,

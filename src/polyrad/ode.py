@@ -7,23 +7,31 @@ second-order system in u_j = (-Delta_alpha)^j y:
     -Delta_alpha u_{m-1} = |u_0|^(2*-2) u_0,
 
 i.e. u_j'' = -(alpha/r) u_j' - u_{j+1}, a 2m-dimensional first order system
-with a regular singular point at r = 0.  Integration starts from a
-fourth-order Taylor state at a small handoff radius r0, built from the even
-initial data and the origin relations
+with a regular singular point at r = 0.  Solutions with even initial data
+are analytic there, so integration starts from their Taylor series (the
+Taylor-series start of Corliss and Chang, ACM TOMS 8, 1982): SERIES_TERMS
+terms of each level in s = r^2, from the origin relations
 
-    u_j'(0) = 0,      u_j''(0) = -u_{j+1}(0) / (alpha + 1),
+    c_{j,k+1} = -c_{j+1,k} / (2(k+1)(2k+1+alpha)),
 
-(the fourth-order coefficient follows from the same relations one level
-up), and proceeds with the embedded Dormand-Prince 8(5,3) pair DOP853 of
-Hairer, Norsett and Wanner (Solving ODEs I, II.10) under a standard
-error-per-step controller: an 8th-order pair suits the 1e-10 tolerance of
-the classification, where the 5(4) pair took 4-8 times the steps and left
-10-100 times the deviation.  Each attempt evaluates f at eleven stages past
-the first; f at the new state is evaluated only once the step is accepted,
-and becomes the next step's first stage.  ``integrate`` steps on Python
-floats, which beat numpy calls at these sizes (2m <= 16), through one
-generated step kernel per order m: straight-line code over local names, with
-no list, zip or call per stage, compiled on first use and cached by m.
+with the closing level |u_0|^p u_0 expanded by J.C.P. Miller's power
+recurrence.  The series is formed at the data's dilation scale, so no
+coefficient leaves the float range at any dilation, and without a given
+``r0`` the run starts at ``series_radius``, where every level's last term
+is below rounding: r0 = 0.37 down to 0.23 for exact data at m = 1..8 and
+gap 2.4, which the singular coefficient -(alpha/r) v_j, holding the step to
+a fraction of r, made cost 40-45 % of a run from the fourth-order start at
+r0 = 1e-4.  From there the embedded Dormand-Prince 8(5,3) pair DOP853 of
+Hairer, Norsett and Wanner (Solving ODEs I, II.10) proceeds under a
+standard error-per-step controller: an 8th-order pair suits the 1e-10
+tolerance of the classification, where the 5(4) pair took 4-8 times the
+steps and left 10-100 times the deviation.  Each attempt evaluates f at
+eleven stages past the first; f at the new state is evaluated only once the
+step is accepted, and becomes the next step's first stage.  ``integrate``
+steps on Python floats, which beat numpy calls at these sizes (2m <= 16),
+through one generated step kernel per order m: straight-line code over local
+names, with no list, zip or call per stage, compiled on first use and cached
+by m.
 
 Forward integration is not well conditioned: the singular homogeneous
 modes r^-(alpha-2j+1) decay with increasing r, but the regular modes of the
@@ -31,17 +39,17 @@ linearization grow like r^(2j) while w_eps decays like r^-(alpha-2m+1), so
 a roundoff error at ``rel_tol`` grows relative to the solution by about
 r^(alpha-2m+1+2(m-1)).  At alpha - 2m + 1 between 2 and 2.75 and
 r_max = 20, exact family data for m <= 4 coincide (deviations up to
-1.3e-6), m = 5 reads 5e-5 to 6e-4 and is classified "departs" at most gaps,
-m = 6 reaches r_max but departs (0.04 to 20) and m = 7, 8 raise
+2.0e-6), m = 5 reads 1.3e-6 to 2.1e-4 and coincides at 9 of 16 gaps on an
+even grid, m = 6 reaches r_max but departs and m = 7, 8 raise
 BlowupError.  From m = 4 on a tighter ``rel_tol`` no longer shrinks the
 deviation, so the float data, not the integrator, set it there.
 
 A maximal solution ends where its state becomes unbounded, so the run
 stops once some level |u_j| exceeds OVERFLOW_LIMIT lam^(gap/2 + 2j), with
-gap = alpha - 2m + 1 and lam = max_j |u_j(r0)|^(1/(gap/2 + 2j)) the
-dilation scale of the start state.  Level j of w_eps scales like
-eps^-(gap/2 + 2j), so the bounds, and the radius where a run stops, follow
-the dilation.
+gap = alpha - 2m + 1 and lam = max_j |u_j(0)|^(1/(gap/2 + 2j)) the
+dilation scale of the data.  Level j of w_eps scales like
+eps^-(gap/2 + 2j), so the bounds, the start radius and the radius where a
+run stops follow the dilation.
 
 Nonsingular solutions with vanishing odd-order data coincide with the
 dilation family w_eps; ``classification_check`` quantifies that statement by
@@ -51,9 +59,9 @@ every eps is the same float problem) and measuring the deviation from the
 exact state ``family_state`` derives from ``bliss_profile``.  It stops the
 run with DepartureError once |u_0 - w_1| passes CLASSIFY_TOL w_1(0), where
 the verdict "departs" is settled: at gap 2.5 exact data for m = 6, 7, 8
-stop there at r = 9.13, 6.55 and 4.65, in runs that would reach r_max or
-raise BlowupError at r = 14.1 and 9.3.  ``departure_from_family`` measures
-how far a perturbed data set drifts from every member of the family.
+stop there at r = 10.5, 7.2 and 6.6, in runs that would reach r_max or
+raise BlowupError at r = 15.3.  ``departure_from_family`` measures how far
+a perturbed data set drifts from every member of the family.
 """
 
 from __future__ import annotations
@@ -81,17 +89,23 @@ STEP_FLOOR = 1e-12
 #: ``integrate`` hands its ``departed`` check each run of this many accepted
 #: steps: one array call per run costs under 1 us a step.
 DEPARTURE_CHECK_STEPS = 32
+#: Terms of each level's series in s = r^2 at the handoff radius.
+SERIES_TERMS = 20
+#: ``series_radius`` takes each level's last series term below this, the
+#: unit roundoff, times the level's dilation scale.
+ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
 class IVPSpec:
     """Problem statement: even-order initial data (odd-order data is zero by
-    hypothesis) plus integration controls."""
+    hypothesis) plus integration controls.  Without an ``r0`` the run
+    starts at ``series_radius``."""
 
     m: int
     alpha: float
     even_initial: Tuple[float, ...]   # u_j(0) for j = 0..m-1
-    r0: float = 1e-4                  # series handoff radius
+    r0: Optional[float] = None        # series handoff radius
     r_max: float = 20.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -99,17 +113,19 @@ class IVPSpec:
     def __post_init__(self):
         # plain floats throughout: a numpy scalar would slow every stage and
         # turn an overflow into a warning and inf
-        for name in ("alpha", "r0", "r_max", "rel_tol", "abs_tol"):
+        for name in ("alpha", "r_max", "rel_tol", "abs_tol"):
             object.__setattr__(self, name, float(getattr(self, name)))
         require_sobolev(self.m, self.alpha)
         if len(self.even_initial) != self.m:
             raise ValueError(
                 f"need m={self.m} even-order values, got {len(self.even_initial)}"
             )
+        object.__setattr__(self, "even_initial", tuple(float(v) for v in self.even_initial))
+        r0 = series_radius(self) if self.r0 is None else self.r0
+        object.__setattr__(self, "r0", float(r0))
         if not 0 < self.r0 < self.r_max < math.inf:
             raise DomainError(f"need 0 < series handoff radius ({self.r0:g}) "
                               f"< r_max ({self.r_max:g}) < inf")
-        object.__setattr__(self, "even_initial", tuple(float(v) for v in self.even_initial))
 
 
 @dataclass(frozen=True)
@@ -143,27 +159,119 @@ def _closing_power(m: int, alpha: float) -> float:
     return critical_exponent(m, alpha) - 2.0
 
 
-def series_start(spec: IVPSpec) -> list:
-    """Fourth-order Taylor state (u_0, u_0', ..., u_{m-1}, u_{m-1}') at the
-    handoff radius r0, on floats; the local error is O(r0^6) because the odd
-    orders vanish.  Level j's r^2 coefficient is a2_j = -u_{j+1}(0) / (2(alpha + 1))
-    and its r^4 coefficient -a2_{j+1} / (4(alpha + 3)), where u_m = g(u_0)
-    has the r^2 coefficient a2_m = (p + 1)|u_0|^p a2_0.  Raises DomainError
-    when the data make a coefficient overflow."""
-    alpha, u0, r = spec.alpha, spec.even_initial, spec.r0
-    p = _closing_power(spec.m, alpha)
+def _power(x: float, e: float) -> float:
+    """x ** e for x >= 0, inf past the float range."""
     try:
-        power = abs(u0[0]) ** p
+        return x ** e
     except OverflowError:
-        power = math.inf
-    a2 = [-v / (2.0 * (1.0 + alpha)) for v in u0[1:] + (power * u0[0],)]
-    a4 = [-v / (4.0 * (3.0 + alpha)) for v in a2[1:] + [(p + 1.0) * power * a2[0]]]
-    if not all(map(math.isfinite, a2 + a4)):
-        raise DomainError(f"initial data {list(u0)} overflow the series "
+        return math.inf
+
+
+def _dilation_scale(gap: float, data) -> float:
+    """lam = max_j |u_j(0)|^(1/(gap/2 + 2j)): the dilation under which the
+    data's largest level is of unit size."""
+    return max(_power(abs(v), 1.0 / (gap / 2.0 + 2.0 * j)) for j, v in enumerate(data))
+
+
+def _series(m: int, alpha: float, data) -> Tuple[float, list]:
+    """(lam, rows): the dilation scale of the data u_j(0) and, for each level,
+    the SERIES_TERMS coefficients C_jk of its dilation to unit scale,
+
+        U_j(rho) = lam^-(gap/2 + 2j) u_j(rho / lam) = sum_k C_jk rho^(2k),
+
+    which solves the same system.  In s = rho^2 the origin relations read
+    C_j,k+1 = -C_j+1,k / (2(k+1)(2k+1+alpha)), with level m the closing
+    term g(U_0), whose coefficients follow from those of U_0 by J.C.P.
+    Miller's power recurrence (Knuth, TAOCP 2, 4.7) at the exponent
+    q = p + 1.  g is not a series in s when u_0(0) = 0; level m is then
+    zero, and ``series_radius`` bounds what that neglects.  Raises
+    DomainError when lam overflows."""
+    gap = sobolev_gap(m, alpha)
+    lam = _dilation_scale(gap, data)
+    if lam == math.inf:
+        raise DomainError(f"initial data {list(data)} overflow the series "
                           f"start at the origin")
+    # |u_j(0)| <= lam^e, so a lam^e past the float range meets a datum
+    # negligible at unit scale, and an underflowed one (zero data among
+    # them) a zero or subnormal one
+    scales = [_power(lam, gap / 2.0 + 2.0 * j) for j in range(m)]
+    rows = [[v / s if s else 0.0] for v, s in zip(data, scales)]
+    u0 = rows[0]
+    a0 = u0[0]
+    p = _closing_power(m, alpha)
+    q = p + 1.0
+    closing = [abs(a0) ** p * a0]
+    for k in range(1, SERIES_TERMS):
+        n = k - 1
+        if n:
+            closing.append(sum(((q + 1.0) * i - n) * u0[i] * closing[n - i]
+                               for i in range(1, n + 1)) / (n * a0) if a0 else 0.0)
+        d = 2.0 * k * (2.0 * k - 1.0 + alpha)
+        for j in range(m):
+            rows[j].append(-(rows[j + 1][n] if j + 1 < m else closing[n]) / d)
+    return lam, rows + [closing]
+
+
+def _horner(row: list, s: float) -> float:
+    """sum_k row[k] s^k for k >= 1."""
+    total = 0.0
+    for c in reversed(row[1:]):
+        total = (total + c) * s
+    return total
+
+
+def series_radius(spec: IVPSpec) -> float:
+    """The handoff radius of a spec without ``r0``: rho / lam, capped at
+    r_max / 2, with lam the data's dilation scale (see ``_series``) and rho
+    the largest unit-scale radius where every level's last term
+    |C_j,N-1| rho^(2(N-1)), N = SERIES_TERMS, is below ROUNDOFF and at most
+    half of an earlier term of its level, the closing level included: past
+    their peak, as a ratio estimate of the radius of convergence demands
+    (at a closing power q in the hundreds Miller's terms still grow at
+    k = N).  When u_0(0) = 0, rho is halved until the neglected closing
+    term's share of level m - 1, rho^2 |U_0|^q / (2(alpha + 1)), is below
+    ROUNDOFF too."""
+    lam, rows = _series(spec.m, spec.alpha, spec.even_initial)
+    cap = 0.5 * spec.r_max
+    if lam == 0.0:
+        return cap
+    bounds = [lam * cap]
+    bounds += [(ROUNDOFF / abs(row[-1])) ** (0.5 / (SERIES_TERMS - 1))
+               for row in rows[:-1] if row[-1]]
+    bounds += [math.sqrt(max((0.5 * abs(c / row[-1])) ** (1.0 / (len(row) - 1 - k))
+                             for k, c in enumerate(row[:-1])))
+               for row in rows if row[-1]]
+    rho = min(bounds)
+    if not rows[0][0]:
+        q = _closing_power(spec.m, spec.alpha) + 1.0
+        while (math.isfinite(rho) and rho * rho * _power(abs(_horner(rows[0], rho * rho)), q)
+               > 2.0 * (spec.alpha + 1.0) * ROUNDOFF):
+            rho *= 0.5
+    return min(rho / lam, cap)
+
+
+def series_start(spec: IVPSpec) -> list:
+    """The state (u_0, u_0', ..., u_{m-1}, u_{m-1}') at the handoff radius
+    r0 from the SERIES_TERMS-term series of each level (see ``_series``),
+    on floats: u_j(r0) = u_j(0) + lam^(gap/2 + 2j) sum_{k>=1} C_jk rho^(2k)
+    and u_j'(r0) = lam^(gap/2 + 2j) sum_k 2k C_jk rho^(2k) / r0 at
+    rho = lam r0, by Horner's rule, so the data enter unrounded.  Raises
+    DomainError when the data make the dilation scale or the state
+    overflow."""
+    m, data, r = spec.m, spec.even_initial, spec.r0
+    lam, rows = _series(m, spec.alpha, data)
+    gap = sobolev_gap(m, spec.alpha)
+    s = (lam * r) ** 2
     y = []
-    for u, b, c in zip(u0, a2, a4):
-        y += [u + b * r * r + c * r ** 4, 2.0 * b * r + 4.0 * c * r ** 3]
+    for j, (v, row) in enumerate(zip(data, rows)):
+        scale = _power(lam, gap / 2.0 + 2.0 * j)
+        tail = _horner(row, s)
+        slope = _horner([2.0 * k * c for k, c in enumerate(row)], s)
+        # a level far below its scale may have lam^e = inf and a zero tail
+        y += [v + scale * tail if tail else v, scale * slope / r if slope else 0.0]
+    if not all(map(math.isfinite, y)):
+        raise DomainError(f"initial data {list(data)} overflow the series "
+                          f"start at the origin")
     return y
 
 
@@ -319,21 +427,13 @@ def _kernel(m: int):
     return namespace["make"]
 
 
-def _power(x: float, e: float) -> float:
-    """x ** e for x >= 0, inf past the float range."""
-    try:
-        return x ** e
-    except OverflowError:
-        return math.inf
-
-
-def _level_bounds(gap: float, y: list) -> Tuple[float, tuple]:
-    """The dilation scale lam = max_j |u_j|^(1/(gap/2 + 2j)) of the state y
-    and each level's (2j, OVERFLOW_LIMIT * lam^(gap/2 + 2j)); zero data
-    give zero bounds."""
-    lam = max(_power(abs(y[i]), 1.0 / (gap / 2.0 + i)) for i in range(0, len(y), 2))
-    return lam, tuple((i, OVERFLOW_LIMIT * _power(lam, gap / 2.0 + i))
-                      for i in range(0, len(y), 2))
+def _level_bounds(gap: float, data) -> Tuple[float, tuple]:
+    """The dilation scale lam of the data u_j(0) (``_dilation_scale``) and
+    each level's (2j, OVERFLOW_LIMIT * lam^(gap/2 + 2j)), 2j its index in
+    the state; zero data give zero bounds."""
+    lam = _dilation_scale(gap, data)
+    return lam, tuple((2 * j, OVERFLOW_LIMIT * _power(lam, gap / 2.0 + 2.0 * j))
+                      for j in range(len(data)))
 
 
 def integrate(spec: IVPSpec,
@@ -374,7 +474,7 @@ def integrate(spec: IVPSpec,
     y = series_start(spec)
     n = len(y)
     gap = sobolev_gap(spec.m, spec.alpha)
-    lam, bounds = _level_bounds(gap, y)
+    lam, bounds = _level_bounds(gap, spec.even_initial)
     nodes, states = array("d", (r,)), array("d", y)
     evals = 1
     steps = rejected = 0
@@ -589,19 +689,19 @@ def _classification_report(m: int, alpha: float, eps: float, r_max: float,
     )
 
 
-def departure_from_family(m: int, alpha: float, result: SolveResult) -> float:
+def departure_from_family(spec: IVPSpec, result: SolveResult) -> float:
     """min over eps of sup_r |u_0(r) - w_eps(r)| / sup_r w_eps(r) on the
-    trajectory nodes: small only when the solution coincides with a family
-    member.  Relative to the sup, as in ``classification_check``: w_eps falls
-    like r^-gap, so a pointwise ratio grows with the integration's absolute
-    error in the tail.  The eps grid spans a factor of 16, geometrically
-    centred on the member that matches u_0(r0), or on eps = 1 when
-    u_0(r0) <= 0 and none matches."""
+    nodes of ``result``, the trajectory of ``spec``: small only when the
+    solution coincides with a family member.  Relative to the sup, as in
+    ``classification_check``: w_eps falls like r^-gap, so a pointwise ratio
+    grows with the integration's absolute error in the tail.  The eps grid
+    spans a factor of 16, geometrically centred on the member that matches
+    the datum u_0(0), or on eps = 1 when u_0(0) <= 0 and none matches."""
+    m, alpha, v0 = spec.m, spec.alpha, spec.even_initial[0]
     u0 = result.component(0)
-    centre = match_epsilon(m, alpha, float(u0[0])) if u0[0] > 0 else 1.0
+    centre = match_epsilon(m, alpha, v0) if v0 > 0 else 1.0
     best = math.inf
     for eps in centre * np.geomspace(0.25, 4.0, 61):
         w = bliss_profile(m, alpha, eps)(result.r)
         best = min(best, float(np.max(np.abs(u0 - w)) / np.max(w)))
     return best
-

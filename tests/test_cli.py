@@ -260,8 +260,9 @@ class TestClassify:
         assert report["departure"] < 0.01
 
     def test_overflowing_perturbation_departs(self, capsys):
-        # the nonlinear term overflows at the start radius: the integration
-        # stops with a blow-up (no numpy warning) and the data depart
+        # u_0(0) scaled by 1e10 sets the dilation scale to 3.2e20, so the
+        # run starts near r = 1e-21 and stops where a level passes its
+        # bound, near 1.2e-20 (no numpy warning); the data depart
         code, out, _ = run_cli(
             ["classify", "--m", "2", "--alpha", "4", "--perturb-index", "0",
              "--perturb-scale", "1e10"], capsys
@@ -269,7 +270,8 @@ class TestClassify:
         assert code == 0
         report = json.loads(out)
         assert report["verdict"] == "departs"
-        assert report["steps"] == 0
+        assert report["reached_r"] < 1e-19
+        assert report["stop_reason"].startswith("BlowupError: u_1 = ")
 
     @pytest.mark.parametrize("extra", [
         [],
@@ -402,7 +404,7 @@ def test_verify_polyharmonic_byte_stable(capsys):
     ["iterate", "--m", "2", "--alpha", "4", "--grid-points", "2"],
     ["iterate", "--m", "2", "--alpha", "4", "--r-min", "10", "--r-max", "1"],
     ["iterate", "--m", "2", "--alpha", "4", "--eps", "0"],
-    ["classify", "--m", "2", "--alpha", "4", "--r-max", "1e-5"],
+    ["classify", "--m", "2", "--alpha", "4", "--r-max", "0"],
     ["classify", "--m", "2", "--alpha", "4", "--eps", "0"],
     ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "0"],
     ["rayleigh", "--m", "1", "--alpha", "3", "--eps-list", "1,x"],
